@@ -158,6 +158,10 @@ def decimal_of_root(root: RealRoot, digits: int) -> str:
         s = certified_decimal(root.lo, root.lo, digits)
         assert s is not None
         return s
+    if len(root.poly) == 2:
+        # a rational root: an interval around a non-dyadic value such as 9/5
+        # straddles its own truncation point for ever, so use the value
+        return decimal_of_fraction(Fraction(-root.poly[0], root.poly[1]), digits)
     while True:
         s = certified_decimal(root.lo, root.hi, digits)
         if s is not None:

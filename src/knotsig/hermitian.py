@@ -20,12 +20,19 @@ diagonal entry vanishes but the block is nonzero, a standard congruence
 repair creates a pivot; if that happens mid-elimination the active
 submatrix is restarted fresh, with signs corrected by the sign of the
 previous pivot.
+
+The pivot choice, the repair and every exact division depend only on the
+ring, not on which root of q is the embedding.  So the elimination runs
+once per irreducible q (and connected block) and records a sign-free
+PivotTrace; the signs are then taken per embedding, once for each root of
+q (signatures_at_roots).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import intpoly as ip
 from .errors import SingularSampleError
@@ -106,23 +113,45 @@ class ScaledOrder:
             self.root.refine()
 
     def real_inverse(self, d):
-        """(num, den) with num/den the inverse of the real element d mod qhat."""
-        if self.m == 1:
+        """(num, den) with num/den the inverse of the real element d mod qhat.
+
+        Solves M x = e_0 for the integer multiplication matrix M of d (column
+        j is d * zhat^j mod qhat) by fraction-free (Bareiss) elimination and
+        back substitution, which stay in the integers: det(M) * x is the
+        adjugate column.  The pair is reduced by its common content.
+        """
+        if len(d) == 1:
             return ((1,), d[0])
-        r0 = tuple(Fraction(c) for c in self.qhat)
-        r1 = tuple(Fraction(c) for c in d)
-        s0, s1 = (), (Fraction(1),)
-        while not ip.is_zero(r1):
-            qq, rr = ip.divmod_exact(r0, r1)
-            r0, r1 = r1, rr
-            s0, s1 = s1, ip.sub(s0, ip.mul(qq, s1))
-        assert ip.degree(r0) == 0, "pivot not invertible modulo qhat"
-        inv = ip.scale(s0, 1 / r0[0])
-        den = 1
-        for c in inv:
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = tuple(int(c * den) for c in inv)
-        return (num, den)
+        m = self.m
+        a = [[0] * (m + 1) for _ in range(m)]
+        col = d
+        for j in range(m):
+            for i, c in enumerate(col):
+                a[i][j] = c
+            col = self.reduce(ip.shift(col, 1))
+        a[0][m] = 1
+        prev = 1
+        for k in range(m):
+            if a[k][k] == 0:
+                swap = next((i for i in range(k + 1, m) if a[i][k]), None)
+                assert swap is not None, "pivot not invertible modulo qhat"
+                a[k], a[swap] = a[swap], a[k]
+            row_k, akk = a[k], a[k][k]
+            for row in a[k + 1:]:
+                aik = row[k]
+                for j in range(k + 1, m + 1):
+                    row[j] = (akk * row[j] - aik * row_k[j]) // prev
+            prev = akk
+        det = prev
+        x = [0] * m
+        for i in range(m - 1, -1, -1):
+            row = a[i]
+            s = det * row[m] - sum(row[j] * x[j] for j in range(i + 1, m))
+            x[i] = s // row[i]
+        g = gcd(det, *x)
+        if det < 0:
+            g = -g
+        return (ip.trim(v // g for v in x), det // g)
 
     def divide_real(self, x: Pair, inv) -> Pair:
         """Divide x by a real element given as (num, den); must be exact."""
@@ -164,17 +193,49 @@ def hermitian_entries(V, order: ScaledOrder) -> list[list[Pair]]:
     return A
 
 
+class PivotTrace(NamedTuple):
+    """What a fraction-free elimination leaves once signs are set aside.
+
+    pivots are the real pivot elements d_1, d_2, ... in order, null the size
+    of a final all-zero block, and restart the trace of the fresh
+    elimination of the active block after a mid-elimination repair (whose
+    signs flip when the last pivot before it is negative).
+    """
+
+    pivots: tuple
+    null: int = 0
+    restart: "PivotTrace | None" = None
+
+
 def signature_triple(A: list[list[Pair]], order: ScaledOrder) -> tuple[int, int, int]:
     """(positive, negative, nullity) of a hermitian matrix over the order."""
     n = len(A)
-    return _eliminate([row[:] for row in A], list(range(n)), order)
+    return _trace_signs(_eliminate([row[:] for row in A], list(range(n)), order), order)
 
 
-def _eliminate(A, idx: list[int], order: ScaledOrder) -> tuple[int, int, int]:
-    pos = neg = null = 0
-    prev = order.one
+def _trace_signs(trace: PivotTrace, order: ScaledOrder) -> tuple[int, int, int]:
+    """(positive, negative, nullity) of a pivot trace at the order's embedding."""
+    pos = neg = 0
     prev_sign = 1
-    fresh = True
+    for d in trace.pivots:
+        d_sign = order.real_sign(d)
+        if d_sign * prev_sign > 0:
+            pos += 1
+        else:
+            neg += 1
+        prev_sign = d_sign
+    null = trace.null
+    if trace.restart is not None:
+        p2, n2, z2 = _trace_signs(trace.restart, order)
+        if prev_sign < 0:
+            p2, n2 = n2, p2
+        pos, neg, null = pos + p2, neg + n2, null + z2
+    return pos, neg, null
+
+
+def _eliminate(A, idx: list[int], order: ScaledOrder) -> PivotTrace:
+    pivots = []
+    prev = order.one
     while idx:
         piv, best = None, None
         for i in idx:
@@ -193,18 +254,12 @@ def _eliminate(A, idx: list[int], order: ScaledOrder) -> tuple[int, int, int]:
                 if pair:
                     break
             if pair is None:
-                null += len(idx)
-                break
-            if not fresh:
+                return PivotTrace(tuple(pivots), len(idx))
+            if pivots:
                 # entries carry the Bareiss scaling; restart the block fresh
                 sub = [[A[i][j] for j in idx] for i in idx]
-                p2, n2, z2 = _eliminate(sub, list(range(len(idx))), order)
-                if prev_sign < 0:
-                    p2, n2 = n2, p2
-                pos += p2
-                neg += n2
-                null += z2
-                break
+                return PivotTrace(tuple(pivots), 0,
+                                  _eliminate(sub, list(range(len(idx))), order))
             i, j = pair
             c = A[i][j]
             cc = order.conj(c)
@@ -214,12 +269,7 @@ def _eliminate(A, idx: list[int], order: ScaledOrder) -> tuple[int, int, int]:
                 A[k][i] = order.add(A[k][i], order.mul(A[k][j], cc))
             continue
 
-        d = order.real_part_only(A[piv][piv])
-        d_sign = order.real_sign(d)
-        if d_sign * prev_sign > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivots.append(order.real_part_only(A[piv][piv]))
         inv_prev = order.real_inverse(order.real_part_only(prev))
         rest = [i for i in idx if i != piv]
         dpair = A[piv][piv]
@@ -235,9 +285,7 @@ def _eliminate(A, idx: list[int], order: ScaledOrder) -> tuple[int, int, int]:
                 A[k][m_] = order.divide_real(t, inv_prev)
         idx = rest
         prev = dpair
-        prev_sign = d_sign
-        fresh = False
-    return pos, neg, null
+    return PivotTrace(tuple(pivots))
 
 
 def connected_blocks(V) -> list[list[int]]:
@@ -261,15 +309,21 @@ def connected_blocks(V) -> list[list[int]]:
     return blocks
 
 
-def _block_signature(V, order_factory) -> tuple[int, int, int]:
-    pos = neg = null = 0
+def _block_signatures(V, embeddings: list[ScaledOrder]) -> list[tuple[int, int, int]]:
+    """(positive, negative, nullity) of V's hermitian matrix at each embedding.
+
+    The embeddings must be orders over one ring (the same q, other roots);
+    each connected block is eliminated once, over the first, and its trace
+    read at each one.
+    """
+    ring = embeddings[0]
+    totals = [(0, 0, 0)] * len(embeddings)
     for block in connected_blocks(V):
         sub = [[V[i][j] for j in block] for i in block]
-        order = order_factory()
-        A = hermitian_entries(sub, order)
-        p, ng, z = signature_triple(A, order)
-        pos, neg, null = pos + p, neg + ng, null + z
-    return pos, neg, null
+        trace = _eliminate(hermitian_entries(sub, ring), list(range(len(block))), ring)
+        totals = [tuple(a + b for a, b in zip(total, _trace_signs(trace, e)))
+                  for total, e in zip(totals, embeddings)]
+    return totals
 
 
 def signature_at_sample(V, z: Fraction) -> int:
@@ -282,7 +336,8 @@ def signature_at_sample(V, z: Fraction) -> int:
     """
     if len(V) == 0:
         return 0
-    pos, neg, null = _block_signature(V, lambda: order_for_sample(z))
+    order = order_for_sample(z)
+    [(pos, neg, null)] = _block_signatures(V, [order])
     if null:
         raise SingularSampleError(f"sample z = {z} is a root of the Alexander polynomial")
     sig = pos - neg
@@ -290,16 +345,24 @@ def signature_at_sample(V, z: Fraction) -> int:
     return sig
 
 
-def signature_at_root(V, q, root: RealRoot) -> tuple[int, int]:
-    """(signature, nullity) of the hermitian matrix at an algebraic circle point.
+def signatures_at_roots(V, q, roots) -> list[tuple[int, int]]:
+    """[(signature, nullity), ...] of the hermitian matrix at algebraic circle
+    points, one per root, in the order given.
 
-    q is the (irreducible, positive-leading) trace polynomial of the point
-    and root its isolating interval in (-2, 2); the matrix may be singular.
+    q is the (irreducible, positive-leading) trace polynomial shared by the
+    points and roots are isolating intervals of some of its roots in
+    (-2, 2); the matrix may be singular there.  One elimination over the
+    order of q serves every root.
     """
-    if len(V) == 0:
-        return 0, 0
-    pos, neg, null = _block_signature(V, lambda: ScaledOrder(q, root))
-    return pos - neg, null
+    if not roots:
+        return []
+    orders = [ScaledOrder(q, root) for root in roots]
+    return [(pos - neg, null) for pos, neg, null in _block_signatures(V, orders)]
+
+
+def signature_at_root(V, q, root: RealRoot) -> tuple[int, int]:
+    """(signature, nullity) at one algebraic circle point; see signatures_at_roots."""
+    return signatures_at_roots(V, q, [root])[0]
 
 
 def symmetric_signature(M) -> tuple[int, int, int]:

@@ -26,7 +26,8 @@ from math import gcd
 
 from . import intpoly as ip
 from .errors import KnotsigError
-from .hermitian import signature_at_root, signature_at_sample as _sig_sample_raw
+from .hermitian import (signature_at_root, signature_at_sample as _sig_sample_raw,
+                        signatures_at_roots)
 from .laurent import LaurentPoly, to_trace_poly
 from .factor import factor_int_poly
 from .seifert import SeifertMatrix, alexander_polynomial
@@ -134,12 +135,25 @@ class SignatureFunction:
                        bp.nonbalanced) for bp in self.breakpoints))
 
 
+def _totient(n: int) -> int:
+    out, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            out -= out // p
+        p += 1
+    if rest > 1:
+        out -= out // rest
+    return out
+
+
 def _cyclotomic_index(f) -> int | None:
     d = ip.degree(f)
-    # phi(n) >= sqrt(n/2), so n <= 2 d^2 + 2 covers every candidate index
+    # deg Phi_n = totient(n) >= sqrt(n/2), so n <= 2 d^2 + 2 covers every
+    # candidate index; only the Phi_n of degree d are built
     for n in range(1, 2 * d * d + 3):
-        phi = ip.cyclotomic(n)
-        if ip.degree(phi) == d and tuple(phi) == tuple(f):
+        if _totient(n) == d and ip.cyclotomic(n) == tuple(f):
             return n
     return None
 
@@ -211,9 +225,10 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True,
                   jobs: int = 1) -> SignatureFunction:
     """The full signature step function of the knot with Seifert matrix V.
 
-    jobs > 1 evaluates the (independent, pure) plateau samples and
-    breakpoint signatures on a thread pool; results are collected in order,
-    so the output is identical for every thread count.
+    Non-balanced values take one elimination per breakpoint factor, read
+    at each of its roots.  jobs > 1 evaluates the (independent, pure)
+    plateau samples, and then the factors, on a thread pool; results are
+    collected in order, so the output is identical for every thread count.
     """
     delta = alexander_polynomial(V)
     factors = breakpoint_candidates(delta)
@@ -239,7 +254,13 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True,
             raise AssertionError("plateau values must be even")
 
     if include_nonbalanced:
-        nb_values = _ordered_map(lambda ur: nonbalanced_at_root(V, ur), roots, jobs)
+        per_factor = _ordered_map(
+            lambda bf: signatures_at_roots(V.rows, bf.roots[0].trace,
+                                           [ur.root for ur in bf.roots]),
+            factors, jobs)
+        nb_of = {ur: s for bf, values in zip(factors, per_factor)
+                 for ur, (s, _null) in zip(bf.roots, values)}
+        nb_values = [nb_of[ur] for ur in roots]
     else:
         nb_values = [None] * len(roots)
 

@@ -123,6 +123,24 @@ def test_config_file(tmp_path):
     assert json.loads(r.stdout)["range"] == 2
 
 
+def test_bounds_json_rational_trace_roots(tmp_path):
+    # Delta = (x - 2)(2x - 1)(5x^2 - 9x + 5)(9x^2 - 17x + 9): the circle roots
+    # sit at z = 9/5 and z = 17/9, and 9/5 is a decimal that no dyadic
+    # isolating interval can truncate
+    V = [[1, 0, 1, -1, -1, -2], [-1, 1, 1, 2, 1, 2], [1, 1, -1, 0, 0, -1],
+         [-1, 2, -1, -1, 2, 2], [-1, 1, 0, 2, 0, 0], [-2, 2, -1, 2, -1, 2]]
+    knots = tmp_path / "extra.json"
+    knots.write_text(json.dumps([{"name": "6g2", "matrix": V}]))
+    cfg = tmp_path / "knotsig.conf"
+    cfg.write_text(f"table_path = {knots}\n")
+    r = subprocess.run([sys.executable, "-m", "knotsig.cli", "--config", str(cfg), "bounds",
+                        "6g2", "--format", "json", "--precision", "20"],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    zs = sorted(root["z"] for f in json.loads(r.stdout)["factors"] for root in f["roots"])
+    assert zs == ["1.80000000000000000000", "1.88888888888888888888"]
+
+
 def test_json_roundtrip_byte_identical():
     r = run_cli("bounds", "8_2 # -5_1", "--format", "json")
     reparsed = json.dumps(json.loads(r.stdout), indent=2, ensure_ascii=False) + "\n"

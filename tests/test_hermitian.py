@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import float_signature, float_signature_at_angle, random_sample_points
+from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
-from knotsig.hermitian import (ScaledOrder, connected_blocks, signature_at_root,
-                               signature_at_sample, signature_triple,
-                               symmetric_signature)
+from knotsig.hermitian import (ScaledOrder, _eliminate, connected_blocks, hermitian_entries,
+                               signature_at_root, signature_at_sample, signature_triple,
+                               signatures_at_roots, symmetric_signature)
 from knotsig.knot_table import lookup
 from knotsig.sturm import isolate_real_roots
 
@@ -187,3 +188,56 @@ def test_repair_path_small_hermitian():
     A = [[order.zero, w], [order.conj(w), order.zero]]
     pos, neg, null = signature_triple(A, order)
     assert (pos, neg, null) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("q", [(-1, -1, 1), (3, 0, -3, 1), (-1, 0, 2), (1, -5, 0, 3),
+                               (1, 3, -3, -4, 1, 1)])
+def test_real_inverse_is_an_inverse(q):
+    # the trace of Phi_10, the 8_2 factor, two non-monic orders (scaled
+    # zhat = l*z), and the degree-5 trace of Phi_11
+    order = ScaledOrder(q, isolate_real_roots(q, Fraction(-2), Fraction(2))[0])
+    rng = random.Random(sum(q) * 7919 + len(q))
+    for bits in (2, 20, 200):
+        for _ in range(15):
+            d = ip.trim(tuple(rng.randint(-2**bits, 2**bits) for _ in range(order.m)))
+            if not d:
+                continue
+            num, den = order.real_inverse(d)
+            assert len(num) <= order.m and den != 0
+            assert order.reduce(ip.mul(d, num)) == (den,), (q, d)
+
+
+def test_signatures_at_roots_follow_root_order():
+    V = resolve("8_2 # -5_1").rows
+    q = (3, 0, -3, 1)
+    roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
+    one_by_one = [signature_at_root(V, q, r) for r in roots]
+    assert signatures_at_roots(V, q, roots) == one_by_one
+    assert signatures_at_roots(V, q, roots[::-1]) == one_by_one[::-1]
+    assert signatures_at_roots(V, q, []) == []
+    assert signatures_at_roots([], q, roots) == [(0, 0), (0, 0)]
+
+
+def test_restart_signs_are_taken_per_root():
+    # V = P (V_3_1 + W) P^T: the trefoil block plus a 3x3 block W with zero
+    # diagonal and signature -1, mixed by a unimodular P.  After the two
+    # trefoil pivots, z - 2 and 4 - 3z, the active block is W scaled by the
+    # last pivot, so the elimination repairs it and restarts.  At z^2 = 2
+    # (t = 3/8 and 1/8) that pivot is positive at z = -sqrt 2 and negative
+    # at z = sqrt 2, so the restart's signs swap at one root only.
+    import math
+
+    V = [[-1, 1, 0, 0, 0], [0, -1, 2, 2, 2], [2, 0, -4, -3, -3], [2, 0, -3, -4, -3],
+         [2, 0, -3, -3, -4]]
+    q = (-2, 0, 1)
+    roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
+    orders = [ScaledOrder(q, r) for r in roots]
+    trace = _eliminate(hermitian_entries(V, orders[0]), list(range(5)), orders[0])
+    assert trace.pivots == ((-2, 1), (4, -3)) and trace.restart is not None
+    assert [o.real_sign(trace.pivots[-1]) for o in orders] == [1, -1]
+    got = signatures_at_roots(V, q, roots)
+    assert got == [(-3, 0), (-1, 0)]
+    for r, sig in zip(roots, got):
+        r.refine_below(Fraction(1, 10**9))
+        t = math.acos(float(r.mid) / 2) / (2 * math.pi)
+        assert sig == float_signature_at_angle(V, t), float(r.mid)

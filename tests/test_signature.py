@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
 from knotsig.knot_table import lookup
 from knotsig.seifert import SeifertMatrix, alexander_polynomial
-from knotsig.signature import (breakpoint_candidates, nonbalanced_at_root,
+from knotsig.signature import (_cyclotomic_index, breakpoint_candidates, nonbalanced_at_root,
                                signature_at_sample, step_function)
 
 
@@ -104,3 +105,24 @@ def test_factor_groups_ordering():
                        include_nonbalanced=False)
     degrees = [len(f) - 1 for f, _, _ in sf.factor_groups()]
     assert degrees == [2, 4, 6]
+
+
+def _cyclotomic_index_brute(f):
+    # every Phi_n with n <= 2 d^2 + 2, whatever its degree
+    d = ip.degree(f)
+    for n in range(1, 2 * d * d + 3):
+        if ip.cyclotomic(n) == tuple(f):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("f", [ip.cyclotomic(n) for n in range(1, 61)] + [
+    (1, -3, 1),                                   # 4_1
+    (1, -2, 3, -2, 1),                            # (x^2 - x + 1)^2
+    (1, -1, -1, -1, 1),
+    (2, -3, 2), (1, 1, -1, 1, 1), (1, 0, -1, 1, -1, 0, 1),
+    (262, -1446, 3431, -4493, 3431, -1446, 262),  # a random 6x6 Seifert matrix
+    (1, -1, 0, 1, -1, 1, 0, -1, 1),
+])
+def test_cyclotomic_index_scans_only_matching_degrees(f):
+    assert _cyclotomic_index(f) == _cyclotomic_index_brute(f)
