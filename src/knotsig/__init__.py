@@ -23,7 +23,6 @@ from .knot_table import knot_names, lookup
 from .knotio import read_seifert_file, write_report
 from .laurent import (LaurentPoly, TracePoly, from_trace_poly, normalize_alexander,
                       to_trace_poly)
-from .numberfield import RealAlgebraicField
 from .oracle import (ExhaustiveReport, LatticeState, MovesResult, apply_move,
                      exhaustive_check, minimal_moves)
 from .seifert import (SeifertMatrix, alexander_polynomial, connected_sum, mirror,

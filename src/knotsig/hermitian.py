@@ -7,11 +7,20 @@ what = l*omega, everything is scaled into the order
 
     Z[zhat, what] / (qhat(zhat), what^2 - zhat*what + l^2),
 
-whose elements are pairs (a, b) of integer polynomials in zhat of degree
-less than deg q, meaning a + b*what.  The involution fixes zhat and sends
-what to zhat - what; diagonal entries of hermitian matrices land in the
-real subring (b = 0) and their signs are decided at the embedding.
+whose involution fixes zhat and sends what to zhat - what; diagonal entries
+of hermitian matrices land in the real (involution-fixed) subring and their
+signs are decided at the embedding.  There are two rings for it:
 
+- ScaledOrder, for deg q >= 2: elements are pairs (a, b) of integer
+  polynomials in zhat of degree less than deg q, meaning a + b*what; signs
+  of real elements are decided by interval evaluation at an isolating
+  interval of the root.
+- IntPairOrder, for deg q = 1, that is a rational z = zhat/l (every plateau
+  sample and every rational trace root): zhat is an integer, elements are
+  int pairs (a, b), real elements are plain ints and their sign is the
+  int's sign.
+
+Both rings offer the same operations, and one kernel runs over either.
 Signatures are computed by a fraction-free (Bareiss) symmetric elimination:
 divisions are exact in the order, pivots are real, and the sign of each
 elimination step is sign(d_s * d_{s-1}).  Singular matrices are fine; a
@@ -42,7 +51,8 @@ Pair = tuple  # (a, b): two int-coefficient tuples, ascending powers of zhat
 
 
 class ScaledOrder:
-    """The order Z[zhat, what] above, with the embedding data for signs."""
+    """The order Z[zhat, what] above for deg q >= 2, with the embedding data
+    for signs (a root of q, irrational since q is irreducible)."""
 
     def __init__(self, q, root: RealRoot):
         q = ip.trim(q)
@@ -54,10 +64,7 @@ class ScaledOrder:
         l, m = self.l, self.m
         self.qhat = tuple(q[k] * l ** (m - 1 - k) for k in range(m)) + (1,)
         self.e = l * l
-        if root.is_exact:
-            self.root = RealRoot.exact(self.qhat, l * root.lo)
-        else:
-            self.root = RealRoot(self.qhat, l * root.lo, l * root.hi)
+        self.root = RealRoot(self.qhat, l * root.lo, l * root.hi)
         self.zero: Pair = ((), ())
         self.one: Pair = ((1,), ())
 
@@ -100,10 +107,6 @@ class ScaledOrder:
         """Sign of a real element (an integer polynomial in zhat) at the embedding."""
         if ip.is_zero(a):
             return 0
-        if self.root.is_exact:
-            v = ip.eval_at(a, self.root.lo)
-            assert v != 0
-            return 1 if v > 0 else -1
         while True:
             lo, hi = ip.interval_eval(a, self.root.lo, self.root.hi)
             if lo > 0:
@@ -165,32 +168,88 @@ class ScaledOrder:
             out.append(v)
         return (out[0], out[1])
 
+    def hermitian_entries(self, V) -> list[list[Pair]]:
+        """l * [(1-omega)V + (1-conj(omega))V^T] over the order.
 
-def order_for_sample(z: Fraction) -> ScaledOrder:
+        The positive rescale by l leaves the signature unchanged.
+        """
+        n, l = len(V), self.l
+        return [[(self.reduce(ip.trim((l * (V[i][j] + V[j][i]), -V[j][i]))),
+                  ip.trim((V[j][i] - V[i][j],)))
+                 for j in range(n)] for i in range(n)]
+
+
+class IntPairOrder:
+    """The order above for a rational trace value z = zhat/l (deg q = 1).
+
+    zhat is an integer, so an element is an int pair (a, b) meaning
+    a + b*what, with what^2 = zhat*what - l^2.  Real elements are plain ints
+    and their sign at the (only) embedding is their own.  Division by a real
+    element needs no inverse: real_inverse hands the int back and
+    divide_real divides exactly.
+    """
+
+    def __init__(self, z: Fraction):
+        self.zhat, self.l = z.numerator, z.denominator
+        self.e = self.l * self.l
+        self.zero = (0, 0)
+        self.one = (1, 0)
+
+    def add(self, x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def sub(self, x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    def mul(self, x, y):
+        a1, b1 = x
+        a2, b2 = y
+        bb = b1 * b2
+        return (a1 * a2 - self.e * bb, a1 * b2 + a2 * b1 + self.zhat * bb)
+
+    def conj(self, x):
+        a, b = x
+        return (a + self.zhat * b, -b)
+
+    def is_zero(self, x) -> bool:
+        return not (x[0] or x[1])
+
+    def size(self, x) -> int:
+        return abs(x[0]).bit_length() + abs(x[1]).bit_length()
+
+    def real_part_only(self, x) -> int:
+        assert x[1] == 0, "expected an involution-fixed element"
+        return x[0]
+
+    def real_sign(self, a: int) -> int:
+        return (a > 0) - (a < 0)
+
+    def real_inverse(self, d: int) -> int:
+        return d
+
+    def divide_real(self, x, d: int):
+        """Divide x by the nonzero int d; must be exact."""
+        a, ra = divmod(x[0], d)
+        b, rb = divmod(x[1], d)
+        assert ra == 0 and rb == 0, "inexact Bareiss division"
+        return (a, b)
+
+    def hermitian_entries(self, V) -> list[list[tuple]]:
+        """l * [(1-omega)V + (1-conj(omega))V^T] over the order."""
+        n, l, zhat = len(V), self.l, self.zhat
+        return [[(l * (V[i][j] + V[j][i]) - zhat * V[j][i], V[j][i] - V[i][j])
+                 for j in range(n)] for i in range(n)]
+
+
+Ring = ScaledOrder | IntPairOrder
+
+
+def order_for_sample(z: Fraction) -> IntPairOrder:
     """The (degree-1) order for a rational trace value z in (-2, 2)."""
     z = Fraction(z)
     if not -2 < z < 2:
         raise ValueError("sample must lie strictly inside (-2, 2)")
-    p, r = z.numerator, z.denominator
-    q = (-p, r)
-    return ScaledOrder(q, RealRoot.exact(q, z))
-
-
-def hermitian_entries(V, order: ScaledOrder) -> list[list[Pair]]:
-    """l * [(1-omega)V + (1-conj(omega))V^T] over the order.
-
-    The positive rescale by l leaves the signature unchanged.
-    """
-    n = len(V)
-    l = order.l
-    A: list[list[Pair]] = [[order.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            vij, vji = V[i][j], V[j][i]
-            a = order.reduce(ip.trim((l * (vij + vji), -vji)))
-            b = ip.trim((vji - vij,))
-            A[i][j] = (a, b)
-    return A
+    return IntPairOrder(z)
 
 
 class PivotTrace(NamedTuple):
@@ -207,13 +266,13 @@ class PivotTrace(NamedTuple):
     restart: "PivotTrace | None" = None
 
 
-def signature_triple(A: list[list[Pair]], order: ScaledOrder) -> tuple[int, int, int]:
+def signature_triple(A: list[list[Pair]], order: Ring) -> tuple[int, int, int]:
     """(positive, negative, nullity) of a hermitian matrix over the order."""
     n = len(A)
     return _trace_signs(_eliminate([row[:] for row in A], list(range(n)), order), order)
 
 
-def _trace_signs(trace: PivotTrace, order: ScaledOrder) -> tuple[int, int, int]:
+def _trace_signs(trace: PivotTrace, order: Ring) -> tuple[int, int, int]:
     """(positive, negative, nullity) of a pivot trace at the order's embedding."""
     pos = neg = 0
     prev_sign = 1
@@ -233,7 +292,7 @@ def _trace_signs(trace: PivotTrace, order: ScaledOrder) -> tuple[int, int, int]:
     return pos, neg, null
 
 
-def _eliminate(A, idx: list[int], order: ScaledOrder) -> PivotTrace:
+def _eliminate(A, idx: list[int], order: Ring) -> PivotTrace:
     pivots = []
     prev = order.one
     while idx:
@@ -309,7 +368,7 @@ def connected_blocks(V) -> list[list[int]]:
     return blocks
 
 
-def _block_signatures(V, embeddings: list[ScaledOrder]) -> list[tuple[int, int, int]]:
+def _block_signatures(V, embeddings: list[Ring]) -> list[tuple[int, int, int]]:
     """(positive, negative, nullity) of V's hermitian matrix at each embedding.
 
     The embeddings must be orders over one ring (the same q, other roots);
@@ -320,7 +379,7 @@ def _block_signatures(V, embeddings: list[ScaledOrder]) -> list[tuple[int, int, 
     totals = [(0, 0, 0)] * len(embeddings)
     for block in connected_blocks(V):
         sub = [[V[i][j] for j in block] for i in block]
-        trace = _eliminate(hermitian_entries(sub, ring), list(range(len(block))), ring)
+        trace = _eliminate(ring.hermitian_entries(sub), list(range(len(block))), ring)
         totals = [tuple(a + b for a, b in zip(total, _trace_signs(trace, e)))
                   for total, e in zip(totals, embeddings)]
     return totals
@@ -352,11 +411,16 @@ def signatures_at_roots(V, q, roots) -> list[tuple[int, int]]:
     q is the (irreducible, positive-leading) trace polynomial shared by the
     points and roots are isolating intervals of some of its roots in
     (-2, 2); the matrix may be singular there.  One elimination over the
-    order of q serves every root.
+    order of q serves every root; a rational root (deg q = 1) is eliminated
+    over the int-pair ring.
     """
     if not roots:
         return []
-    orders = [ScaledOrder(q, root) for root in roots]
+    q = ip.trim(q)
+    if ip.degree(q) == 1:
+        orders = [IntPairOrder(Fraction(-q[0], q[1]))] * len(roots)
+    else:
+        orders = [ScaledOrder(q, root) for root in roots]
     return [(pos - neg, null) for pos, neg, null in _block_signatures(V, orders)]
 
 

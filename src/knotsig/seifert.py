@@ -3,16 +3,13 @@
 A Seifert matrix is a square integer matrix V of even size with
 det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  The Alexander
 polynomial det(V - x V^T) is computed exactly by evaluation at integer
-points and Lagrange interpolation, block by block on the connected
+points and Newton interpolation, block by block on the connected
 components of the support of V + V^T (connected sums are block sums, so
 this keeps the determinants small).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import intpoly as ip
 from .errors import SeifertInvariantError
 from .hermitian import connected_blocks, symmetric_signature
 from .laurent import LaurentPoly, normalize_alexander
@@ -130,31 +127,37 @@ def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
 def _det_poly(M) -> LaurentPoly:
     """det(M - x M^T) by evaluation-interpolation, as a LaurentPoly."""
     n = len(M)
-    deg = n
-    pts = [k - deg // 2 for k in range(deg + 1)]
-    vals = []
-    for x in pts:
-        A = [[M[i][j] - x * M[j][i] for j in range(n)] for i in range(n)]
-        vals.append(_int_det(A))
-    coeffs = _lagrange(pts, vals)
-    return LaurentPoly(0, coeffs)
+    x0 = -(n // 2)
+    vals = [_int_det([[M[i][j] - x * M[j][i] for j in range(n)] for i in range(n)])
+            for x in range(x0, x0 + n + 1)]
+    return LaurentPoly(0, _interpolate(x0, vals))
 
 
-def _lagrange(pts, vals):
-    coeffs = [Fraction(0)] * len(pts)
-    for i, xi in enumerate(pts):
-        basis = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(pts):
-            if i == j:
-                continue
-            basis = ip.mul(basis, (Fraction(-xj), Fraction(1)))
-            den *= xi - xj
-        w = Fraction(vals[i]) / den
-        coeffs = ip.add(coeffs, ip.scale(basis, w))
-    coeffs = list(coeffs) + [Fraction(0)] * (len(pts) - len(coeffs))
-    assert all(c.denominator == 1 for c in coeffs)
-    return tuple(int(c) for c in coeffs)
+def _interpolate(x0: int, vals) -> tuple:
+    """Ascending integer coefficients of the polynomial of degree < len(vals)
+    with integer coefficients taking vals[k] at x = x0 + k.
+
+    Newton's form at consecutive integers: the k-th divided difference is the
+    k-th forward difference over k!, built one level (division by k) at a
+    time.  Each division is exact for integer-coefficient polynomials,
+    because divided differences of x^d at integer points are integers.
+    The Newton form is then expanded by Horner in O(n^2) integer steps.
+    """
+    c = list(vals)
+    n = len(c)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            d, r = divmod(c[i] - c[i - 1], k)
+            assert r == 0, "values are not those of an integer polynomial"
+            c[i] = d
+    coeffs = [0] * n
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (x - (x0 + k)) + c[k]
+        root = x0 + k
+        for j in range(n - 1, 0, -1):
+            coeffs[j] = coeffs[j - 1] - root * coeffs[j]
+        coeffs[0] = c[k] - root * coeffs[0]
+    return tuple(coeffs)
 
 
 def murasugi_signature(V: SeifertMatrix) -> int:

@@ -7,11 +7,13 @@ from conftest import float_signature, float_signature_at_angle, random_sample_po
 from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
-from knotsig.hermitian import (ScaledOrder, _eliminate, connected_blocks, hermitian_entries,
-                               signature_at_root, signature_at_sample, signature_triple,
-                               signatures_at_roots, symmetric_signature)
+from knotsig.hermitian import (IntPairOrder, ScaledOrder, _eliminate, _trace_signs,
+                               connected_blocks, order_for_sample, signature_at_root,
+                               signature_at_sample, signature_triple, signatures_at_roots,
+                               symmetric_signature)
 from knotsig.knot_table import lookup
-from knotsig.sturm import isolate_real_roots
+from knotsig.seifert import SeifertMatrix, connected_sum
+from knotsig.sturm import RealRoot, isolate_real_roots
 
 
 def test_trefoil_near_minus_one():
@@ -183,8 +185,8 @@ def test_randomized_breakpoint_signatures_vs_float():
 
 def test_repair_path_small_hermitian():
     # at z = 0 (omega = i) the form [[0, w],[conj(w), 0]] needs the repair step
-    order = ScaledOrder((0, 1), isolate_real_roots((0, 1), Fraction(-2), Fraction(2))[0])
-    w = ((), (1,))
+    order = IntPairOrder(Fraction(0))
+    w = (0, 1)
     A = [[order.zero, w], [order.conj(w), order.zero]]
     pos, neg, null = signature_triple(A, order)
     assert (pos, neg, null) == (1, 1, 0)
@@ -218,6 +220,10 @@ def test_signatures_at_roots_follow_root_order():
     assert signatures_at_roots([], q, roots) == [(0, 0), (0, 0)]
 
 
+RESTART_V = [[-1, 1, 0, 0, 0], [0, -1, 2, 2, 2], [2, 0, -4, -3, -3], [2, 0, -3, -4, -3],
+             [2, 0, -3, -3, -4]]
+
+
 def test_restart_signs_are_taken_per_root():
     # V = P (V_3_1 + W) P^T: the trefoil block plus a 3x3 block W with zero
     # diagonal and signature -1, mixed by a unimodular P.  After the two
@@ -227,12 +233,11 @@ def test_restart_signs_are_taken_per_root():
     # at z = sqrt 2, so the restart's signs swap at one root only.
     import math
 
-    V = [[-1, 1, 0, 0, 0], [0, -1, 2, 2, 2], [2, 0, -4, -3, -3], [2, 0, -3, -4, -3],
-         [2, 0, -3, -3, -4]]
+    V = RESTART_V
     q = (-2, 0, 1)
     roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
     orders = [ScaledOrder(q, r) for r in roots]
-    trace = _eliminate(hermitian_entries(V, orders[0]), list(range(5)), orders[0])
+    trace = _eliminate(orders[0].hermitian_entries(V), list(range(5)), orders[0])
     assert trace.pivots == ((-2, 1), (4, -3)) and trace.restart is not None
     assert [o.real_sign(trace.pivots[-1]) for o in orders] == [1, -1]
     got = signatures_at_roots(V, q, roots)
@@ -241,3 +246,73 @@ def test_restart_signs_are_taken_per_root():
         r.refine_below(Fraction(1, 10**9))
         t = math.acos(float(r.mid) / 2) / (2 * math.pi)
         assert sig == float_signature_at_angle(V, t), float(r.mid)
+
+
+def _float_triple(V, z: Fraction, gap: float = 1e-6):
+    """(pos, neg, 0) of the hermitian matrix at z by eigvalsh, or None when
+    some eigenvalue is within gap of zero."""
+    import numpy as np
+
+    w = complex(float(z) / 2, (1 - float(z) ** 2 / 4) ** 0.5)
+    A = np.array(V, dtype=float)
+    eigs = np.linalg.eigvalsh((1 - w) * A + (1 - w.conjugate()) * A.T)
+    if np.abs(eigs).min() <= gap:
+        return None
+    return int((eigs > 0).sum()), int((eigs < 0).sum()), 0
+
+
+def test_int_pair_ring_matches_eigenvalues():
+    # arbitrary integer matrices, half of them with a zero diagonal (so the
+    # hermitian diagonal vanishes and the repair runs), at random rational z
+    rng = random.Random(5)
+    compared = 0
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        V = [[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if trial % 2:
+            for i in range(n):
+                V[i][i] = 0
+        den = rng.randint(1, 40)
+        z = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
+        order = order_for_sample(z)
+        got = signature_triple(order.hermitian_entries(V), order)
+        assert sum(got) == n
+        want = _float_triple(V, z)
+        if want is not None:
+            assert got == want, (V, z)
+            compared += 1
+    assert compared > 200
+
+
+def test_int_pair_ring_at_a_rational_root():
+    # Delta = 5x^2 - 9x + 5 has trace polynomial 5z - 9: the circle point
+    # z = 9/5 is a rational root, where the form is singular with nullity 1
+    import math
+
+    V = [[1, 1], [0, 5]]
+    q = (-9, 5)
+    root = RealRoot.exact(q, Fraction(9, 5))
+    t = math.acos(0.9) / (2 * math.pi)
+    assert signatures_at_roots(V, q, [root]) == [(1, 1)] == [float_signature_at_angle(V, t)]
+    with pytest.raises(SingularSampleError):
+        signature_at_sample(V, Fraction(9, 5))
+    # summands nonsingular there add their signatures: 0 for the trefoil
+    # (before its breakpoint z = 1), -2 for T(2,15) (past its first, t = 1/30)
+    for other, want in (("3_1", (1, 1)), ("T(2,15)", (-1, 1))):
+        VW = connected_sum(SeifertMatrix(V), resolve(other)).rows
+        assert signatures_at_roots(VW, q, [root]) == [want] == [float_signature_at_angle(VW, t)]
+
+
+@pytest.mark.parametrize("z", [Fraction(-1, 2), Fraction(3, 2)])
+def test_int_pair_ring_repairs_and_restarts(z):
+    # the 5x5 matrix of the per-root restart test at rational points: after
+    # the two trefoil pivots the active block has a zero diagonal, so the
+    # elimination repairs it and restarts; the last pivot before the restart
+    # is positive at z = -1/2 and negative at z = 3/2, where the restart's
+    # signs swap
+    order = order_for_sample(z)
+    trace = _eliminate(order.hermitian_entries(RESTART_V), list(range(5)), order)
+    assert len(trace.pivots) == 2 and trace.restart is not None
+    assert order.real_sign(trace.pivots[-1]) == (1 if z < 1 else -1)
+    assert _trace_signs(trace, order) == _float_triple(RESTART_V, z)

@@ -1,15 +1,20 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import _interpolate_int
+from knotsig import intpoly as ip
 from knotsig.errors import KnotsigError, SeifertInvariantError
-from knotsig.hermitian import signature_at_sample
-from knotsig.knot_table import lookup
+from knotsig.expressions import resolve
+from knotsig.hermitian import connected_blocks, signature_at_sample
+from knotsig.knot_table import knot_names, lookup
 from knotsig.knotio import read_seifert_file, write_report
 from knotsig.laurent import LaurentPoly, normalize_alexander
-from knotsig.seifert import (SeifertMatrix, alexander_polynomial, connected_sum,
-                             mirror, murasugi_signature, stabilize)
+from knotsig.seifert import (SeifertMatrix, _det_poly, _int_det, _interpolate,
+                             alexander_polynomial, connected_sum, mirror,
+                             murasugi_signature, stabilize)
 
 
 def test_validation():
@@ -110,3 +115,50 @@ def test_write_report_roundtrip(tmp_path):
     assert json.loads(text) == payload
     # byte-identical reserialization
     assert json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n" == text
+
+
+def test_interpolation_recovers_random_polynomials():
+    # the points of _det_poly for an n x n block are n + 1 consecutive
+    # integers from -(n // 2); degree n and lower degrees both occur
+    rng = random.Random(60)
+    for n in range(61):
+        for top in (n, max(n - 3, 0)):
+            bits = rng.choice((3, 30, 300))
+            coeffs = [rng.randint(-2**bits, 2**bits) for _ in range(top + 1)]
+            coeffs += [0] * (n - top)
+            x0 = -(n // 2)
+            vals = [sum(c * x**k for k, c in enumerate(coeffs)) for x in range(x0, x0 + n + 1)]
+            assert _interpolate(x0, vals) == tuple(coeffs), (n, top)
+
+
+def test_interpolation_asserts_exactness():
+    # x(x - 1)/2 takes integer values at integers but has no integer coefficients
+    with pytest.raises(AssertionError):
+        _interpolate(0, [0, 0, 1])
+
+
+def _torus_alexander(p, q):
+    """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), ascending."""
+    def tm1(k):
+        return (-1,) + (0,) * (k - 1) + (1,)
+    return ip.div_exact(ip.mul(tm1(p * q), tm1(1)), ip.mul(tm1(p), tm1(q)))
+
+
+def test_alexander_unchanged_on_table_and_large_torus():
+    # every block's polynomial equals the Lagrange reference at its points
+    for name in knot_names():
+        rows = lookup(name).rows
+        for block in connected_blocks(rows):
+            M = [[rows[i][j] for j in block] for i in block]
+            n = len(M)
+            pts = list(range(-(n // 2), n - n // 2 + 1))
+            vals = [_int_det([[M[i][j] - x * M[j][i] for j in range(n)] for i in range(n)])
+                    for x in pts]
+            assert _det_poly(M) == LaurentPoly(0, _interpolate_int(pts, vals)), name
+    # large torus knots and a sum, against the closed form
+    for expr, parts in (("T(5,11)", [(5, 11)]), ("T(2,31)", [(2, 31)]),
+                        ("T(3,10) # -T(2,15) # -T(5,6)", [(3, 10), (2, 15), (5, 6)])):
+        want = LaurentPoly(0, (1,))
+        for p, q in parts:
+            want = want * LaurentPoly(0, _torus_alexander(p, q))
+        assert alexander_polynomial(resolve(expr)) == normalize_alexander(want), expr
