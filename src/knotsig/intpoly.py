@@ -237,10 +237,6 @@ def reverse(f: Poly) -> Poly:
     return trim(tuple(reversed(f)))
 
 
-def is_palindromic(f: Poly) -> bool:
-    return not is_zero(f) and tuple(f) == tuple(reversed(f))
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial as an integer tuple."""

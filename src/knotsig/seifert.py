@@ -113,14 +113,19 @@ def _int_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def block_alexander_polynomials(V: SeifertMatrix) -> list[LaurentPoly]:
+    """det(V_B - x V_B^T) for each connected block B of V, in the order of
+    connected_blocks, unnormalized."""
+    return [_det_poly([[V.rows[i][j] for j in block] for i in block])
+            for block in connected_blocks(V.rows)]
+
+
 def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
-    """det(V - x V^T), normalized symmetric with value 1 at x = 1."""
-    if V.size == 0:
-        return LaurentPoly.one()
+    """det(V - x V^T), normalized symmetric with value 1 at x = 1: the
+    product of the block polynomials."""
     total = LaurentPoly.one()
-    for block in connected_blocks(V.rows):
-        sub = [[V.rows[i][j] for j in block] for i in block]
-        total = total * _det_poly(sub)
+    for p in block_alexander_polynomials(V):
+        total = total * p
     return normalize_alexander(total)
 
 

@@ -12,10 +12,21 @@ consecutive roots.
 At a breakpoint three numbers are recorded: the jump (half the difference
 of one-sided limits), the balanced value (their average, stored doubled so
 reports never need fractions), and the non-balanced value, the honest
-signature of the singular hermitian matrix at the root, computed by exact
-congruence diagonalization over the corresponding number field (the
-relation of the non-balanced value to the adjacent plateaus is not
-determined by them, so it is never inferred).
+signature of the singular hermitian matrix at the root.
+
+The non-balanced value is the balanced one at every root of an irreducible
+factor f that is simple (multiplicity <= 1) in the Alexander polynomial
+Delta_B of each connected block B.  Proof: H_B(t) = (1-conj(w))(V_B^T - w V_B)
+with 1-conj(w) != 0 on (0, 1/2], so det H_B(t) vanishes at a root w0 to
+exactly the order of w0 as a root of Delta_B.  By Rellich's theorem the
+eigenvalues of H_B(t) are real-analytic branches whose vanishing orders at
+w0 add up to that order (Kato, Perturbation Theory for Linear Operators,
+ch. II).  For order 1 exactly one branch vanishes, to first order, so it
+changes sign and the block's signature at w0 is the average of its two
+one-sided values; for order 0 the block is continuous at w0.  Signatures
+add over blocks.  Where f repeats inside one block (Phi_6^2 in 8_20) the
+value is not determined by the plateaus, and it is computed by exact
+congruence diagonalization over the number field of f.
 """
 
 from __future__ import annotations
@@ -26,11 +37,11 @@ from math import gcd
 
 from . import intpoly as ip
 from .errors import KnotsigError
-from .hermitian import (signature_at_root, signature_at_sample as _sig_sample_raw,
-                        signatures_at_roots)
+from .hermitian import (connected_blocks, signature_at_root,
+                        signature_at_sample as _sig_sample_raw, signatures_at_roots)
 from .laurent import LaurentPoly, to_trace_poly
 from .factor import factor_int_poly
-from .seifert import SeifertMatrix, alexander_polynomial
+from .seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
 from .sturm import RealRoot, isolate_real_roots
 
 
@@ -221,14 +232,33 @@ def _separate_all(roots: list[UnitRoot]) -> None:
             return
 
 
+def _repeated_in_a_block(V: SeifertMatrix, factors) -> list[BreakpointFactor]:
+    """The factors whose square divides the Alexander polynomial of some
+    connected block of V; every other factor is simple in each block.
+
+    A factor of total multiplicity 1 is simple in every block, and with one
+    block the total multiplicity is the block's, so the block polynomials
+    are only computed for a repeated factor of a matrix with several blocks.
+    """
+    repeated = [bf for bf in factors if bf.multiplicity >= 2]
+    if not repeated or len(connected_blocks(V.rows)) == 1:
+        return repeated
+    blocks = [p.coeffs for p in block_alexander_polynomials(V)]
+    return [bf for bf in repeated
+            if any(ip.is_zero(ip.divmod_exact(b, ip.mul(bf.x_factor, bf.x_factor))[1])
+                   for b in blocks)]
+
+
 def step_function(V: SeifertMatrix, include_nonbalanced: bool = True,
                   jobs: int = 1) -> SignatureFunction:
     """The full signature step function of the knot with Seifert matrix V.
 
-    Non-balanced values take one elimination per breakpoint factor, read
-    at each of its roots.  jobs > 1 evaluates the (independent, pure)
-    plateau samples, and then the factors, on a thread pool; results are
-    collected in order, so the output is identical for every thread count.
+    The non-balanced value at a root of a factor that is simple in every
+    connected block is its balanced value (module docstring).  A factor
+    repeated inside one block takes one elimination, read at each of its
+    roots.  jobs > 1 evaluates the (independent, pure) plateau samples, and
+    then the repeated factors, on a thread pool; results are collected in
+    order, so the output is identical for every thread count.
     """
     delta = alexander_polynomial(V)
     factors = breakpoint_candidates(delta)
@@ -253,25 +283,26 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True,
         if p % 2 != 0:
             raise AssertionError("plateau values must be even")
 
+    nb_of: dict[UnitRoot, int] = {}
     if include_nonbalanced:
+        repeated = _repeated_in_a_block(V, factors)
         per_factor = _ordered_map(
             lambda bf: signatures_at_roots(V.rows, bf.roots[0].trace,
                                            [ur.root for ur in bf.roots]),
-            factors, jobs)
-        nb_of = {ur: s for bf, values in zip(factors, per_factor)
+            repeated, jobs)
+        nb_of = {ur: s for bf, values in zip(repeated, per_factor)
                  for ur, (s, _null) in zip(bf.roots, values)}
-        nb_values = [nb_of[ur] for ur in roots]
-    else:
-        nb_values = [None] * len(roots)
 
     bps = []
     for i, ur in enumerate(roots):
         left, right = plateaus[i], plateaus[i + 1]
         if (right - left) % 2 != 0:
             raise AssertionError("adjacent plateaus differ by an odd amount")
+        balanced2 = left + right
+        nonbalanced = nb_of.get(ur, balanced2 // 2) if include_nonbalanced else None
         bps.append(Breakpoint(root=ur, multiplicity=mult_of[ur.x_factor],
                               left=left, right=right, jump=(right - left) // 2,
-                              balanced2=left + right, nonbalanced=nb_values[i]))
+                              balanced2=balanced2, nonbalanced=nonbalanced))
     return SignatureFunction(plateaus, tuple(bps))
 
 

@@ -74,6 +74,27 @@ def random_expressions(count: int, seed: int = 20260811) -> list[str]:
     return out
 
 
+def random_seifert_matrices(count: int, seed: int, max_size: int = 12) -> list:
+    """Seeded Seifert matrices V = S + U of even sizes up to max_size: S is
+    symmetric with entries in [-2, 2] and U the upper half of the standard
+    symplectic form, so det(V - V^T) = 1 (the benchmark generator's shape,
+    without its filters)."""
+    from knotsig.seifert import SeifertMatrix
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = 2 * rng.randint(1, max_size // 2)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        for i in range(0, n, 2):
+            rows[i][i + 1] += 1
+        out.append(SeifertMatrix(rows))
+    return out
+
+
 def random_sample_points(count: int, seed: int) -> list[Fraction]:
     rng = random.Random(seed)
     pts = []

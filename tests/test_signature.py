@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_seifert_matrices
 
 from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
+from knotsig.hermitian import connected_blocks, signatures_at_roots
 from knotsig.knot_table import lookup
-from knotsig.seifert import SeifertMatrix, alexander_polynomial
-from knotsig.signature import (_cyclotomic_index, breakpoint_candidates, nonbalanced_at_root,
-                               signature_at_sample, step_function)
+from knotsig.seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
+from knotsig.signature import (_cyclotomic_index, _repeated_in_a_block, breakpoint_candidates,
+                               nonbalanced_at_root, signature_at_sample, step_function)
 
 
 def test_breakpoints_of_cinquefoil():
@@ -126,3 +129,75 @@ def _cyclotomic_index_brute(f):
 ])
 def test_cyclotomic_index_scans_only_matching_degrees(f):
     assert _cyclotomic_index(f) == _cyclotomic_index_brute(f)
+
+
+def _block_multiplicities(V, f) -> list[int]:
+    """The multiplicity of the factor f in each connected block's Alexander
+    polynomial."""
+    out = []
+    for p in block_alexander_polynomials(V):
+        k, rest = 0, p.coeffs
+        while True:
+            quot, rem = ip.divmod_exact(rest, f)
+            if not ip.is_zero(rem):
+                break
+            k, rest = k + 1, quot
+        out.append(k)
+    return out
+
+
+def test_kernel_is_the_oracle_of_the_simple_root_rule(corpus):
+    # the elimination at every breakpoint of the corpus and of random S + U
+    # matrices: where the factor is simple in every block it gives the
+    # balanced value with one null direction per vanishing block; where it
+    # repeats inside a block step_function still takes the kernel's value
+    cases = list(corpus)
+    cases += [(f"S+U #{k}", V, step_function(V))
+              for k, V in enumerate(random_seifert_matrices(60, seed=6061))]
+    simple, repeated = 0, {}
+    for label, V, sf in cases:
+        for factor, _mult, bps in sf.factor_groups():
+            mults = _block_multiplicities(V, factor)
+            got = signatures_at_roots(V.rows, bps[0].root.trace, [bp.root.root for bp in bps])
+            if max(mults) <= 1:
+                assert got == [(bp.balanced2 // 2, sum(mults)) for bp in bps], (label, factor)
+                simple += len(bps)
+            else:
+                assert [s for s, _null in got] == [bp.nonbalanced for bp in bps], (label, factor)
+                for i, bp in enumerate(bps):
+                    repeated[(label, factor, i)] = (bp.balanced2, bp.nonbalanced)
+    assert simple >= 100 and len(repeated) >= 10, (simple, len(repeated))
+    # criterion 5: Phi_6^2 inside the one 8_20 block, off the balanced value
+    assert repeated[("8_20", ip.cyclotomic(6), 0)] == (0, 1)
+
+
+def _congruent(V: SeifertMatrix, seed: int) -> SeifertMatrix:
+    """P V P^T for a unimodular P, a product of random elementary operations
+    E = I + c e_i e_j^T (row i += c row j, then column i += c column j)."""
+    rng = random.Random(seed)
+    n = V.size
+    rows = [list(r) for r in V.rows]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        for r in rows:
+            r[i] += c * r[j]
+    return SeifertMatrix(rows)
+
+
+@pytest.mark.parametrize("expr", ["2*3_1", "3_1 # 4_1", "2*T(2,5)", "T(3,4) # T(3,4)",
+                                  "2*8_20"])
+def test_summary_is_invariant_under_congruence(expr):
+    V = resolve(expr)
+    W = _congruent(V, seed=len(expr) * 101 + V.size)
+    assert W.rows != V.rows
+    # the mixing merges the summands into one block, so every factor of a
+    # sum K # K repeats inside that block and goes to the kernel
+    assert len(connected_blocks(V.rows)) == 2 and len(connected_blocks(W.rows)) == 1
+    assert step_function(W).summary() == step_function(V).summary()
+    if expr == "2*T(2,5)":
+        # Phi_10^2: a degree-2 trace polynomial, eliminated over ScaledOrder
+        factors = breakpoint_candidates(alexander_polynomial(W))
+        assert [len(bf.roots[0].trace) - 1 for bf in factors] == [2]
+        assert _repeated_in_a_block(W, factors) == factors

@@ -65,10 +65,13 @@ def test_small_torus_list():
 
 @pytest.mark.parametrize("p,q", SMALL_TORUS)
 def test_plateaus_match_litherland(p, q):
-    sf = step_function(resolve(f"T({p},{q})"), include_nonbalanced=False)
+    # plateaus and non-balanced values from one step_function call
+    sf = step_function(resolve(f"T({p},{q})"))
     angles = singular_angles(p, q)
-    assert [bp.root.exact_t for bp in sf.breakpoints] == sorted(angles)
+    ts = [bp.root.exact_t for bp in sf.breakpoints]
+    assert ts == sorted(angles)
     assert list(sf.plateaus) == expected_plateaus([(1, p, q)], angles)
+    assert [bp.nonbalanced for bp in sf.breakpoints] == [litherland(p, q, t)[0] for t in ts]
 
 
 @pytest.mark.parametrize("p,q", NONBALANCED_TORUS)
