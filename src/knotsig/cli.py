@@ -161,42 +161,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value file (oracle_range, table_path)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(add_help=True)
-
-    p_sig = sub.add_parser("signature", help="signature step function of a knot", **common)
-    p_sig.add_argument("expression")
-    p_sig.add_argument("--format", choices=("text", "json", "csv", "svg"), default="text")
-    p_sig.add_argument("--precision", type=int, default=6,
-                       help="certified decimal digits for algebraic angles")
-    p_sig.add_argument("--output", "-o")
-    p_sig.add_argument("--jobs", type=int, default=1)
-
-    for name, helptext in (("bounds", "all lower bounds for one knot"),):
-        p = sub.add_parser(name, help=helptext, **common)
+    # the knot commands share one option block; only signature has csv/svg
+    # output and a --precision help line, and gordian/clasp take two knots
+    for name, helptext, formats, precision_help, two_knots in (
+            ("signature", "signature step function of a knot", ("text", "json", "csv", "svg"),
+             "certified decimal digits for algebraic angles", False),
+            ("bounds", "all lower bounds for one knot", ("text", "json"), None, False),
+            ("gordian", "Gordian distance bound for two knots", ("text", "json"), None, True),
+            ("clasp", "singular-concordance (clasp) distance bound", ("text", "json"), None,
+             True)):
+        p = sub.add_parser(name, help=helptext)
         p.add_argument("expression")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--precision", type=int, default=6)
+        if two_knots:
+            p.add_argument("expression2")
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--precision", type=int, default=6, help=precision_help)
         p.add_argument("--output", "-o")
         p.add_argument("--jobs", type=int, default=1)
 
-    for name, helptext in (("gordian", "Gordian distance bound for two knots"),
-                           ("clasp", "singular-concordance (clasp) distance bound")):
-        p = sub.add_parser(name, help=helptext, **common)
-        p.add_argument("expression")
-        p.add_argument("expression2")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--precision", type=int, default=6)
-        p.add_argument("--output", "-o")
-        p.add_argument("--jobs", type=int, default=1)
-
-    p_or = sub.add_parser("oracle-check", help="verify bound formulas by exhaustive search",
-                          **common)
+    p_or = sub.add_parser("oracle-check", help="verify bound formulas by exhaustive search")
     p_or.add_argument("--range", type=int, default=None, dest="bound_range")
     p_or.add_argument("--margin", type=int, default=6)
     p_or.add_argument("--format", choices=("text", "json"), default="text")
     p_or.add_argument("--output", "-o")
 
-    p_tab = sub.add_parser("table", help="list built-in knots", **common)
+    p_tab = sub.add_parser("table", help="list built-in knots")
     p_tab.add_argument("--format", choices=("text", "json"), default="text")
     p_tab.add_argument("--output", "-o")
     return parser

@@ -17,7 +17,14 @@ from .errors import SquarefreeError
 
 
 def sign_at(f, x: Fraction) -> int:
-    v = ip.eval_at(f, x)
+    """Sign of f(x) at a rational x = n/d, d > 0, by integer Horner on the
+    homogenized sum d**k * f(n/d) = sum c_i n**i d**(k-i), which has the
+    same sign and needs no Fraction arithmetic."""
+    n, d = x.numerator, x.denominator
+    v, dk = 0, 1
+    for c in reversed(f):
+        v = v * n + c * dk
+        dk *= d
     return (v > 0) - (v < 0)
 
 

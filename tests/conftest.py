@@ -295,3 +295,118 @@ def check_float_crossval(V, samples: int, seed: int):
             continue  # separation not certified at this sample
         assert exact == approx, f"mismatch at z = {z}"
         done += 1
+
+
+# ---- the Fraction reference for certified decimals: the rational interval
+# arithmetic and the certified bisection from [0, 1/2] that
+# certify.t_interval_of_root used before its Newton proposal and integer
+# cosine; roots are refined here by Fraction Horner, not by sturm.sign_at ----
+
+def _round_out_fraction(lo: Fraction, hi: Fraction, scale: int) -> tuple[Fraction, Fraction]:
+    s = 10**scale
+    return Fraction(math.floor(lo * s), s), Fraction(math.ceil(hi * s), s)
+
+
+def _arctan_inv_bounds_fraction(n: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    s = Fraction(1, n)
+    k = 0
+    while True:
+        k += 1
+        t_next = Fraction(1, (2 * k + 1) * n ** (2 * k + 1))
+        lo, hi = (s - t_next, s) if k % 2 == 1 else (s, s + t_next)
+        if t_next < eps:
+            return lo, hi
+        s = lo if k % 2 == 1 else hi
+
+
+def _pi_bounds_fraction(scale: int) -> tuple[Fraction, Fraction]:
+    eps = Fraction(1, 10 ** (scale + 2))
+    a5 = _arctan_inv_bounds_fraction(5, eps / 32)
+    a239 = _arctan_inv_bounds_fraction(239, eps / 8)
+    return _round_out_fraction(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0], scale + 2)
+
+
+def _cos_bounds_fraction(x: Fraction, eps: Fraction, scale: int) -> tuple[Fraction, Fraction]:
+    x2lo, x2hi = _round_out_fraction(x * x, x * x, scale)
+    tlo = thi = slo = shi = Fraction(1)
+    k = 0
+    while True:
+        k += 1
+        d = (2 * k - 1) * (2 * k)
+        tlo, thi = _round_out_fraction(tlo * x2lo / d, thi * x2hi / d, scale)
+        if k % 2 == 1:
+            slo, shi = _round_out_fraction(slo - thi, shi - tlo, scale)
+        else:
+            slo, shi = _round_out_fraction(slo + tlo, shi + thi, scale)
+        if thi < eps and (2 * k + 1) * (2 * k + 2) > x2hi:
+            nxt = thi * x2hi / ((2 * k + 1) * (2 * k + 2))
+            return (slo, shi + nxt) if k % 2 == 1 else (slo - nxt, shi)
+
+
+def _two_cos_two_pi_fraction(t: Fraction, scale: int) -> tuple[Fraction, Fraction]:
+    """Brackets for 2*cos(2*pi*t), t in [0, 1/2], in Fraction arithmetic."""
+    eps = Fraction(1, 10 ** (scale + 2))
+    plo, phi = _pi_bounds_fraction(scale + 2)
+    xlo, xhi = 2 * plo * t, 2 * phi * t
+    clo1, chi1 = _cos_bounds_fraction(xlo, eps, scale + 6)
+    clo2, chi2 = _cos_bounds_fraction(xhi, eps, scale + 6)
+    w = xhi - xlo
+    return 2 * (min(clo1, clo2) - w), 2 * (max(chi1, chi2) + w)
+
+
+def _halve_fraction(poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """One halving of an isolating interval, signs by Fraction Horner."""
+    m = (lo + hi) / 2
+    vm, vlo = ip.eval_at(poly, m), ip.eval_at(poly, lo)
+    if vm == 0:
+        return m, m
+    return (m, hi) if (vm > 0) == (vlo > 0) else (lo, m)
+
+
+def _t_interval_bisect(root, digits: int) -> tuple[Fraction, Fraction]:
+    """An interval of width below 10**-(digits+1) around t = arccos(z/2)/(2*pi)
+    by certified bisection from [0, 1/2] only; reads root.poly, root.lo and
+    root.hi and leaves the root untouched."""
+    poly, lo, hi = root.poly, root.lo, root.hi
+    while lo != hi and hi - lo >= Fraction(1, 10 ** (digits + 8)):
+        lo, hi = _halve_fraction(poly, lo, hi)
+    target = Fraction(1, 10 ** (digits + 1))
+    scale = digits + 8
+    ta, tb = Fraction(0), Fraction(1, 2)
+    attempts = 0
+    while tb - ta >= target:
+        tm = (ta + tb) / 2
+        zlo, zhi = _two_cos_two_pi_fraction(tm, scale)
+        if zlo > hi:
+            ta = tm
+        elif zhi < lo:
+            tb = tm
+        else:
+            lo, hi = _halve_fraction(poly, lo, hi)
+            attempts += 1
+            if attempts % 8 == 0:
+                scale += 4
+    return ta, tb
+
+
+def decimal_of_t_reference(root, digits: int) -> str:
+    from knotsig.certify import certified_decimal
+
+    extra = 0
+    while True:
+        s = certified_decimal(*_t_interval_bisect(root, digits + extra), digits)
+        if s is not None:
+            return s
+        extra += 2
+
+
+def decimal_of_root_reference(root, digits: int) -> str:
+    from knotsig.certify import certified_decimal
+
+    if len(root.poly) == 2:
+        x = Fraction(-root.poly[0], root.poly[1])
+        return certified_decimal(x, x, digits)
+    lo, hi = root.lo, root.hi
+    while (s := certified_decimal(lo, hi, digits)) is None:
+        lo, hi = _halve_fraction(root.poly, lo, hi)
+    return s

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from knotsig.cli import main
 
 
@@ -161,3 +163,122 @@ def test_main_callable_directly(capsys):
     rc = main(["table"])
     assert rc == 0
     assert "3_1" in capsys.readouterr().out
+
+
+# `knotsig <command> --help` at 80 columns, as printed before the option blocks of
+# the knot commands were built in one loop; Python 3.10 to 3.12 print the same
+# bytes, and 3.13 writes "--output, -o OUTPUT" for "--output OUTPUT, -o OUTPUT"
+HELP_TEXT = {
+    'signature': (
+        'usage: knotsig signature [-h] [--format {text,json,csv,svg}]\n'
+        '                         [--precision PRECISION] [--output OUTPUT]\n'
+        '                         [--jobs JOBS]\n'
+        '                         expression\n'
+        '\n'
+        'positional arguments:\n'
+        '  expression\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --format {text,json,csv,svg}\n'
+        '  --precision PRECISION\n'
+        '                        certified decimal digits for algebraic angles\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+        '  --jobs JOBS\n'
+    ),
+    'bounds': (
+        'usage: knotsig bounds [-h] [--format {text,json}] [--precision PRECISION]\n'
+        '                      [--output OUTPUT] [--jobs JOBS]\n'
+        '                      expression\n'
+        '\n'
+        'positional arguments:\n'
+        '  expression\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --format {text,json}\n'
+        '  --precision PRECISION\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+        '  --jobs JOBS\n'
+    ),
+    'gordian': (
+        'usage: knotsig gordian [-h] [--format {text,json}] [--precision PRECISION]\n'
+        '                       [--output OUTPUT] [--jobs JOBS]\n'
+        '                       expression expression2\n'
+        '\n'
+        'positional arguments:\n'
+        '  expression\n'
+        '  expression2\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --format {text,json}\n'
+        '  --precision PRECISION\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+        '  --jobs JOBS\n'
+    ),
+    'clasp': (
+        'usage: knotsig clasp [-h] [--format {text,json}] [--precision PRECISION]\n'
+        '                     [--output OUTPUT] [--jobs JOBS]\n'
+        '                     expression expression2\n'
+        '\n'
+        'positional arguments:\n'
+        '  expression\n'
+        '  expression2\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --format {text,json}\n'
+        '  --precision PRECISION\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+        '  --jobs JOBS\n'
+    ),
+    'oracle-check': (
+        'usage: knotsig oracle-check [-h] [--range BOUND_RANGE] [--margin MARGIN]\n'
+        '                            [--format {text,json}] [--output OUTPUT]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --range BOUND_RANGE\n'
+        '  --margin MARGIN\n'
+        '  --format {text,json}\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+    ),
+    'table': (
+        'usage: knotsig table [-h] [--format {text,json}] [--output OUTPUT]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --format {text,json}\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+    ),
+    None: (
+        'usage: knotsig [-h] [--config CONFIG]\n'
+        '               {signature,bounds,gordian,clasp,oracle-check,table} ...\n'
+        '\n'
+        'Exact knot signature functions and unknotting bounds from Seifert matrices.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {signature,bounds,gordian,clasp,oracle-check,table}\n'
+        '    signature           signature step function of a knot\n'
+        '    bounds              all lower bounds for one knot\n'
+        '    gordian             Gordian distance bound for two knots\n'
+        '    clasp               singular-concordance (clasp) distance bound\n'
+        '    oracle-check        verify bound formulas by exhaustive search\n'
+        '    table               list built-in knots\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --config CONFIG       key=value file (oracle_range, table_path)\n'
+    ),
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse help layout of 3.13")
+@pytest.mark.parametrize("command", list(HELP_TEXT))
+def test_help_text_is_unchanged(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXT[command]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -91,3 +92,24 @@ def test_sign_at():
     assert sign_at((-1, 1), Fraction(2)) == 1
     assert sign_at((-1, 1), Fraction(1)) == 0
     assert sign_at((-1, 1), Fraction(0)) == -1
+
+
+def test_integer_sign_at_matches_fraction_horner():
+    # seeded random integer polynomials of degree 0-30 at rationals with
+    # denominators up to 2**200 and either sign, plus exact rational roots
+    rng = random.Random(20261018)
+    zeros = 0
+    for k in range(400):
+        deg = rng.randint(0, 30)
+        bits = rng.choice([4, 40, 120])
+        lead = rng.choice([-1, 1]) * rng.randint(1, 2**bits)
+        f = tuple(rng.randint(-2**bits, 2**bits) for _ in range(deg)) + (lead,)
+        den = rng.choice([1, 2**rng.randint(1, 200), rng.randint(1, 2**200)])
+        x = Fraction(rng.randint(-4 * den, 4 * den), den)
+        if k % 4 == 0:
+            f = ip.mul(f, (-x.numerator, x.denominator))  # x is an exact root
+        v = ip.eval_at(f, x)
+        assert sign_at(f, x) == (v > 0) - (v < 0), (f, x)
+        zeros += v == 0
+    assert zeros >= 100
+    assert sign_at((5, -3), 2) == -1  # an int point
