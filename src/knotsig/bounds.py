@@ -201,9 +201,8 @@ _NONBALANCED_NOTE = (
 
 def report_for_matrix(V: SeifertMatrix, expression: str,
                       other_expression: str | None = None,
-                      include_nonbalanced: bool = True,
-                      jobs: int = 1) -> BoundReport:
-    sf = step_function(V, include_nonbalanced=include_nonbalanced, jobs=jobs)
+                      include_nonbalanced: bool = True) -> BoundReport:
+    sf = step_function(V, include_nonbalanced=include_nonbalanced)
     factors = []
     signed_list = []
     for factor, mult, bps in sf.factor_groups():
@@ -240,19 +239,18 @@ def _as_expression(k) -> KnotExpression:
     return parse_expression(k) if isinstance(k, str) else k
 
 
-def bound_report(knot, include_nonbalanced: bool = True, jobs: int = 1,
+def bound_report(knot, include_nonbalanced: bool = True,
                  extra_table=None) -> BoundReport:
     """BoundReport for a knot given as expression text, tree, or matrix."""
     if isinstance(knot, SeifertMatrix):
-        return report_for_matrix(knot, "<matrix>", include_nonbalanced=include_nonbalanced,
-                                 jobs=jobs)
+        return report_for_matrix(knot, "<matrix>", include_nonbalanced=include_nonbalanced)
     expr = _as_expression(knot)
     V = resolve(expr, extra_table)
     return report_for_matrix(V, expression_to_str(expr),
-                             include_nonbalanced=include_nonbalanced, jobs=jobs)
+                             include_nonbalanced=include_nonbalanced)
 
 
-def gordian_report(knot, other, include_nonbalanced: bool = True, jobs: int = 1,
+def gordian_report(knot, other, include_nonbalanced: bool = True,
                    extra_table=None) -> BoundReport:
     """Bounds for the Gordian / singular-concordance distance of two knots.
 
@@ -261,7 +259,7 @@ def gordian_report(knot, other, include_nonbalanced: bool = True, jobs: int = 1,
     ek, ej = _as_expression(knot), _as_expression(other)
     V = connected_sum(resolve(ek, extra_table), resolve(Mirror(ej), extra_table))
     return report_for_matrix(V, expression_to_str(ek), expression_to_str(ej),
-                             include_nonbalanced=include_nonbalanced, jobs=jobs)
+                             include_nonbalanced=include_nonbalanced)
 
 
 def gordian_bound(knot, other, extra_table=None) -> int:

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .sturm import RealRoot
+from .sturm import RealRoot, sign_at
 
 
 def _round_out(lo: int, hi: int, den: int) -> tuple[int, int]:
@@ -212,10 +212,16 @@ def decimal_of_root(root: RealRoot, digits: int) -> str:
         # a rational root: an interval around a non-dyadic value such as 9/5
         # straddles its own truncation point for ever, so use the value
         return decimal_of_fraction(Fraction(-root.poly[0], root.poly[1]), digits)
+    grid = 10**digits
     while True:
         s = certified_decimal(root.lo, root.hi, digits)
         if s is not None:
             return s
+        # the interval straddles a grid point m; the root may be m itself,
+        # since an isolating interval holds exactly one root
+        m = Fraction((root.hi * grid).__floor__(), grid)
+        if root.lo < m and sign_at(root.poly, m) == 0:
+            return decimal_of_fraction(m, digits)
         root.refine()
 
 

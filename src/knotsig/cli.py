@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--precision", type=int, default=6, help=precision_help)
         p.add_argument("--output", "-o")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1)  # accepted and ignored: serial
 
     p_or = sub.add_parser("oracle-check", help="verify bound formulas by exhaustive search")
     p_or.add_argument("--range", type=int, default=None, dest="bound_range")
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
 def _dispatch(args, config: dict, extra) -> int:
     if args.command == "signature":
         V = resolve(args.expression, extra)
-        sf = step_function(V, jobs=args.jobs)
+        sf = step_function(V)
         if args.format == "csv":
             text = signature_to_csv(sf, args.precision)
         elif args.format == "json":
@@ -223,15 +223,14 @@ def _dispatch(args, config: dict, extra) -> int:
         return 0
 
     if args.command == "bounds":
-        rep = bound_report(args.expression, jobs=args.jobs, extra_table=extra)
+        rep = bound_report(args.expression, extra_table=extra)
         text = (render_report_json(report_to_dict(rep, args.precision))
                 if args.format == "json" else report_to_text(rep, args.precision))
         _emit(text, args.output)
         return 0
 
     if args.command in ("gordian", "clasp"):
-        rep = gordian_report(args.expression, args.expression2, jobs=args.jobs,
-                             extra_table=extra)
+        rep = gordian_report(args.expression, args.expression2, extra_table=extra)
         if args.format == "json":
             d = report_to_dict(rep, args.precision)
             if args.command == "clasp":

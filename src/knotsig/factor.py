@@ -205,19 +205,6 @@ def _zassenhaus(f) -> list[tuple]:
     return [g for g in factors if ip.degree(g) >= 1]
 
 
-def _euler_phi(n: int) -> int:
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 def _factor_squarefree(f) -> list[tuple]:
     """Irreducible factors of a primitive squarefree f with lc > 0.
 
@@ -228,7 +215,7 @@ def _factor_squarefree(f) -> list[tuple]:
     """
     out = []
     for m in range(1, 121):
-        if _euler_phi(m) > ip.degree(f):
+        if ip.totient(m) > ip.degree(f):
             continue
         phi = ip.cyclotomic(m)
         q, r = _divmod_monic(f, phi)

@@ -18,15 +18,6 @@ def gp_trim(f: list[int]) -> list[int]:
     return f[:n]
 
 
-def gp_add(f: list[int], g: list[int], p: int) -> list[int]:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return gp_trim(out)
-
-
 def gp_sub(f: list[int], g: list[int], p: int) -> list[int]:
     out = list(f) + [0] * max(0, len(g) - len(f))
     for i, c in enumerate(g):

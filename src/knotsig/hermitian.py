@@ -430,46 +430,12 @@ def signature_at_root(V, q, root: RealRoot) -> tuple[int, int]:
 
 
 def symmetric_signature(M) -> tuple[int, int, int]:
-    """(positive, negative, nullity) of a rational symmetric matrix.
+    """(positive, negative, nullity) of an integer symmetric matrix.
 
-    Plain fraction-based symmetric elimination with the same pivot-repair
-    rule; used for the Murasugi signature at omega = -1 and as an
-    independent cross-check of the fraction-free path.
+    The kernel above over the int-pair ring, with every entry c as (c, 0).
+    Elements with b = 0 are closed under add, sub, mul, conj and
+    divide_real, and with b = 0 none of these reads zhat or l^2, so the ring
+    is plain Z and the z chosen is irrelevant.  Used for the Murasugi
+    signature at omega = -1 and for validating the knot table.
     """
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] for i in range(n)]
-    idx = list(range(n))
-    pos = neg = null = 0
-    while idx:
-        piv = next((i for i in idx if A[i][i] != 0), None)
-        if piv is None:
-            pair = None
-            for a_pos, i in enumerate(idx):
-                for j in idx[a_pos + 1 :]:
-                    if A[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                null += len(idx)
-                break
-            i, j = pair
-            for k in idx:
-                A[i][k] += A[j][k]
-            for k in idx:
-                A[k][i] += A[k][j]
-            continue
-        d = A[piv][piv]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        rest = [i for i in idx if i != piv]
-        for k in rest:
-            f = A[k][piv] / d
-            if f:
-                for m_ in rest:
-                    A[k][m_] -= f * A[piv][m_]
-        idx = rest
-    return pos, neg, null
+    return signature_triple([[(c, 0) for c in row] for row in M], IntPairOrder(Fraction(0)))

@@ -232,11 +232,6 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def reverse(f: Poly) -> Poly:
-    """The reciprocal polynomial x^deg(f) * f(1/x)."""
-    return trim(tuple(reversed(f)))
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial as an integer tuple."""
@@ -248,6 +243,20 @@ def cyclotomic(n: int) -> Poly:
         if n % d == 0:
             f = div_exact(f, cyclotomic(d))
     return f
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n), the degree of the n-th cyclotomic polynomial."""
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
 
 
 def interval_eval(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -48,14 +48,6 @@ class LaurentPoly:
     def constant(cls, c) -> "LaurentPoly":
         return cls(0, (c,))
 
-    @classmethod
-    def x_power(cls, k: int) -> "LaurentPoly":
-        return cls(k, (1,))
-
-    @classmethod
-    def from_poly(cls, coeffs, low: int = 0) -> "LaurentPoly":
-        return cls(low, coeffs)
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -69,10 +61,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def poly_part(self):
-        """The coefficient tuple as an ordinary polynomial (unit x^low dropped)."""
-        return self.coeffs
 
     def int_coeffs(self):
         """Primitive integer coefficients (unit and content dropped).

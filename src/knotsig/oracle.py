@@ -85,6 +85,26 @@ def _neighbors(s: State, box: int):
         yield name, (nj, na, nb)
 
 
+def _signed_sweep(source: State, box: int, costly_sign: str) -> dict[State, int]:
+    """Least number of moves of sign costly_sign from source to every state
+    in the box (0-1 breadth-first search: other moves cost nothing)."""
+    best = {source: 0}
+    dq = deque([(0, source)])
+    while dq:
+        d, s = dq.popleft()
+        if d > best[s]:
+            continue
+        for name, t in _neighbors(s, box):
+            nd = d + (1 if name.endswith(costly_sign) else 0)
+            if nd < best.get(t, 10**9):
+                best[t] = nd
+                if nd == d:
+                    dq.appendleft((nd, t))
+                else:
+                    dq.append((nd, t))
+    return best
+
+
 @dataclass(frozen=True)
 class MovesResult:
     total: int
@@ -129,20 +149,7 @@ def minimal_moves(start: LatticeState, margin: int = 6) -> MovesResult:
     witness.reverse()
 
     def signed_min(costly_sign: str) -> int:
-        best = {s0: 0}
-        dq = deque([(0, s0)])
-        while dq:
-            d, s = dq.popleft()
-            if d > best.get(s, 10**9):
-                continue
-            for name, t in _neighbors(s, box):
-                nd = d + (1 if name.endswith(costly_sign) else 0)
-                if nd < best.get(t, 10**9):
-                    best[t] = nd
-                    if nd == d:
-                        dq.appendleft((nd, t))
-                    else:
-                        dq.append((nd, t))
+        best = _signed_sweep(s0, box, costly_sign)
         if target not in best:
             raise SearchBoundError(f"origin unreachable from {s0} within box {box}")
         return best[target]
@@ -240,27 +247,9 @@ def exhaustive_check(bound_range: int, margin: int = 6,
                 dist[t] = dist[s] + 1
                 queue.append(t)
 
-    def sweep(costly_sign: str) -> dict[State, int]:
-        # cost of sign X from state to origin == cost of inverse sign out of origin
-        best = {(0, 0, 0): 0}
-        dq = deque([(0, (0, 0, 0))])
-        while dq:
-            d, s = dq.popleft()
-            if d > best.get(s, 10**9):
-                continue
-            for name, t in _neighbors(s, box):
-                nd = d + (1 if name.endswith(costly_sign) else 0)
-                if nd < best.get(t, 10**9):
-                    best[t] = nd
-                    if nd == d:
-                        dq.appendleft((nd, t))
-                    else:
-                        dq.append((nd, t))
-        return best
-
     # '-' moves from s to origin reverse to '+' moves from origin to s
-    min_neg = sweep("+")
-    min_pos = sweep("-")
+    min_neg = _signed_sweep((0, 0, 0), box, "+")
+    min_pos = _signed_sweep((0, 0, 0), box, "-")
 
     mismatches = []
     checked = 0

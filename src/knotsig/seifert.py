@@ -62,9 +62,6 @@ class SeifertMatrix:
         return SeifertMatrix(tuple(tuple(-self.rows[j][i] for j in range(n))
                                    for i in range(n)))
 
-    def transpose_entries(self):
-        return self.rows
-
 
 def connected_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
     """Block sum; realizes the connected sum of the underlying knots."""

@@ -70,11 +70,6 @@ class BreakpointFactor:
     multiplicity: int
     roots: tuple  # UnitRoots ordered by increasing t (decreasing z)
 
-    @property
-    def laurent(self) -> LaurentPoly:
-        span = ip.degree(self.x_factor)
-        return LaurentPoly(-(span // 2), self.x_factor)
-
 
 @dataclass(frozen=True)
 class Breakpoint:
@@ -146,25 +141,12 @@ class SignatureFunction:
                        bp.nonbalanced) for bp in self.breakpoints))
 
 
-def _totient(n: int) -> int:
-    out, rest, p = n, n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            out -= out // p
-        p += 1
-    if rest > 1:
-        out -= out // rest
-    return out
-
-
 def _cyclotomic_index(f) -> int | None:
     d = ip.degree(f)
     # deg Phi_n = totient(n) >= sqrt(n/2), so n <= 2 d^2 + 2 covers every
     # candidate index; only the Phi_n of degree d are built
     for n in range(1, 2 * d * d + 3):
-        if _totient(n) == d and ip.cyclotomic(n) == tuple(f):
+        if ip.totient(n) == d and ip.cyclotomic(n) == tuple(f):
             return n
     return None
 
@@ -249,16 +231,14 @@ def _repeated_in_a_block(V: SeifertMatrix, factors) -> list[BreakpointFactor]:
                    for b in blocks)]
 
 
-def step_function(V: SeifertMatrix, include_nonbalanced: bool = True,
-                  jobs: int = 1) -> SignatureFunction:
+def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> SignatureFunction:
     """The full signature step function of the knot with Seifert matrix V.
 
     The non-balanced value at a root of a factor that is simple in every
     connected block is its balanced value (module docstring).  A factor
     repeated inside one block takes one elimination, read at each of its
-    roots.  jobs > 1 evaluates the (independent, pure) plateau samples, and
-    then the repeated factors, on a thread pool; results are collected in
-    order, so the output is identical for every thread count.
+    roots.  Samples and eliminations run serially; a thread pool gave no
+    speedup under the GIL.
     """
     delta = alexander_polynomial(V)
     factors = breakpoint_candidates(delta)
@@ -276,7 +256,7 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True,
     else:
         samples.append(Fraction(0))
 
-    plateaus = tuple(_ordered_map(lambda z: signature_at_sample(V, z), samples, jobs))
+    plateaus = tuple(signature_at_sample(V, z) for z in samples)
     if plateaus[0] != 0:
         raise AssertionError("signature near omega = 1 must vanish")
     for p in plateaus:
@@ -285,13 +265,9 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True,
 
     nb_of: dict[UnitRoot, int] = {}
     if include_nonbalanced:
-        repeated = _repeated_in_a_block(V, factors)
-        per_factor = _ordered_map(
-            lambda bf: signatures_at_roots(V.rows, bf.roots[0].trace,
-                                           [ur.root for ur in bf.roots]),
-            repeated, jobs)
-        nb_of = {ur: s for bf, values in zip(repeated, per_factor)
-                 for ur, (s, _null) in zip(bf.roots, values)}
+        for bf in _repeated_in_a_block(V, factors):
+            values = signatures_at_roots(V.rows, bf.roots[0].trace, [ur.root for ur in bf.roots])
+            nb_of.update((ur, s) for ur, (s, _null) in zip(bf.roots, values))
 
     bps = []
     for i, ur in enumerate(roots):
@@ -304,12 +280,3 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True,
                               left=left, right=right, jump=(right - left) // 2,
                               balanced2=balanced2, nonbalanced=nonbalanced))
     return SignatureFunction(plateaus, tuple(bps))
-
-
-def _ordered_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))

@@ -2,9 +2,7 @@
 
 Roots are represented by RealRoot: a squarefree integer polynomial together
 with either an exact rational value or an isolating interval with a sign
-change.  Intervals only ever shrink; the represented number never changes,
-so sharing a RealRoot between threads is safe in the same sense as sharing
-an immutable value.
+change.  Intervals only ever shrink; the represented number never changes.
 """
 
 from __future__ import annotations

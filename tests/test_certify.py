@@ -18,6 +18,22 @@ from knotsig.sturm import RealRoot, isolate_real_roots
 PRECISIONS = (6, 20, 30)
 PI_60 = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
 
+# z-decimals of the rational roots of two reducible polynomials, in
+# increasing z: each root is a point of the decimal grid, which its
+# isolating interval converges on from both sides
+RATIONAL_Z = {
+    (-1, 0, 10**6): {
+        6: ("-0.001000", "0.001000"),
+        20: ("-0.00100000000000000000", "0.00100000000000000000"),
+        30: ("-0.001000000000000000000000000000", "0.001000000000000000000000000000"),
+    },
+    (-4, 0, 100): {
+        6: ("-0.200000", "0.200000"),
+        20: ("-0.20000000000000000000", "0.20000000000000000000"),
+        30: ("-0.200000000000000000000000000000", "0.200000000000000000000000000000"),
+    },
+}
+
 
 def _fresh(root: RealRoot) -> RealRoot:
     return RealRoot(root.poly, root.lo, root.hi)
@@ -39,21 +55,22 @@ def cases(corpus):
             if bp.root.exact_t is None:
                 roots[f"random{k}#{i}"] = bp.root.root
     # 10000 z^2 - 39999: z = +-1.99997..., t near 0 and 1/2; 10^6 z^2 - 1: t near
-    # 1/4.  Its z = +-1/1000 is rational, and no library root has that: trace
-    # polynomials are irreducible, and an isolating interval never certifies
-    # the truncation of a decimal it converges to, so only t is compared there.
-    rational_z = set()
-    for poly in ((-39999, 0, 10000), (-1, 0, 10**6)):
+    # 1/4.  The z of RATIONAL_Z are rational, which the reference cannot render
+    # (an isolating interval never certifies the truncation of a decimal it
+    # converges to), so z is compared with the exact strings there.
+    rational_z = {}
+    for poly in ((-39999, 0, 10000), *RATIONAL_Z):
         for i, r in enumerate(isolate_real_roots(poly, Fraction(-2), Fraction(2))):
             roots[f"{poly}#{i}"] = r
-            if poly[0] == -1:
-                rational_z.add(f"{poly}#{i}")
+            if poly in RATIONAL_Z:
+                rational_z[f"{poly}#{i}"] = {p: zs[i] for p, zs in RATIONAL_Z[poly].items()}
     out = []
     for label, root in roots.items():
         # floor(t * 10**p) is floor(t * 10**30) cut to p places, since t > 0
         t30 = decimal_of_t_reference(_fresh(root), 30)
         refs = {p: (t30[:2 + p],
-                    None if label in rational_z else decimal_of_root_reference(_fresh(root), p))
+                    rational_z[label][p] if label in rational_z
+                    else decimal_of_root_reference(_fresh(root), p))
                 for p in PRECISIONS}
         out.append((label, root, refs))
     return out
@@ -74,8 +91,7 @@ def test_decimals_match_the_bisection_reference(cases):
             t, z = refs[digits]
             for r in (_fresh(root), shared):
                 assert decimal_of_t(r, digits) == t, (label, digits)
-                if z is not None:
-                    assert decimal_of_root(r, digits) == z, (label, digits)
+                assert decimal_of_root(r, digits) == z, (label, digits)
 
 
 def test_proposal_needs_two_checks(cases, monkeypatch):

@@ -56,6 +56,19 @@ def test_matches_float_oracle_on_table():
             assert exact == float_signature(V, float(z)), (name, z)
 
 
+def _check_symmetric_signature(M):
+    import numpy as np
+
+    n = len(M)
+    pos, neg, null = symmetric_signature(M)
+    assert pos + neg + null == n
+    eigs = np.linalg.eigvalsh(np.array(M, dtype=float))
+    fpos = int((eigs > 1e-9).sum())
+    fneg = int((eigs < -1e-9).sum())
+    if null == int((abs(eigs) <= 1e-9).sum()):
+        assert (pos, neg) == (fpos, fneg)
+
+
 def test_symmetric_signature_cross_check():
     rng = random.Random(11)
     for _ in range(40):
@@ -64,15 +77,23 @@ def test_symmetric_signature_cross_check():
         for i in range(n):
             for j in range(i, n):
                 M[i][j] = M[j][i] = rng.randint(-4, 4)
-        pos, neg, null = symmetric_signature(M)
-        assert pos + neg + null == n
-        import numpy as np
-
-        eigs = np.linalg.eigvalsh(np.array(M, dtype=float))
-        fpos = int((eigs > 1e-9).sum())
-        fneg = int((eigs < -1e-9).sum())
-        if null == int((abs(eigs) <= 1e-9).sum()):
-            assert (pos, neg) == (fpos, fneg)
+        _check_symmetric_signature(M)
+    # sparse zero diagonals: the pivot repair runs over Z, and so does the
+    # fresh restart when every active diagonal vanishes after some pivots,
+    # also after a negative pivot, where the restart's signs flip
+    rng = random.Random(12)
+    ring = IntPairOrder(Fraction(0))
+    flipped = 0
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                M[i][j] = M[j][i] = rng.choice((0, 0, 0, -1, 1))
+        _check_symmetric_signature(M)
+        trace = _eliminate([[(c, 0) for c in row] for row in M], list(range(n)), ring)
+        flipped += trace.restart is not None and trace.pivots[-1] < 0
+    assert flipped >= 5
 
 
 def test_zero_matrix_is_all_nullity():

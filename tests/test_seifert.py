@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import _interpolate_int
+from conftest import _interpolate_int, random_seifert_matrices
 from knotsig import intpoly as ip
 from knotsig.errors import KnotsigError, SeifertInvariantError
 from knotsig.expressions import resolve
@@ -15,6 +15,7 @@ from knotsig.laurent import LaurentPoly, normalize_alexander
 from knotsig.seifert import (SeifertMatrix, _det_poly, _int_det, _interpolate,
                              alexander_polynomial, connected_sum, mirror,
                              murasugi_signature, stabilize)
+from knotsig.signature import step_function
 
 
 def test_validation():
@@ -51,6 +52,15 @@ def test_mirror_involution_and_signs():
     assert murasugi_signature(mirror(V)) == 2
     # mirror is -transpose
     assert mirror(V).rows == tuple(tuple(-V.rows[j][i] for j in range(2)) for i in range(2))
+
+
+def test_murasugi_signature_is_the_step_function_at_minus_one(corpus):
+    # Delta(-1) != 0 for knots, so t = 1/2 lies on the last plateau
+    for label, V, sf in corpus:
+        assert murasugi_signature(V) == sf.sigma_at_minus_one, label
+    for V in random_seifert_matrices(60, seed=20261019):
+        sf = step_function(V, include_nonbalanced=False)
+        assert murasugi_signature(V) == sf.sigma_at_minus_one, V
 
 
 def test_alexander_examples():

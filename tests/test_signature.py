@@ -88,13 +88,6 @@ def test_nonbalanced_at_plateau_point_equals_balanced():
     assert s == signature_at_sample(V, Fraction(1))
 
 
-def test_jobs_do_not_change_anything():
-    V = resolve("8_2 # -5_1")
-    a = step_function(V, jobs=1)
-    b = step_function(V, jobs=4)
-    assert a.summary() == b.summary()
-
-
 def test_multiplicity_does_not_hide_breakpoints():
     # Delta of 3_1 # 3_1 is (x^2-x+1)^2; the breakpoint must still appear
     sf = step_function(resolve("2*3_1"))
