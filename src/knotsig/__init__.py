@@ -21,8 +21,7 @@ from .expressions import KnotExpression, parse_expression, resolve
 from .factor import factor_int_poly, factor_rational_poly, is_irreducible
 from .knot_table import knot_names, lookup
 from .knotio import read_seifert_file, write_report
-from .laurent import (LaurentPoly, TracePoly, from_trace_poly, normalize_alexander,
-                      to_trace_poly)
+from .laurent import LaurentPoly, from_trace_poly, normalize_alexander, to_trace_poly
 from .oracle import (ExhaustiveReport, LatticeState, MovesResult, apply_move,
                      exhaustive_check, minimal_moves)
 from .seifert import (SeifertMatrix, alexander_polynomial, connected_sum, mirror,

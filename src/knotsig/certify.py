@@ -27,7 +27,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .sturm import RealRoot, sign_at
+from . import intpoly as ip
+from .laurent import LaurentPoly, to_trace_poly
+from .sturm import RealRoot, count_roots_open, sign_at
 
 
 def _round_out(lo: int, hi: int, den: int) -> tuple[int, int]:
@@ -225,14 +227,39 @@ def decimal_of_root(root: RealRoot, digits: int) -> str:
         root.refine()
 
 
+def _is_two_cos(root: RealRoot, m: Fraction) -> bool:
+    """Whether the root is one of the numbers 2*cos(2*pi*a'/b), a' prime to
+    b, for m = a/b in lowest terms: a root of psi_b, the trace polynomial of
+    the b-th cyclotomic polynomial.  Phi_1 and Phi_2 have odd degree, and
+    psi_b divides the squarefree root.poly only when deg psi_b = phi(b)/2
+    <= deg root.poly."""
+    b = m.denominator
+    if b < 3 or ip.totient(b) > 2 * ip.degree(root.poly):
+        return False
+    psi = to_trace_poly(LaurentPoly(0, ip.cyclotomic(b)))
+    if root.is_exact:
+        return sign_at(psi, root.lo) == 0
+    return count_roots_open(ip.gcd_int_poly(root.poly, psi), root.lo, root.hi) > 0
+
+
 def decimal_of_t(root: RealRoot, digits: int) -> str:
-    """Certified truncation of t = arccos(z/2)/(2*pi) to `digits` places."""
+    """Certified truncation of t = arccos(z/2)/(2*pi) to `digits` places.
+
+    A t-interval that straddles a grid point m = a/b never certifies when t
+    is m itself, so that case is decided exactly: the interval is narrower
+    than 10**-(digits+1) < 1/b (b divides 10**digits), so if the root is
+    2*cos(2*pi*a'/b) for some a', then a' = a.
+    """
     extra = 0
+    grid = 10**digits
     while True:
         lo, hi = t_interval_of_root(root, digits + extra)
         s = certified_decimal(lo, hi, digits)
         if s is not None:
             return s
+        m = Fraction((hi * grid).__floor__(), grid)
+        if lo < m and _is_two_cos(root, m):
+            return decimal_of_fraction(m, digits)
         extra += 2  # t sits near a decimal boundary; pin it tighter
 
 

@@ -1,9 +1,12 @@
-"""Dense univariate polynomial arithmetic over the integers and rationals.
+"""Dense univariate polynomial arithmetic over the integers.
 
 A polynomial is a tuple of coefficients in ascending order of degree, so
 ``(1, -3, 1)`` is ``1 - 3x + x^2``.  The zero polynomial is the empty tuple.
-Integer tuples are used wherever possible; functions that can produce
-non-integer results take and return Fractions.
+Coefficients are ints: every division here is exact in Z[x] or a pseudo-
+remainder, so no rational ever arises.  The two exceptions take rationals
+on purpose: `rational_primitive`, which clears the denominators of the
+public `factor.factor_rational_poly`, and `interval_eval`, which encloses
+values over a rational interval.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import gcd
 
 from .errors import DivisibilityError
 
-Poly = tuple  # tuple[int, ...] or tuple[Fraction, ...]
+Poly = tuple  # tuple[int, ...]
 
 
 def trim(c) -> Poly:
@@ -88,39 +91,28 @@ def derivative(f: Poly) -> Poly:
     return trim(tuple(i * c for i, c in enumerate(f))[1:])
 
 
-def divmod_exact(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder over the rationals.  g must be nonzero."""
+def div_exact(f: Poly, g: Poly) -> Poly:
+    """The quotient f / g in Z[x]; DivisibilityError unless g divides f there.
+
+    For a primitive g this is division over Q: by Gauss's lemma a primitive
+    divisor of an integer polynomial leaves an integer quotient.
+    """
     if is_zero(g):
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in f]
-    dg, lg = degree(g), Fraction(g[-1])
-    q = [Fraction(0)] * max(0, len(f) - dg)
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        c = r[-1] / lg
-        k = len(r) - 1 - dg
+    r = list(trim(f))
+    dg, lg = degree(g), g[-1]
+    q = [0] * max(0, len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + dg], lg)
+        if rem:
+            raise DivisibilityError("polynomial quotient is not in Z[x]")
         q[k] = c
-        for i in range(dg + 1):
-            r[k + i] -= c * g[i]
-        r.pop()
-    return trim(q), trim(r)
-
-
-def div_exact(f: Poly, g: Poly) -> Poly:
-    """Exact division; raises DivisibilityError on a nonzero remainder.
-
-    Integer inputs with an integer quotient come back as integers.
-    """
-    q, r = divmod_exact(f, g)
-    if not is_zero(r):
+        if c:
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    if any(r[:dg]):
         raise DivisibilityError("polynomial division left a nonzero remainder")
-    if all(isinstance(c, int) for c in f) and all(isinstance(c, int) for c in g):
-        if all(c.denominator == 1 for c in q):
-            return tuple(int(c) for c in q)
-    return q
+    return tuple(q)
 
 
 def mod_monic(f: Poly, g: Poly) -> Poly:
@@ -188,22 +180,27 @@ def gcd_int_poly(f: Poly, g: Poly) -> Poly:
 
 
 def pseudo_rem(f: Poly, g: Poly) -> Poly:
-    """A nonzero integer multiple of rem(f, g), over the integers.
+    """s * rem(f, g) for a *positive* rational s, over the integers.
 
-    Each reduction step replaces r by lc(g)*r - lc(r)*x^(dr-dg)*g, which
-    kills the leading term without leaving the integers.  The accumulated
-    scalar is some power of lc(g); callers that care about signs must not
-    use this (the Sturm chain builds its own sign-tracked remainders).
+    Each step replaces r by lc(g)*r - lc(r)*x^(dr-dg)*g, which kills the
+    leading term without leaving the integers; the sign of every negative
+    lc(g) factor is undone, so the result has the sign of the remainder
+    (the Sturm chain relies on it).  It is zero exactly when g divides f
+    over Q.
     """
-    r = trim(f)
+    r = list(trim(f))
     dg, lg = degree(g), g[-1]
-    while degree(r) >= dg:
-        dr, lr = degree(r), r[-1]
-        rl = [c * lg for c in r]
+    flips = 0
+    while len(r) - 1 >= dg and r:
+        dr, lr = len(r) - 1, r[-1]
+        if lg < 0:
+            flips ^= 1
+        r = [c * lg for c in r]
         for i in range(dg + 1):
-            rl[dr - dg + i] -= lr * g[i]
-        r = trim(rl)
-    return r
+            r[dr - dg + i] -= lr * g[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return neg(r) if flips else tuple(r)
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:

@@ -1,28 +1,30 @@
-"""Laurent polynomials over the rationals, and the trace substitution.
+"""Laurent polynomials over the integers, and the trace substitution.
 
-A LaurentPoly stores the lowest exponent and a dense tuple of Fraction
-coefficients whose first and last entries are nonzero (unless zero).  The
-trace substitution z = x + 1/x turns a palindromic polynomial p of even
-span into an ordinary polynomial q with p(x) = x^(deg q) * q(x + 1/x);
-unit-circle roots of p correspond to roots of q in (-2, 2).
+A LaurentPoly stores the lowest exponent and a dense tuple of int
+coefficients whose first and last entries are nonzero (unless zero); the
+Alexander polynomial of an integer Seifert matrix and all its factors are
+of this kind.  The trace substitution z = x + 1/x turns a palindromic
+polynomial p of even span into an integer polynomial q with
+p(x) = x^(deg q) * q(x + 1/x); unit-circle roots of p correspond to roots
+of q in (-2, 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 from . import intpoly as ip
-from .errors import DivisibilityError, ParityError, SymmetryError
+from .errors import ParityError, SymmetryError
 
 
 class LaurentPoly:
-    """Immutable exact-rational Laurent polynomial."""
+    """Immutable integer Laurent polynomial."""
 
     __slots__ = ("low", "coeffs")
 
     def __init__(self, low: int, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [operator.index(c) for c in coeffs]  # TypeError for a non-integer
         while cs and cs[0] == 0:
             cs.pop(0)
             low += 1
@@ -67,8 +69,7 @@ class LaurentPoly:
 
         Returns (unit, prim) with self = unit * x^low * prim as polynomials.
         """
-        unit, prim = ip.rational_primitive(self.coeffs)
-        return unit, prim
+        return ip.primitive(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -100,29 +101,14 @@ class LaurentPoly:
             return LaurentPoly.zero()
         return LaurentPoly(self.low + other.low, ip.mul(self.coeffs, other.coeffs))
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of general Laurent polynomials")
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient; DivisibilityError when the remainder is nonzero."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        q, r = ip.divmod_exact(self.coeffs, other.coeffs)
-        if not ip.is_zero(r):
-            raise DivisibilityError("Laurent division left a nonzero remainder")
-        return LaurentPoly(self.low - other.low, q)
+        """Exact quotient; DivisibilityError unless it has integer coefficients."""
+        return LaurentPoly(self.low - other.low, ip.div_exact(self.coeffs, other.coeffs))
 
     def gcd(self, other: "LaurentPoly") -> "LaurentPoly":
         """Gcd up to units: primitive integer, positive leading coefficient,
         lowest exponent 0."""
-        _, a = ip.rational_primitive(self.coeffs)
-        _, b = ip.rational_primitive(other.coeffs)
-        return LaurentPoly(0, ip.gcd_int_poly(a, b))
+        return LaurentPoly(0, ip.gcd_int_poly(self.coeffs, other.coeffs))
 
     def derivative(self) -> "LaurentPoly":
         cs = [(self.low + i) * c for i, c in enumerate(self.coeffs)]
@@ -163,28 +149,12 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(terms) + ")"
 
 
-@dataclass(frozen=True)
-class TracePoly:
-    """q(z) with source(x) = x^(deg q) * q(x + 1/x) up to a unit.
+def to_trace_poly(p: LaurentPoly) -> tuple:
+    """The integer tuple q, ascending in z, with p = x^low * x^m * q(x + 1/x)
+    for a self-reciprocal p of even span 2m.
 
-    coeffs are exact rationals ascending in z; source keeps the provenance
-    link so the substitution identity can be rechecked.
-    """
-
-    coeffs: tuple
-    source: LaurentPoly
-
-    @property
-    def degree(self) -> int:
-        return ip.degree(self.coeffs)
-
-    def int_primitive(self):
-        """(unit, primitive-integer coefficients with positive lead)."""
-        return ip.rational_primitive(self.coeffs)
-
-
-def to_trace_poly(p: LaurentPoly) -> TracePoly:
-    """Express a self-reciprocal even-span p as q(x + 1/x) times a unit.
+    q is built from p's own coefficients, with no unit: lc(q) = lc(p), and
+    q is primitive when p is.
 
     Anti-palindromic input (p(1/x) = -x^k p(x)) cannot be a polynomial in
     x + 1/x and raises SymmetryError, as does asymmetric input; odd span
@@ -202,20 +172,19 @@ def to_trace_poly(p: LaurentPoly) -> TracePoly:
     m = p.span // 2
     cs = p.coeffs  # palindromic, length 2m+1
     # x^j + x^-j as monic integer polynomials in z (T~_0 = 2, T~_1 = z, ...)
-    tj = [(Fraction(2),), (Fraction(0), Fraction(1))]
+    tj = [(2,), (0, 1)]
     for _ in range(2, m + 1):
         tj.append(ip.sub(ip.shift(tj[-1], 1), tj[-2]))
-    q = ip.scale((Fraction(1),), cs[m]) if cs[m] else ()
+    q = ip.trim((cs[m],))
     for j in range(1, m + 1):
         q = ip.add(q, ip.scale(tj[j], cs[m + j]))
-    out = TracePoly(tuple(Fraction(c) for c in q), p)
-    assert from_trace_poly(out.coeffs).exact_div(LaurentPoly(p.low, p.coeffs)).span == 0
-    return out
+    assert from_trace_poly(q).coeffs == p.coeffs
+    return q
 
 
 def from_trace_poly(q) -> LaurentPoly:
     """The pull-back x^(deg q) * q(x + 1/x) as a LaurentPoly."""
-    q = ip.trim(tuple(Fraction(c) for c in q))
+    q = ip.trim(q)
     z = LaurentPoly(-1, (1, 0, 1))  # x + 1/x
     out = LaurentPoly.zero()
     for c in reversed(q):
@@ -239,5 +208,5 @@ def normalize_alexander(p: LaurentPoly) -> LaurentPoly:
     at1 = sum(p.coeffs)
     if abs(at1) != 1:
         raise ValueError(f"p(1) = {at1}, expected a unit (is this det(V - xV^T)?)")
-    cs = ip.scale(p.coeffs, Fraction(1 if at1 > 0 else -1))
+    cs = ip.scale(p.coeffs, 1 if at1 > 0 else -1)
     return LaurentPoly(-(len(cs) - 1) // 2, cs)

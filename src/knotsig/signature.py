@@ -166,8 +166,7 @@ def breakpoint_candidates(delta: LaurentPoly) -> list[BreakpointFactor]:
     for f, mult in factors:
         if tuple(f) != tuple(reversed(f)) or ip.degree(f) % 2 != 0 or ip.degree(f) == 0:
             continue
-        trace = to_trace_poly(LaurentPoly(0, f))
-        _, q = trace.int_primitive()
+        q = to_trace_poly(LaurentPoly(0, f))
         roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
         if not roots:
             continue
@@ -179,7 +178,7 @@ def breakpoint_candidates(delta: LaurentPoly) -> list[BreakpointFactor]:
             assert len(ks) == len(roots)
             exact_ts = [Fraction(k, n) for k in sorted(ks)]
         unit_roots = tuple(
-            UnitRoot(x_factor=tuple(f), trace=tuple(q), root=r, cyclotomic=n, exact_t=t)
+            UnitRoot(x_factor=tuple(f), trace=q, root=r, cyclotomic=n, exact_t=t)
             for r, t in zip(roots, exact_ts))
         out.append(BreakpointFactor(tuple(f), mult, unit_roots))
     out.sort(key=lambda bf: (len(bf.x_factor), bf.x_factor))
@@ -227,7 +226,7 @@ def _repeated_in_a_block(V: SeifertMatrix, factors) -> list[BreakpointFactor]:
         return repeated
     blocks = [p.coeffs for p in block_alexander_polynomials(V)]
     return [bf for bf in repeated
-            if any(ip.is_zero(ip.divmod_exact(b, ip.mul(bf.x_factor, bf.x_factor))[1])
+            if any(ip.is_zero(ip.pseudo_rem(b, ip.mul(bf.x_factor, bf.x_factor)))
                    for b in blocks)]
 
 

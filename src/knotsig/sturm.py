@@ -26,43 +26,16 @@ def sign_at(f, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def _signed_prem(f, g):
-    """r = s * rem(f, g) with s a *positive* rational, over the integers."""
-    r = list(ip.trim(f))
-    dg, lg = ip.degree(g), g[-1]
-    flips = 0
-    while len(r) - 1 >= dg and r:
-        dr, lr = len(r) - 1, r[-1]
-        if lg < 0:
-            flips ^= 1
-        r = [c * lg for c in r]
-        for i in range(dg + 1):
-            r[dr - dg + i] -= lr * g[i]
-        while r and r[-1] == 0:
-            r.pop()
-    out = ip.trim(r)
-    if flips:
-        out = ip.neg(out)
-    return out
-
-
-def _positive_primitive(f):
-    """Divide by the positive content, preserving sign."""
-    if ip.is_zero(f):
-        return f
-    c = ip.content(f)
-    return tuple(a // c for a in f)
-
-
 @lru_cache(maxsize=None)
 def sturm_chain(q: tuple) -> tuple:
     """The Sturm chain of q, with positive-rational rescaling only."""
     chain = [ip.trim(q), ip.derivative(q)]
     while not ip.is_zero(chain[-1]) and ip.degree(chain[-1]) > 0:
-        r = _signed_prem(chain[-2], chain[-1])
+        r = ip.pseudo_rem(chain[-2], chain[-1])
         if ip.is_zero(r):
             break
-        chain.append(_positive_primitive(ip.neg(r)))
+        c = ip.content(r)  # positive: the chain keeps its signs
+        chain.append(tuple(-a // c for a in r))
     return tuple(chain)
 
 
@@ -76,26 +49,17 @@ def is_squarefree(q) -> bool:
 
 
 def _deflate_root(q, x: Fraction):
-    """Divide out an exact rational root x of q."""
-    quo = ip.div_exact(q, (-x, Fraction(1)))
-    return ip.rational_primitive(quo)[1]
+    """Divide out an exact rational root x of the primitive q."""
+    return ip.primitive(ip.div_exact(q, (-x.numerator, x.denominator)))[1]
 
 
 def count_roots_open(q, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of squarefree q in the open interval."""
-    q = ip.primitive(q)[1]
     if not is_squarefree(q):
         raise SquarefreeError("root counting requires a squarefree polynomial")
     if lo >= hi:
         return 0
-    while sign_at(q, lo) == 0:
-        q = _deflate_root(q, lo)
-    while sign_at(q, hi) == 0:
-        q = _deflate_root(q, hi)
-    if ip.degree(q) < 1:
-        return 0
-    chain = sturm_chain(tuple(q))
-    return _variations(chain, lo) - _variations(chain, hi)
+    return len(isolate_real_roots(q, lo, hi))
 
 
 class RealRoot:
@@ -105,7 +69,7 @@ class RealRoot:
     interval (lo, hi) on which the polynomial changes sign exactly once.
     """
 
-    __slots__ = ("poly", "_lo", "_hi")
+    __slots__ = ("poly", "_lo", "_hi", "_sign_lo")
 
     def __init__(self, poly, lo: Fraction, hi: Fraction):
         self.poly = ip.trim(poly)
@@ -113,10 +77,12 @@ class RealRoot:
         self._hi = Fraction(hi)
         if lo > hi:
             raise ValueError("empty interval")
+        # the sign at lo never changes: lo only moves to a midpoint of that sign
+        self._sign_lo = sign_at(self.poly, lo)
         if lo == hi:
-            if sign_at(self.poly, lo) != 0:
+            if self._sign_lo != 0:
                 raise ValueError("claimed exact root does not vanish")
-        elif sign_at(self.poly, lo) * sign_at(self.poly, hi) >= 0:
+        elif self._sign_lo * sign_at(self.poly, hi) >= 0:
             raise ValueError("interval endpoints must straddle a sign change")
 
     @classmethod
@@ -150,7 +116,7 @@ class RealRoot:
         sm = sign_at(self.poly, m)
         if sm == 0:
             self._lo = self._hi = m
-        elif sm == sign_at(self.poly, self._lo):
+        elif sm == self._sign_lo:
             self._lo = m
         else:
             self._hi = m

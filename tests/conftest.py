@@ -135,8 +135,7 @@ def kronecker_has_factor(f, max_degree: int | None = None) -> bool:
             g = _interpolate_int(points, combo)
             if g is None or ip.degree(g) != d:
                 continue
-            _, r = ip.divmod_exact(f, g)
-            if ip.is_zero(r):
+            if ip.is_zero(ip.pseudo_rem(f, g)):  # g | f over Q
                 return True
     return False
 

@@ -28,8 +28,7 @@ def test_torus_3_10():
     assert V.size == 18
     delta = alexander_polynomial(V)
     _, prim = delta.int_coeffs()
-    _, r = ip.divmod_exact(prim, ip.cyclotomic(30))
-    assert ip.is_zero(r), "phi_30 must divide Delta of T(3,10)"
+    assert ip.is_zero(ip.mod_monic(prim, ip.cyclotomic(30))), "phi_30 must divide Delta of T(3,10)"
 
 
 def torus_alexander(p, q):

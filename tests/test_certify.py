@@ -154,3 +154,24 @@ def test_pi_bounds_bracket_pi(scale):
     assert Fraction(lo, one) < PI_60 < Fraction(hi, one)
     assert hi - lo <= 2 and Fraction(hi - lo, one) < Fraction(1, 10**scale)
     assert (Fraction(lo, one), Fraction(hi, one)) == _pi_bounds_fraction(scale)
+
+
+# t of roots that are 2*cos(2*pi*a/b) with a/b a terminating decimal: the
+# t-interval straddles t itself for ever, so t is certified as a/b exactly
+DECIMAL_T = [
+    ((-2, 0, 1), ("0.375000", "0.125000")),   # z = -+sqrt 2: t = 3/8, 1/8
+    ((-1, -1, 1), ("0.300000", "0.100000")),  # z^2 - z - 1: t = 3/10, 1/10
+]
+
+
+@pytest.mark.parametrize("poly,ts", DECIMAL_T)
+def test_terminating_t_is_certified_exactly(poly, ts):
+    roots = isolate_real_roots(poly, Fraction(-2), Fraction(2))
+    assert [decimal_of_t(r, 6) for r in roots] == list(ts)
+    assert [decimal_of_t(r, 20) for r in roots] == [t + "0" * 14 for t in ts]
+
+
+def test_exact_root_at_a_terminating_t():
+    zero = RealRoot.exact((0, 1), Fraction(0))  # z = 0: t = 1/4
+    assert decimal_of_t(zero, 6) == "0.250000"
+    assert decimal_of_t(zero, 20) == "0.25000000000000000000"

@@ -30,7 +30,7 @@ def test_trace_of_squared_hexagonal_factor():
 
     sq = ip.mul((1, -1, 1), (1, -1, 1))
     q = to_trace_poly(LaurentPoly(0, sq))
-    _, qi = q.int_primitive()
+    _, qi = ip.primitive(q)
     c, factors = factor_int_poly(qi)
     assert factors == [((-1, 1), 2)]
 
@@ -45,14 +45,14 @@ def test_torus_connected_sum_trace_factors():
     V = resolve("T(3,10) # -T(2,15) # -T(5,6)")
     delta = alexander_polynomial(V)
     q = to_trace_poly(delta)
-    _, qi = q.int_primitive()
+    _, qi = ip.primitive(q)
     _, factors = factor_int_poly(qi)
 
     def trace_of(n):
         from knotsig.laurent import LaurentPoly
 
         t = to_trace_poly(LaurentPoly(0, ip.cyclotomic(n)))
-        return t.int_primitive()[1]
+        return ip.primitive(t)[1]
 
     expected = sorted(
         [(trace_of(6), 2), (trace_of(10), 2), (trace_of(15), 2), (trace_of(30), 3)],

@@ -26,13 +26,21 @@ def test_mul_degree_and_commutativity(f, g):
 
 @given(small_polys, small_polys)
 @settings(max_examples=60)
-def test_divmod_reconstruction(f, g):
+def test_exact_division_of_products(f, g):
     if ip.is_zero(g):
         return
-    q, r = ip.divmod_exact(f, g)
-    assert ip.add(ip.mul(q, g), r) == tuple(Fraction(c) for c in ip.trim(f)) or \
-        ip.add(ip.mul(q, g), r) == ip.trim(f)
-    assert ip.degree(r) < ip.degree(g)
+    fg = ip.mul(f, g)
+    assert ip.div_exact(fg, g) == f
+    assert ip.pseudo_rem(fg, g) == ()
+    with pytest.raises(DivisibilityError):
+        ip.div_exact((1, 1), (2, 2))  # divides over Q, not in Z[x]
+
+
+def test_pseudo_rem_keeps_the_sign():
+    # x^2 = (1 - x)(-1 - x) + 1: the remainder 1 stays positive although
+    # lc(g) = -1 scales every step
+    assert ip.pseudo_rem((0, 0, 1), (1, -1)) == (1,)
+    assert ip.pseudo_rem((0, 0, 0, 1), (1, 0, -2)) == (0, 1)  # x^3 rem (1 - 2x^2) = x/2
 
 
 def test_div_exact_raises_on_remainder():
@@ -58,8 +66,8 @@ def test_gcd_divides_both(f, g, h):
         return
     for target in (a, b):
         if not ip.is_zero(target):
-            _, r = ip.divmod_exact(target, d)
-            assert ip.is_zero(r)
+            assert ip.is_zero(ip.pseudo_rem(target, d))
+            assert ip.mul(ip.div_exact(target, d), d) == target
 
 
 def test_squarefree_decomposition():
@@ -95,5 +103,6 @@ def test_interval_eval_contains_true_values():
 def test_mod_monic_matches_divmod():
     f = (3, -1, 4, 1, -5)
     g = (2, -1, 1)  # monic
-    _, r = ip.divmod_exact(f, g)
-    assert ip.mod_monic(f, g) == tuple(int(c) for c in r)
+    r = ip.mod_monic(f, g)
+    assert r == ip.pseudo_rem(f, g)
+    assert ip.mul(ip.div_exact(ip.sub(f, r), g), g) == ip.sub(f, r)

@@ -21,6 +21,12 @@ def test_product_example():
     assert a * b == L(-1, -1, 2, -1)
 
 
+def test_coefficients_are_integers():
+    assert all(type(c) is int for c in L(0, 2, -3, 2).coeffs)
+    with pytest.raises(TypeError):
+        LaurentPoly(0, (Fraction(1, 2),))
+
+
 def test_gcd_with_own_power():
     f = L(0, 1, -1, 1)
     g = f * f
@@ -42,9 +48,9 @@ def test_exact_div_units():
 
 
 def test_trace_examples():
-    assert to_trace_poly(L(0, 1, -1, 1)).coeffs == (-1, 1)          # z - 1
-    assert to_trace_poly(L(0, 1, -1, 1, -1, 1)).coeffs == (-1, -1, 1)  # z^2 - z - 1
-    assert to_trace_poly(L(0, 1, -3, 1)).coeffs == (-3, 1)          # z - 3
+    assert to_trace_poly(L(0, 1, -1, 1)) == (-1, 1)          # z - 1
+    assert to_trace_poly(L(0, 1, -1, 1, -1, 1)) == (-1, -1, 1)  # z^2 - z - 1
+    assert to_trace_poly(L(0, 1, -3, 1)) == (-3, 1)          # z - 3
 
 
 def test_trace_errors():
@@ -58,7 +64,7 @@ def test_trace_errors():
 
 def test_trace_roundtrip_explicit():
     q = to_trace_poly(L(0, 1, -1, 1, -1, 1))
-    back = from_trace_poly(q.coeffs)
+    back = from_trace_poly(q)
     # equal up to a unit x^k
     assert back.coeffs == (1, -1, 1, -1, 1)
 
@@ -73,7 +79,7 @@ def test_trace_roundtrip_products(factors):
         f = ip.mul(f, g)
     p = LaurentPoly(0, f)
     q = to_trace_poly(p)
-    back = from_trace_poly(q.coeffs)
+    back = from_trace_poly(q)
     quotient = back.exact_div(p)  # must be a unit monomial
     assert quotient.span == 0 and abs(quotient.coeffs[0]) == 1
 

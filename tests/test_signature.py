@@ -124,17 +124,28 @@ def test_cyclotomic_index_scans_only_matching_degrees(f):
     assert _cyclotomic_index(f) == _cyclotomic_index_brute(f)
 
 
+def _int_tuple(t) -> bool:
+    return type(t) is tuple and all(type(c) is int for c in t)
+
+
+def test_alexander_and_traces_are_int_tuples(corpus):
+    cases = list(corpus)
+    cases += [(f"S+U #{k}", V, step_function(V, include_nonbalanced=False))
+              for k, V in enumerate(random_seifert_matrices(60, seed=6061))]
+    for label, V, sf in cases:
+        assert _int_tuple(alexander_polynomial(V).coeffs), label
+        for bp in sf.breakpoints:
+            assert _int_tuple(bp.root.trace), label
+
+
 def _block_multiplicities(V, f) -> list[int]:
     """The multiplicity of the factor f in each connected block's Alexander
     polynomial."""
     out = []
     for p in block_alexander_polynomials(V):
         k, rest = 0, p.coeffs
-        while True:
-            quot, rem = ip.divmod_exact(rest, f)
-            if not ip.is_zero(rem):
-                break
-            k, rest = k + 1, quot
+        while ip.is_zero(ip.pseudo_rem(rest, f)):
+            k, rest = k + 1, ip.div_exact(rest, f)
         out.append(k)
     return out
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotsig import intpoly as ip
+from knotsig import sturm
 from knotsig.errors import SquarefreeError
 from knotsig.sturm import (RealRoot, count_roots_open, isolate_real_roots,
                            sign_at, sturm_chain)
@@ -77,6 +78,43 @@ def test_isolation_against_numpy(coeffs):
     for rr, fr in zip(roots, sorted(real)):
         rr.refine_below(Fraction(1, 10**6))
         assert abs(float(rr.mid) - fr) < 1e-5
+
+
+def test_counts_against_numpy_seeded():
+    # 200 seeded squarefree integer polynomials of degree 2-14: the Sturm
+    # count and the isolation agree with numpy's real roots in (-8, 8).  Half
+    # the coefficients are zero: sparse polynomials have remainder sequences
+    # that drop more than one degree, where a wrong pseudo-remainder sign shows
+    rng = random.Random(20261018)
+    lo, hi = Fraction(-8), Fraction(8)
+    checked = 0
+    while checked < 200:
+        deg = rng.randint(2, 14)
+        q = tuple(rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(deg))
+        q += (rng.choice([-1, 1]) * rng.randint(1, 4),)
+        if not sturm.is_squarefree(q):
+            continue
+        np_roots = np.roots(list(reversed(q)))
+        real = [r.real for r in np_roots if abs(r.imag) < 1e-9]
+        if any(abs(x - float(lo)) < 1e-7 or abs(x - float(hi)) < 1e-7 for x in real):
+            continue
+        want = sum(1 for x in real if float(lo) < x < float(hi))
+        assert count_roots_open(q, lo, hi) == want, q
+        assert len(isolate_real_roots(q, lo, hi)) == want, q
+        checked += 1
+
+
+def test_refine_evaluates_once(monkeypatch):
+    # the sign at lo is kept from the constructor, so a halving evaluates
+    # the polynomial only at the midpoint
+    root = isolate_real_roots((-2, 0, 1), Fraction(0), Fraction(2))[0]
+    calls = []
+    real_sign_at = sturm.sign_at
+    monkeypatch.setattr(sturm, "sign_at", lambda f, x: calls.append(x) or real_sign_at(f, x))
+    for k in range(1, 41):
+        root.refine()
+        assert len(calls) == k
+    assert root.lo * root.lo < 2 < root.hi * root.hi
 
 
 def test_refinement_and_comparison():
