@@ -12,7 +12,6 @@ of q in (-2, 2).
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from . import intpoly as ip
 from .errors import ParityError, SymmetryError
@@ -53,12 +52,9 @@ class LaurentPoly:
     # -- basic structure ---------------------------------------------------
 
     @property
-    def high(self) -> int:
-        return self.low + len(self.coeffs) - 1
-
-    @property
     def span(self) -> int:
-        """high - low; 0 for monomials and for the zero polynomial."""
+        """Highest minus lowest exponent; 0 for monomials and for the zero
+        polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else 0
 
     def is_zero(self) -> bool:
@@ -110,23 +106,7 @@ class LaurentPoly:
         lowest exponent 0."""
         return LaurentPoly(0, ip.gcd_int_poly(self.coeffs, other.coeffs))
 
-    def derivative(self) -> "LaurentPoly":
-        cs = [(self.low + i) * c for i, c in enumerate(self.coeffs)]
-        return LaurentPoly(self.low - 1, cs)
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        if self.is_zero():
-            return Fraction(0)
-        if x == 0:
-            raise ZeroDivisionError("Laurent polynomial at 0")
-        return ip.eval_at(self.coeffs, x) * x**self.low
-
     # -- symmetry ------------------------------------------------------------
-
-    def reciprocal(self) -> "LaurentPoly":
-        """The substitution x -> 1/x."""
-        return LaurentPoly(-self.high, tuple(reversed(self.coeffs)))
 
     def self_reciprocal_sign(self) -> int | None:
         """+1 / -1 when p(1/x) = +-x^k p(x) for some k, else None."""

@@ -2,13 +2,18 @@
 
 A Seifert matrix is a square integer matrix V of even size with
 det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  The Alexander
-polynomial det(V - x V^T) is computed exactly by evaluation at integer
-points and Newton interpolation, block by block on the connected
-components of the support of V + V^T (connected sums are block sums, so
-this keeps the determinants small).
+polynomial det(V - x V^T) is computed exactly block by block on the
+connected components of the support of V + V^T (connected sums are block
+sums, so this keeps the matrices small), each block as a characteristic
+polynomial and a Taylor shift modulo word-size primes, combined by the CRT
+under a Hadamard bound (see _det_poly).
 """
 
 from __future__ import annotations
+
+from itertools import count
+from math import isqrt
+from operator import mul
 
 from .errors import SeifertInvariantError
 from .hermitian import connected_blocks, symmetric_signature
@@ -90,7 +95,8 @@ def stabilize(a: SeifertMatrix) -> SeifertMatrix:
 
 
 def _int_det(M) -> int:
-    """Exact integer determinant (fraction-free Bareiss)."""
+    """Exact integer determinant (fraction-free Bareiss): the validation
+    det(V - V^T) = 1, and the tests' reference values for _det_poly."""
     n = len(M)
     if n == 0:
         return 1
@@ -117,49 +123,164 @@ def block_alexander_polynomials(V: SeifertMatrix) -> list[LaurentPoly]:
             for block in connected_blocks(V.rows)]
 
 
-def alexander_polynomial(V: SeifertMatrix) -> LaurentPoly:
+def alexander_polynomial(V: SeifertMatrix, blocks=None) -> LaurentPoly:
     """det(V - x V^T), normalized symmetric with value 1 at x = 1: the
-    product of the block polynomials."""
+    product of the block polynomials, computed here unless the caller has
+    them from block_alexander_polynomials(V) and passes them as blocks."""
     total = LaurentPoly.one()
-    for p in block_alexander_polynomials(V):
+    for p in block_alexander_polynomials(V) if blocks is None else blocks:
         total = total * p
     return normalize_alexander(total)
 
 
 def _det_poly(M) -> LaurentPoly:
-    """det(M - x M^T) by evaluation-interpolation, as a LaurentPoly."""
-    n = len(M)
-    x0 = -(n // 2)
-    vals = [_int_det([[M[i][j] - x * M[j][i] for j in range(n)] for i in range(n)])
-            for x in range(x0, x0 + n + 1)]
-    return LaurentPoly(0, _interpolate(x0, vals))
+    """det(M - x M^T) as a LaurentPoly, for a square integer M with
+    det(M - M^T) = 1.
 
+    With D = M - M^T the matrix B = D^-1 M^T has integer entries, and
+    M - x M^T = D (I - (x - 1) B), so det(M - x M^T) = sum_k chi_k (x - 1)^(n-k)
+    where chi = det(lambda I - B) in ascending coefficients: one
+    characteristic polynomial and one Taylor shift.  Both are computed
+    modulo word-size primes from 2^61 - 1 down: solve D B = M^T by
+    Gauss-Jordan, reduce B to Hessenberg form by similarity and read chi
+    off the Hessenberg recurrence (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9), then substitute y = x - 1.
 
-def _interpolate(x0: int, vals) -> tuple:
-    """Ascending integer coefficients of the polynomial of degree < len(vals)
-    with integer coefficients taking vals[k] at x = x0 + k.
-
-    Newton's form at consecutive integers: the k-th divided difference is the
-    k-th forward difference over k!, built one level (division by k) at a
-    time.  Each division is exact for integer-coefficient polynomials,
-    because divided differences of x^d at integer points are integers.
-    The Newton form is then expanded by Horner in O(n^2) integer steps.
+    On |x| = 1 every entry of column j of M - x M^T is at most the entry of
+    |M| + |M^T| in absolute value, so by Hadamard |det(M - x M^T)| <= H, the
+    product over j of the ceiling of the 2-norm of column j of |M| + |M^T|,
+    and every coefficient, a mean of the polynomial over the circle, is at
+    most H too.  The residues are combined by the CRT until the product of
+    the primes exceeds 2 H and lifted to the symmetric range (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5), which is exact.
     """
-    c = list(vals)
-    n = len(c)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            d, r = divmod(c[i] - c[i - 1], k)
-            assert r == 0, "values are not those of an integer polynomial"
-            c[i] = d
-    coeffs = [0] * n
-    for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (x - (x0 + k)) + c[k]
-        root = x0 + k
-        for j in range(n - 1, 0, -1):
-            coeffs[j] = coeffs[j - 1] - root * coeffs[j]
-        coeffs[0] = c[k] - root * coeffs[0]
-    return tuple(coeffs)
+    n = len(M)
+    bound = 1
+    for j in range(n):
+        s = sum((abs(M[i][j]) + abs(M[j][i])) ** 2 for i in range(n))
+        r = isqrt(s)
+        bound *= r if r * r == s else r + 1
+    coeffs, modulus = [0] * (n + 1), 1
+    for k in count():
+        p = _prime(k)
+        residues = _det_poly_mod(M, p)
+        # coeffs <- the residues mod modulus * p that agree with coeffs mod modulus
+        m_inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * m_inv % p) for c, r in zip(coeffs, residues)]
+        modulus *= p
+        if modulus > 2 * bound:
+            break
+    half = modulus // 2
+    return LaurentPoly(0, [c - modulus if c > half else c for c in coeffs])
+
+
+def _det_poly_mod(M, p: int) -> list:
+    """The n + 1 ascending coefficients of det(M - x M^T) mod p (see _det_poly)."""
+    n = len(M)
+    # Gauss-Jordan on [D | M^T] leaves [I | B]
+    rows = [[(M[i][j] - M[j][i]) % p for j in range(n)] + [M[j][i] % p for j in range(n)]
+            for i in range(n)]
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            det = 0
+            break
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)
+        # columns left of c are zero in row c and stay as they are
+        pr = rows[c][c:] = [v * inv % p for v in rows[c][c:]]
+        for i in range(n):
+            u = rows[i][c]
+            if u and i != c:
+                rows[i][c:] = [(a - u * b) % p for a, b in zip(rows[i][c:], pr)]
+    if det != 1:
+        raise SeifertInvariantError("det(M - M^T) is not 1")
+    H = [r[n:] for r in rows]
+    # Hessenberg form by similarity: for each column c, clear H[i][c] for
+    # i > c + 1 with row i -= u_i row c+1, then column c+1 += sum u_i column i
+    for c in range(n - 2):
+        c1 = c + 1
+        piv = next((i for i in range(c1, n) if H[i][c]), None)
+        if piv is None:
+            continue
+        if piv != c1:
+            H[c1], H[piv] = H[piv], H[c1]
+            for r in H:
+                r[c1], r[piv] = r[piv], r[c1]
+        inv = pow(H[c1][c], -1, p)
+        pr = H[c1][c:]  # rows below c1 are zero left of c
+        us = [0] * (n - c1 - 1)
+        for i in range(c1 + 1, n):
+            u = H[i][c] * inv % p
+            if u:
+                us[i - c1 - 1] = u
+                H[i][c:] = [(a - u * b) % p for a, b in zip(H[i][c:], pr)]
+        if any(us):
+            for r in H:
+                r[c1] = (r[c1] + sum(map(mul, us, r[c1 + 1:]))) % p
+    # chi_m = (lambda - h_mm) chi_(m-1)
+    #         - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) chi_(i-1)
+    chis = [[1]]
+    for m in range(n):
+        prev = chis[m]
+        acc = [0] + prev
+        h = H[m][m]
+        for k, v in enumerate(prev):
+            acc[k] -= h * v
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % p
+            if not t:
+                break
+            w = H[i][m] * t
+            for k, v in enumerate(chis[i]):
+                acc[k] -= w * v
+        chis.append([v % p for v in acc])
+    # det(M - x M^T) = g(x - 1) with g(y) = sum_k chi_k y^(n-k): Horner in x - 1
+    out = [0] * (n + 1)
+    for k, g in enumerate(chis[n]):  # g is the coefficient of y^(n-k)
+        for j in range(n, 0, -1):
+            out[j] = (out[j - 1] - out[j]) % p
+        out[0] = (g - out[0]) % p
+    return out
+
+
+# Primes below 2^61, descending from the Mersenne prime 2^61 - 1, found on
+# first use; Miller-Rabin with the first twelve prime bases is exact below 2^64.
+_PRIMES: list = []
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _prime(k: int) -> int:
+    """The k-th prime (from 0) counting down from 2^61 - 1."""
+    while len(_PRIMES) <= k:
+        q = _PRIMES[-1] - 2 if _PRIMES else (1 << 61) - 1
+        while not _is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[k]
+
+
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin for odd 37 < q < 2^64."""
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def murasugi_signature(V: SeifertMatrix) -> int:

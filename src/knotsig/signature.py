@@ -37,8 +37,8 @@ from math import gcd
 
 from . import intpoly as ip
 from .errors import KnotsigError
-from .hermitian import (connected_blocks, signature_at_root,
-                        signature_at_sample as _sig_sample_raw, signatures_at_roots)
+from .hermitian import (signature_at_root, signature_at_sample as _sig_sample_raw,
+                        signatures_at_roots)
 from .laurent import LaurentPoly, to_trace_poly
 from .factor import factor_int_poly
 from .seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
@@ -213,20 +213,20 @@ def _separate_all(roots: list[UnitRoot]) -> None:
             return
 
 
-def _repeated_in_a_block(V: SeifertMatrix, factors) -> list[BreakpointFactor]:
-    """The factors whose square divides the Alexander polynomial of some
-    connected block of V; every other factor is simple in each block.
+def _repeated_in_a_block(blocks, factors) -> list[BreakpointFactor]:
+    """The factors whose square divides one of the block polynomials
+    (block_alexander_polynomials); every other factor is simple in each
+    block.
 
     A factor of total multiplicity 1 is simple in every block, and with one
     block the total multiplicity is the block's, so the block polynomials
-    are only computed for a repeated factor of a matrix with several blocks.
+    are only divided for a repeated factor of a matrix with several blocks.
     """
     repeated = [bf for bf in factors if bf.multiplicity >= 2]
-    if not repeated or len(connected_blocks(V.rows)) == 1:
+    if not repeated or len(blocks) == 1:
         return repeated
-    blocks = [p.coeffs for p in block_alexander_polynomials(V)]
     return [bf for bf in repeated
-            if any(ip.is_zero(ip.pseudo_rem(b, ip.mul(bf.x_factor, bf.x_factor)))
+            if any(ip.is_zero(ip.pseudo_rem(b.coeffs, ip.mul(bf.x_factor, bf.x_factor)))
                    for b in blocks)]
 
 
@@ -239,7 +239,8 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
     roots.  Samples and eliminations run serially; a thread pool gave no
     speedup under the GIL.
     """
-    delta = alexander_polynomial(V)
+    blocks = block_alexander_polynomials(V)
+    delta = alexander_polynomial(V, blocks)
     factors = breakpoint_candidates(delta)
     roots = [ur for bf in factors for ur in bf.roots]
     mult_of = {bf.x_factor: bf.multiplicity for bf in factors}
@@ -264,7 +265,7 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
 
     nb_of: dict[UnitRoot, int] = {}
     if include_nonbalanced:
-        for bf in _repeated_in_a_block(V, factors):
+        for bf in _repeated_in_a_block(blocks, factors):
             values = signatures_at_roots(V.rows, bf.roots[0].trace, [ur.root for ur in bf.roots])
             nb_of.update((ur, s) for ur, (s, _null) in zip(bf.roots, values))
 

@@ -74,11 +74,12 @@ def random_expressions(count: int, seed: int = 20260811) -> list[str]:
     return out
 
 
-def random_seifert_matrices(count: int, seed: int, max_size: int = 12) -> list:
+def random_seifert_matrices(count: int, seed: int, max_size: int = 12,
+                            entries: int = 2) -> list:
     """Seeded Seifert matrices V = S + U of even sizes up to max_size: S is
-    symmetric with entries in [-2, 2] and U the upper half of the standard
-    symplectic form, so det(V - V^T) = 1 (the benchmark generator's shape,
-    without its filters)."""
+    symmetric with entries in [-entries, entries] and U the upper half of
+    the standard symplectic form, so det(V - V^T) = 1 (the benchmark
+    generator's shape, without its filters)."""
     from knotsig.seifert import SeifertMatrix
 
     rng = random.Random(seed)
@@ -88,11 +89,40 @@ def random_seifert_matrices(count: int, seed: int, max_size: int = 12) -> list:
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+                rows[i][j] = rows[j][i] = rng.randint(-entries, entries)
         for i in range(0, n, 2):
             rows[i][i + 1] += 1
         out.append(SeifertMatrix(rows))
     return out
+
+
+# sums K # K and K # J whose summands congruent() merges into one block
+MIXED_SUMS = ("2*3_1", "3_1 # 4_1", "2*T(2,5)", "T(3,4) # T(3,4)", "2*8_20")
+
+
+def mixed_sum(expr: str):
+    """(V, W): the resolved sum and a congruent copy with one block."""
+    from knotsig.expressions import resolve
+
+    V = resolve(expr)
+    return V, congruent(V, seed=len(expr) * 101 + V.size)
+
+
+def congruent(V, seed: int):
+    """P V P^T for a unimodular P, a product of random elementary operations
+    E = I + c e_i e_j^T (row i += c row j, then column i += c column j)."""
+    from knotsig.seifert import SeifertMatrix
+
+    rng = random.Random(seed)
+    n = V.size
+    rows = [list(r) for r in V.rows]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        for r in rows:
+            r[i] += c * r[j]
+    return SeifertMatrix(rows)
 
 
 def random_sample_points(count: int, seed: int) -> list[Fraction]:
@@ -137,6 +167,61 @@ def kronecker_has_factor(f, max_degree: int | None = None) -> bool:
                 continue
             if ip.is_zero(ip.pseudo_rem(f, g)):  # g | f over Q
                 return True
+    return False
+
+
+# ---- Lucas-Pratt primality proofs: an oracle independent of Miller-Rabin ----
+
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of the odd composite n (Floyd cycle finding)."""
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+    raise AssertionError("unreachable")
+
+
+def _prime_factors(m: int) -> set[int]:
+    """The distinct prime factors of m >= 1, each proven by is_proven_prime."""
+    out = set()
+    for d in range(2, 1000):
+        while m % d == 0:
+            out.add(d)
+            m //= d
+    stack = [m] if m > 1 else []
+    while stack:
+        k = stack.pop()
+        if is_proven_prime(k):
+            out.add(k)
+        else:
+            d = _pollard_rho(k)
+            stack += [d, k // d]
+    return out
+
+
+def is_proven_prime(n: int) -> bool:
+    """Lucas's theorem: n > 2 is prime iff some a has a^(n-1) = 1 and
+    a^((n-1)/q) != 1 mod n for every prime q dividing n - 1, which makes a
+    a primitive root.  The factors of n - 1 are proven the same way, so a
+    True is a Pratt certificate.  Small n go by trial division; a composite
+    n fails Fermat's test for a small base unless it is a Carmichael number,
+    where no witness exists and the search gives up."""
+    if n < 10**6:
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    qs = None
+    for a in range(2, 200):
+        if pow(a, n - 1, n) != 1:
+            return False
+        if qs is None:
+            qs = _prime_factors(n - 1)
+        if all(pow(a, (n - 1) // q, n) != 1 for q in qs):
+            return True
     return False
 
 

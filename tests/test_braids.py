@@ -42,15 +42,17 @@ def torus_alexander(p, q):
     return normalize_alexander(LaurentPoly(0, quo))
 
 
-def test_torus_alexander_formula_up_to_30():
+def test_torus_alexander_formula_up_to_60():
+    # every torus knot T(p, q) with a Seifert matrix of size (p-1)(q-1) <= 60
     from math import gcd
 
-    for p in range(2, 6):
-        for q in range(p + 1, 16):
-            if p * q > 30 or gcd(p, q) != 1:
-                continue
-            V = seifert_from_braid(torus_braid(p, q))
-            assert alexander_polynomial(V) == torus_alexander(p, q), (p, q)
+    knots = [(p, q) for p in range(2, 9) for q in range(p + 1, 62)
+             if (p - 1) * (q - 1) <= 60 and gcd(p, q) == 1]
+    assert len(knots) == 75 and (2, 61) in knots and (7, 11) in knots
+    for p, q in knots:
+        V = seifert_from_braid(torus_braid(p, q))
+        assert V.size == (p - 1) * (q - 1)
+        assert alexander_polynomial(V) == torus_alexander(p, q), (p, q)
 
 
 def test_torus_validation():

@@ -1,20 +1,19 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import _interpolate_int, random_seifert_matrices
-from knotsig import intpoly as ip
+from conftest import (MIXED_SUMS, _interpolate_int, is_proven_prime, mixed_sum,
+                      random_seifert_matrices)
+from knotsig import intpoly as ip, seifert
 from knotsig.errors import KnotsigError, SeifertInvariantError
 from knotsig.expressions import resolve
 from knotsig.hermitian import connected_blocks, signature_at_sample
 from knotsig.knot_table import knot_names, lookup
 from knotsig.knotio import read_seifert_file, write_report
 from knotsig.laurent import LaurentPoly, normalize_alexander
-from knotsig.seifert import (SeifertMatrix, _det_poly, _int_det, _interpolate,
-                             alexander_polynomial, connected_sum, mirror,
-                             murasugi_signature, stabilize)
+from knotsig.seifert import (SeifertMatrix, _det_poly, _int_det, alexander_polynomial,
+                             connected_sum, mirror, murasugi_signature, stabilize)
 from knotsig.signature import step_function
 
 
@@ -72,7 +71,7 @@ def test_alexander_examples():
 def test_alexander_at_one_is_det_invariant():
     for name in ("3_1", "7_4", "8_2", "10_132", "11n6"):
         d = alexander_polynomial(lookup(name))
-        assert d.evaluate(Fraction(1)) == 1
+        assert sum(d.coeffs) == 1
 
 
 def test_stabilize_preserves_everything():
@@ -127,26 +126,6 @@ def test_write_report_roundtrip(tmp_path):
     assert json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n" == text
 
 
-def test_interpolation_recovers_random_polynomials():
-    # the points of _det_poly for an n x n block are n + 1 consecutive
-    # integers from -(n // 2); degree n and lower degrees both occur
-    rng = random.Random(60)
-    for n in range(61):
-        for top in (n, max(n - 3, 0)):
-            bits = rng.choice((3, 30, 300))
-            coeffs = [rng.randint(-2**bits, 2**bits) for _ in range(top + 1)]
-            coeffs += [0] * (n - top)
-            x0 = -(n // 2)
-            vals = [sum(c * x**k for k, c in enumerate(coeffs)) for x in range(x0, x0 + n + 1)]
-            assert _interpolate(x0, vals) == tuple(coeffs), (n, top)
-
-
-def test_interpolation_asserts_exactness():
-    # x(x - 1)/2 takes integer values at integers but has no integer coefficients
-    with pytest.raises(AssertionError):
-        _interpolate(0, [0, 0, 1])
-
-
 def _torus_alexander(p, q):
     """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), ascending."""
     def tm1(k):
@@ -154,17 +133,32 @@ def _torus_alexander(p, q):
     return ip.div_exact(ip.mul(tm1(p * q), tm1(1)), ip.mul(tm1(p), tm1(q)))
 
 
+def _reference_det_poly(M) -> LaurentPoly:
+    """det(M - x M^T) through the Lagrange polynomial of n + 1 Bareiss values."""
+    n = len(M)
+    pts = list(range(-(n // 2), n - n // 2 + 1))
+    vals = [_int_det([[M[i][j] - x * M[j][i] for j in range(n)] for i in range(n)])
+            for x in pts]
+    return LaurentPoly(0, _interpolate_int(pts, vals))
+
+
+def _dense_matrices():
+    # S + U with symmetric entries up to 10^9: coefficients of hundreds of
+    # bits, so the CRT needs five or more primes on the larger blocks
+    return random_seifert_matrices(6, seed=20261018, entries=10**9)
+
+
 def test_alexander_unchanged_on_table_and_large_torus():
     # every block's polynomial equals the Lagrange reference at its points
-    for name in knot_names():
-        rows = lookup(name).rows
+    cases = [(name, lookup(name)) for name in knot_names()]
+    cases += [(f"S+U #{k}", V) for k, V in enumerate(random_seifert_matrices(30, seed=1))]
+    cases += [(f"mixed {expr}", mixed_sum(expr)[1]) for expr in MIXED_SUMS]
+    cases += [(f"dense #{k}", V) for k, V in enumerate(_dense_matrices())]
+    for label, V in cases:
+        rows = V.rows
         for block in connected_blocks(rows):
             M = [[rows[i][j] for j in block] for i in block]
-            n = len(M)
-            pts = list(range(-(n // 2), n - n // 2 + 1))
-            vals = [_int_det([[M[i][j] - x * M[j][i] for j in range(n)] for i in range(n)])
-                    for x in pts]
-            assert _det_poly(M) == LaurentPoly(0, _interpolate_int(pts, vals)), name
+            assert _det_poly(M) == _reference_det_poly(M), label
     # large torus knots and a sum, against the closed form
     for expr, parts in (("T(5,11)", [(5, 11)]), ("T(2,31)", [(2, 31)]),
                         ("T(3,10) # -T(2,15) # -T(5,6)", [(3, 10), (2, 15), (5, 6)])):
@@ -172,3 +166,24 @@ def test_alexander_unchanged_on_table_and_large_torus():
         for p, q in parts:
             want = want * LaurentPoly(0, _torus_alexander(p, q))
         assert alexander_polynomial(resolve(expr)) == normalize_alexander(want), expr
+
+
+def test_crt_primes_are_prime(monkeypatch):
+    # every modulus _det_poly combines is proven prime without Miller-Rabin,
+    # and the dense blocks take at least five of them
+    used = []
+    prime = seifert._prime
+
+    def recorded(k):
+        used.append(prime(k))
+        return used[-1]
+
+    monkeypatch.setattr(seifert, "_prime", recorded)
+    most = 0
+    for V in _dense_matrices():
+        before = len(used)
+        _det_poly(V.rows)
+        most = max(most, len(used) - before)
+    assert most >= 5
+    assert used[0] == 2**61 - 1
+    assert all(is_proven_prime(p) for p in set(used))

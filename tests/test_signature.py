@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_seifert_matrices
+from conftest import MIXED_SUMS, mixed_sum, random_seifert_matrices
 
-from knotsig import intpoly as ip
+from knotsig import intpoly as ip, seifert
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
 from knotsig.hermitian import connected_blocks, signatures_at_roots
@@ -175,26 +174,9 @@ def test_kernel_is_the_oracle_of_the_simple_root_rule(corpus):
     assert repeated[("8_20", ip.cyclotomic(6), 0)] == (0, 1)
 
 
-def _congruent(V: SeifertMatrix, seed: int) -> SeifertMatrix:
-    """P V P^T for a unimodular P, a product of random elementary operations
-    E = I + c e_i e_j^T (row i += c row j, then column i += c column j)."""
-    rng = random.Random(seed)
-    n = V.size
-    rows = [list(r) for r in V.rows]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-1, 1))
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        for r in rows:
-            r[i] += c * r[j]
-    return SeifertMatrix(rows)
-
-
-@pytest.mark.parametrize("expr", ["2*3_1", "3_1 # 4_1", "2*T(2,5)", "T(3,4) # T(3,4)",
-                                  "2*8_20"])
+@pytest.mark.parametrize("expr", MIXED_SUMS)
 def test_summary_is_invariant_under_congruence(expr):
-    V = resolve(expr)
-    W = _congruent(V, seed=len(expr) * 101 + V.size)
+    V, W = mixed_sum(expr)
     assert W.rows != V.rows
     # the mixing merges the summands into one block, so every factor of a
     # sum K # K repeats inside that block and goes to the kernel
@@ -204,4 +186,21 @@ def test_summary_is_invariant_under_congruence(expr):
         # Phi_10^2: a degree-2 trace polynomial, eliminated over ScaledOrder
         factors = breakpoint_candidates(alexander_polynomial(W))
         assert [len(bf.roots[0].trace) - 1 for bf in factors] == [2]
-        assert _repeated_in_a_block(W, factors) == factors
+        assert _repeated_in_a_block(block_alexander_polynomials(W), factors) == factors
+
+
+def test_block_polynomials_once_per_step_function(monkeypatch):
+    # Phi_10^2 of 2*T(2,5) is split over two blocks: the repeated-factor
+    # test divides the block polynomials that gave Delta, not new ones
+    calls = []
+    det_poly = seifert._det_poly
+
+    def counted(M):
+        calls.append(len(M))
+        return det_poly(M)
+
+    monkeypatch.setattr(seifert, "_det_poly", counted)
+    V = resolve("2*T(2,5)")
+    sf = step_function(V)
+    assert calls == [len(b) for b in connected_blocks(V.rows)] == [4, 4]
+    assert [m for _f, m, _bps in sf.factor_groups()] == [2]
