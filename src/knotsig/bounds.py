@@ -21,19 +21,19 @@ always guarded by a parity check).  From these:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certify import decimal_of_fraction, decimal_of_root, decimal_of_t
 from .errors import ParityError
 from .expressions import (KnotExpression, Mirror, expression_to_str,
                           parse_expression, resolve)
+from .record import Record
 from .seifert import SeifertMatrix, connected_sum
 from .signature import SignatureFunction, step_function
 
 
-@dataclass(frozen=True)
-class FactorInvariants:
+class FactorInvariants(Record):
     """(J, S_min, S_max) of one irreducible factor, balanced values doubled."""
+
+    __slots__ = ("factor", "jump_max", "sigma_min2", "sigma_max2")
 
     factor: tuple
     jump_max: int
@@ -60,13 +60,14 @@ class FactorInvariants:
         return FactorInvariants(self.factor, self.jump_max, -self.sigma_max2, -self.sigma_min2)
 
 
-@dataclass(frozen=True)
-class SignedBound:
+class SignedBound(Record):
     """Independent minima of signed crossing changes.
 
     negative_to_positive is the count the tables call N, positive_to_negative
     is P; both are valid simultaneously for any unknotting sequence.
     """
+
+    __slots__ = ("negative_to_positive", "positive_to_negative")
 
     negative_to_positive: int
     positive_to_negative: int
@@ -161,8 +162,9 @@ def nonbalanced_bound(sf: SignatureFunction) -> int:
     return -((-M) // 2) - (m // 2)
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(Record):
+    __slots__ = ("invariants", "multiplicity", "signed", "u_factor", "breakpoints", "cyclotomic")
+
     invariants: FactorInvariants
     multiplicity: int
     signed: SignedBound
@@ -175,9 +177,12 @@ class FactorReport:
         return tuple(bp.root for bp in self.breakpoints)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Everything the bounds CLI reports for one knot (or a pair)."""
+
+    __slots__ = ("expression", "other_expression", "matrix_size", "factors", "u1", "u2", "g4",
+                 "clasp", "nonbalanced", "double_slice", "gordian", "notes",
+                 "signature_function")
 
     expression: str
     other_expression: str | None

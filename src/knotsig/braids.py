@@ -15,15 +15,15 @@ with signature -2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BraidError
+from .record import Record
 from .seifert import SeifertMatrix
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """strands >= 2; letters are nonzero ints with |letter| < strands."""
+
+    __slots__ = ("strands", "letters")
 
     strands: int
     letters: tuple

@@ -21,17 +21,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .bounds import BoundReport, bound_report, gordian_report, report_to_dict, root_to_dict
 from .certify import decimal_of_t
 from .errors import KnotsigError
 from .expressions import resolve
 from .intpoly import format_poly
-from .knot_table import table_rows
 from .knotio import read_seifert_file, render_report_json
-from .oracle import exhaustive_check
-from .plot import svg_step_plot
 from .seifert import SeifertMatrix
 from .signature import SignatureFunction, step_function
 
@@ -122,7 +118,9 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    with open(path) as f:
+        text = f.read()
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -144,6 +142,8 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
+    from pathlib import Path
+
     path = Path(output)
     if not path.is_absolute():
         base = os.environ.get("KNOTSIG_OUTPUT_DIR")
@@ -151,6 +151,17 @@ def _emit(text: str, output: str | None) -> None:
             path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _precision(text: str) -> int:
+    """--precision: a nonnegative int; anything else is a usage error."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {digits}")
+    return digits
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         if two_knots:
             p.add_argument("expression2")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--precision", type=int, default=6, help=precision_help)
+        p.add_argument("--precision", type=_precision, default=6, help=precision_help)
         p.add_argument("--output", "-o")
         p.add_argument("--jobs", type=int, default=1)  # accepted and ignored: serial
 
@@ -207,6 +218,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def _oracle_range(bound_range: int | None, config: dict) -> int:
+    """--range, else the config's oracle_range, else 8; KnotsigError unless
+    it is a nonnegative integer."""
+    if bound_range is not None:
+        rng, source = bound_range, "--range"
+    else:
+        value = config.get("oracle_range", "8")
+        try:
+            rng = int(value)
+        except ValueError:
+            raise KnotsigError(f"oracle_range must be an integer, got {value!r}") from None
+        source = "oracle_range"
+    if rng < 0:
+        raise KnotsigError(f"{source} must be nonnegative, got {rng}")
+    return rng
+
+
 def _dispatch(args, config: dict, extra) -> int:
     if args.command == "signature":
         V = resolve(args.expression, extra)
@@ -216,6 +244,8 @@ def _dispatch(args, config: dict, extra) -> int:
         elif args.format == "json":
             text = render_report_json(signature_to_dict(sf, args.expression, args.precision))
         elif args.format == "svg":
+            from .plot import svg_step_plot
+
             text = svg_step_plot(sf, title=args.expression)
         else:
             text = signature_to_text(sf, args.expression, args.precision)
@@ -244,9 +274,9 @@ def _dispatch(args, config: dict, extra) -> int:
         return 0
 
     if args.command == "oracle-check":
-        rng = args.bound_range
-        if rng is None:
-            rng = int(config.get("oracle_range", 8))
+        rng = _oracle_range(args.bound_range, config)
+        from .oracle import exhaustive_check
+
         report = exhaustive_check(rng, margin=args.margin)
         if args.format == "json":
             text = render_report_json(report.to_dict())
@@ -260,6 +290,8 @@ def _dispatch(args, config: dict, extra) -> int:
         return 0 if report.ok else 1
 
     if args.command == "table":
+        from .knot_table import table_rows
+
         rows = table_rows()
         if args.format == "json":
             data = [{"name": name, "size": V.size,

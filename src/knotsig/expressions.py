@@ -14,42 +14,47 @@ notation.  Names are table names such as 3_1, 10_132, 11n6, unknot.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from . import knot_table
-from .braids import seifert_from_braid, torus_braid
 from .errors import BraidError, ExpressionError, TableError
+from .record import Record
 from .seifert import SeifertMatrix, connected_sum
 
 
-class KnotExpression:
+class KnotExpression(Record):
     """Abstract term tree; use parse_expression to build one."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class NamedKnot(KnotExpression):
+    __slots__ = ("name",)
+
     name: str
 
 
-@dataclass(frozen=True)
 class TorusKnot(KnotExpression):
+    __slots__ = ("p", "q")
+
     p: int
     q: int
 
 
-@dataclass(frozen=True)
 class Mirror(KnotExpression):
+    __slots__ = ("inner",)
+
     inner: KnotExpression
 
 
-@dataclass(frozen=True)
 class Sum(KnotExpression):
+    __slots__ = ("left", "right")
+
     left: KnotExpression
     right: KnotExpression
 
 
-@dataclass(frozen=True)
 class Multiple(KnotExpression):
+    __slots__ = ("count", "inner")
+
     count: int
     inner: KnotExpression
 
@@ -88,6 +93,12 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def take_digits(self) -> int:
+        tok = self.take()
+        if not tok.isdigit():  # tokens are ASCII, so this is [0-9]+
+            raise ExpressionError(f"torus parameters are plain digits, found {tok!r}")
+        return int(tok)
+
     def parse_expr(self) -> KnotExpression:
         node = self.parse_term()
         while self.peek() in ("#", "+", "-"):
@@ -124,9 +135,9 @@ class _Parser:
             self.take(")")
             return inner
         if tok.upper() == "T(":
-            p = int(self.take())
+            p = self.take_digits()
             self.take(",")
-            q = int(self.take())
+            q = self.take_digits()
             self.take(")")
             return TorusKnot(p, q)
         if re.fullmatch(r"[0-9]+[a-z_][0-9]+|unknot", tok, re.I):
@@ -159,11 +170,15 @@ def _resolve(node: KnotExpression, extra) -> SeifertMatrix:
     if isinstance(node, NamedKnot):
         if node.name in extra:
             return extra[node.name]
+        from . import knot_table
+
         try:
             return knot_table.lookup(node.name)
         except TableError as e:
             raise ExpressionError(str(e)) from e
     if isinstance(node, TorusKnot):
+        from .braids import seifert_from_braid, torus_braid
+
         try:
             return seifert_from_braid(torus_braid(node.p, node.q))
         except BraidError as e:

@@ -39,9 +39,9 @@ q (signatures_at_roots).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from . import intpoly as ip
 from .errors import SingularSampleError
@@ -252,18 +252,15 @@ def order_for_sample(z: Fraction) -> IntPairOrder:
     return IntPairOrder(z)
 
 
-class PivotTrace(NamedTuple):
-    """What a fraction-free elimination leaves once signs are set aside.
+PivotTrace = namedtuple("PivotTrace", "pivots null restart", defaults=(None,))
+PivotTrace.__doc__ = """What a fraction-free elimination leaves once signs are set aside.
 
-    pivots are the real pivot elements d_1, d_2, ... in order, null the size
-    of a final all-zero block, and restart the trace of the fresh
-    elimination of the active block after a mid-elimination repair (whose
-    signs flip when the last pivot before it is negative).
-    """
-
-    pivots: tuple
-    null: int = 0
-    restart: "PivotTrace | None" = None
+A named tuple (pivots, null, restart=None): pivots are the real pivot
+elements d_1, d_2, ... in order, null the size of a final all-zero block,
+and restart is None or the PivotTrace of the fresh elimination of the
+active block after a mid-elimination repair (whose signs flip when the
+last pivot before it is negative).
+"""
 
 
 def signature_triple(A: list[list[Pair]], order: Ring) -> tuple[int, int, int]:
@@ -344,7 +341,7 @@ def _eliminate(A, idx: list[int], order: Ring) -> PivotTrace:
                 A[k][m_] = order.divide_real(t, inv_prev)
         idx = rest
         prev = dpair
-    return PivotTrace(tuple(pivots))
+    return PivotTrace(tuple(pivots), 0)
 
 
 def connected_blocks(V) -> list[list[int]]:

@@ -13,17 +13,18 @@ signature -2 (its mirror is written -3_1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .braids import BraidWord, seifert_from_braid
 from .errors import TableError
 from .laurent import LaurentPoly, normalize_alexander
+from .record import Record
 from .seifert import SeifertMatrix, alexander_polynomial, murasugi_signature
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Record):
+    __slots__ = ("name", "matrix", "braid", "alexander", "signature", "note")
+
     name: str
     matrix: tuple | None          # literal rows, or None when built from a braid
     braid: tuple | None           # (strands, letters)

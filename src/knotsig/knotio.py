@@ -9,7 +9,6 @@ index so a bad file points at the offending matrix.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .errors import KnotsigError, SeifertInvariantError
 from .seifert import SeifertMatrix
@@ -17,7 +16,8 @@ from .seifert import SeifertMatrix
 
 def read_seifert_file(path) -> list[tuple[str, SeifertMatrix]]:
     """Load named Seifert matrices from a JSON file."""
-    text = Path(path).read_text()
+    with open(path) as f:
+        text = f.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -56,7 +56,8 @@ def write_report(path, report, digits: int = 6) -> None:
         from .bounds import report_to_dict
 
         report = report_to_dict(report, digits)
-    Path(path).write_text(render_report_json(report))
+    with open(path, "w") as f:
+        f.write(render_report_json(report))
 
 
 def render_report_json(report_dict: dict) -> str:

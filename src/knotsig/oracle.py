@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
 from .bounds import FactorInvariants, signed_bounds, unknotting_bound
 from .errors import ParityError, SearchBoundError
+from .record import Record
 
 State = tuple  # (j, smin, smax)
 
@@ -44,9 +44,10 @@ MOVES: dict[str, tuple[int, int, int]] = {
 _MOVE_ITEMS = tuple(MOVES.items())
 
 
-@dataclass(frozen=True)
-class LatticeState:
+class LatticeState(Record):
     """A lattice point: j >= 0, smin <= smax, all three of one parity."""
+
+    __slots__ = ("j", "smin", "smax")
 
     j: int
     smin: int
@@ -105,8 +106,10 @@ def _signed_sweep(source: State, box: int, costly_sign: str) -> dict[State, int]
     return best
 
 
-@dataclass(frozen=True)
-class MovesResult:
+class MovesResult(Record):
+    __slots__ = ("total", "witness", "min_negative_to_positive", "min_positive_to_negative",
+                 "lex_split")
+
     total: int
     witness: tuple
     min_negative_to_positive: int
@@ -180,16 +183,18 @@ def minimal_moves(start: LatticeState, margin: int = 6) -> MovesResult:
     )
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
+    __slots__ = ("state", "kind", "bfs", "formula")
+
     state: State
     kind: str  # "total" | "signed"
     bfs: tuple
     formula: tuple
 
 
-@dataclass(frozen=True)
-class ExhaustiveReport:
+class ExhaustiveReport(Record):
+    __slots__ = ("bound_range", "margin", "states_checked", "mismatches")
+
     bound_range: int
     margin: int
     states_checked: int

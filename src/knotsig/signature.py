@@ -31,7 +31,6 @@ congruence diagonalization over the number field of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -41,12 +40,12 @@ from .hermitian import (signature_at_root, signature_at_sample as _sig_sample_ra
                         signatures_at_roots)
 from .laurent import LaurentPoly, to_trace_poly
 from .factor import factor_int_poly
+from .record import Record
 from .seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
 from .sturm import RealRoot, isolate_real_roots
 
 
-@dataclass(frozen=True)
-class UnitRoot:
+class UnitRoot(Record):
     """A point on the open upper unit circle, algebraically certified.
 
     x_factor is the irreducible self-reciprocal factor of the Alexander
@@ -55,24 +54,29 @@ class UnitRoot:
     the angle is exactly rational and exact_t is set.
     """
 
+    __slots__ = ("x_factor", "trace", "root", "cyclotomic", "exact_t")
+    _defaults = {"cyclotomic": None, "exact_t": None}
+
     x_factor: tuple
     trace: tuple
     root: RealRoot
-    cyclotomic: int | None = None
-    exact_t: Fraction | None = None
+    cyclotomic: int | None
+    exact_t: Fraction | None
 
 
-@dataclass(frozen=True)
-class BreakpointFactor:
+class BreakpointFactor(Record):
     """An irreducible self-reciprocal factor with its upper-circle roots."""
+
+    __slots__ = ("x_factor", "multiplicity", "roots")
 
     x_factor: tuple
     multiplicity: int
     roots: tuple  # UnitRoots ordered by increasing t (decreasing z)
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(Record):
+    __slots__ = ("root", "multiplicity", "left", "right", "jump", "balanced2", "nonbalanced")
+
     root: UnitRoot
     multiplicity: int
     left: int           # plateau value on the smaller-t side
@@ -82,8 +86,7 @@ class Breakpoint:
     nonbalanced: int | None
 
 
-@dataclass(frozen=True)
-class SignatureFunction:
+class SignatureFunction(Record):
     """Plateau values and breakpoint data on t in (0, 1/2].
 
     plateaus has one entry per open interval between consecutive
@@ -91,6 +94,8 @@ class SignatureFunction:
     and ending with the interval reaching t = 1/2; breakpoints are ordered
     by increasing t.
     """
+
+    __slots__ = ("plateaus", "breakpoints")
 
     plateaus: tuple
     breakpoints: tuple

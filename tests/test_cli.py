@@ -59,6 +59,19 @@ def test_exit_codes():
     r = run_cli("bounds", "3_1 @@")
     assert r.returncode == 1
 
+    r = run_cli("bounds", "T(-2,3)")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+
+    r = run_cli("oracle-check", "--range", "-1")
+    assert r.returncode == 1
+    assert r.stderr.startswith("knotsig oracle-check: error: ")
+    assert "Traceback" not in r.stderr
+
+    r = run_cli("bounds", "8_20", "--format", "json", "--precision", "-3")
+    assert r.returncode == 2
+    assert "--precision" in r.stderr and r.stdout == ""
+
 
 def test_signature_csv():
     r = run_cli("signature", "5_1", "--format", "csv")
@@ -123,6 +136,12 @@ def test_config_file(tmp_path):
     assert json.loads(r.stdout)["u2"] == 1
     r = run_cli("--config", str(cfg), "oracle-check", "--format", "json")
     assert json.loads(r.stdout)["range"] == 2
+    for bad in ("abc", "-1", "2.5"):
+        cfg.write_text(f"oracle_range = {bad}\n")
+        r = run_cli("--config", str(cfg), "oracle-check")
+        assert r.returncode == 1, bad
+        assert r.stderr.startswith("knotsig oracle-check: error: "), r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_bounds_json_rational_trace_roots(tmp_path):

@@ -32,7 +32,8 @@ def test_whitespace_insensitive():
 
 
 def test_parse_errors():
-    for bad in ("", "3_1 #", "T(2)", "2 3_1", "3_1 @", "((3_1)", "unknot unknot"):
+    for bad in ("", "3_1 #", "T(2)", "2 3_1", "3_1 @", "((3_1)", "unknot unknot",
+                "T(3_1,2)", "T(2,3_1)", "T(-2,3)", "T(,3)"):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
 
