@@ -25,14 +25,13 @@ _EXPORTS = {
     "factor": "factor_int_poly factor_rational_poly is_irreducible",
     "gfpoly": "",
     "hermitian": "",
-    "intpoly": "",
+    "intpoly": "from_trace_poly to_trace_poly",
     "knot_table": "knot_names lookup",
     "knotio": "read_seifert_file write_report",
-    "laurent": "LaurentPoly from_trace_poly normalize_alexander to_trace_poly",
     "oracle": "ExhaustiveReport LatticeState MovesResult apply_move exhaustive_check "
               "minimal_moves",
     "seifert": "SeifertMatrix alexander_polynomial connected_sum mirror "
-               "murasugi_signature stabilize",
+               "murasugi_signature normalize_alexander stabilize",
     "signature": "Breakpoint BreakpointFactor SignatureFunction UnitRoot "
                  "breakpoint_candidates nonbalanced_at_root signature_at_sample "
                  "step_function",

@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intpoly as ip
-from .laurent import LaurentPoly, to_trace_poly
 from .sturm import RealRoot, count_roots_open, sign_at
 
 
@@ -236,7 +235,7 @@ def _is_two_cos(root: RealRoot, m: Fraction) -> bool:
     b = m.denominator
     if b < 3 or ip.totient(b) > 2 * ip.degree(root.poly):
         return False
-    psi = to_trace_poly(LaurentPoly(0, ip.cyclotomic(b)))
+    psi = ip.to_trace_poly(ip.cyclotomic(b))
     if root.is_exact:
         return sign_at(psi, root.lo) == 0
     return count_roots_open(ip.gcd_int_poly(root.poly, psi), root.lo, root.hi) > 0

@@ -295,16 +295,16 @@ def _dispatch(args, config: dict, extra) -> int:
         rows = table_rows()
         if args.format == "json":
             data = [{"name": name, "size": V.size,
-                     "alexander": [int(c) for c in delta.coeffs],
-                     "lowest_exponent": delta.low,
+                     "alexander": list(delta),
+                     "lowest_exponent": -(len(delta) - 1) // 2,
                      "signature_at_minus_one": sig}
                     for name, V, delta, sig in rows]
             text = render_report_json(data)
         else:
             lines = ["name      size  signature(-1)  alexander (symmetric form)"]
             for name, V, delta, sig in rows:
-                poly = format_poly(tuple(int(c) for c in delta.coeffs))
-                lines.append(f"{name:<9} {V.size:>4}  {sig:>13}  x^{delta.low} * ({poly})")
+                low = -(len(delta) - 1) // 2
+                lines.append(f"{name:<9} {V.size:>4}  {sig:>13}  x^{low} * ({format_poly(delta)})")
             text = "\n".join(lines) + "\n"
         _emit(text, args.output)
         return 0

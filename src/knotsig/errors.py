@@ -19,7 +19,7 @@ class SymmetryError(KnotsigError):
 
 
 class ParityError(KnotsigError):
-    """An evenness condition failed (Laurent span, doubled signature value...)."""
+    """An evenness condition failed (polynomial span, doubled signature value...)."""
 
 
 class SquarefreeError(KnotsigError):

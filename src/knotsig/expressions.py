@@ -160,10 +160,11 @@ def parse_expression(text: str) -> KnotExpression:
 def resolve(expr: KnotExpression | str,
             extra_table: dict[str, SeifertMatrix] | None = None) -> SeifertMatrix:
     """Seifert matrix of an expression: table lookups, braid-built torus
-    knots, mirrors, and block sums.  Unknown names raise ExpressionError."""
+    knots, mirrors, and block sums.  Names match without regard to case, in
+    extra_table too.  Unknown names raise ExpressionError."""
     if isinstance(expr, str):
         expr = parse_expression(expr)
-    return _resolve(expr, extra_table or {})
+    return _resolve(expr, {k.lower(): v for k, v in (extra_table or {}).items()})
 
 
 def _resolve(node: KnotExpression, extra) -> SeifertMatrix:

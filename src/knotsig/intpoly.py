@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import DivisibilityError
+from .errors import DivisibilityError, ParityError, SymmetryError
 
 Poly = tuple  # tuple[int, ...]
 
@@ -226,6 +226,49 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
         c = sub(div_exact(c, d), derivative(b2))
         b = b2
         i += 1
+    return out
+
+
+def to_trace_poly(p: Poly) -> Poly:
+    """The tuple q, ascending in z, with p(x) = x^m * q(x + 1/x) for a
+    palindromic p of even degree 2m: the trace substitution z = x + 1/x,
+    under which roots of p on the unit circle become roots of q in (-2, 2).
+
+    q is built from p's own coefficients, with no unit: lc(q) = lc(p), and
+    q is primitive when p is.
+
+    Anti-palindromic input (p(1/x) = -x^k p(x)) cannot be a polynomial in
+    x + 1/x and raises SymmetryError, as does asymmetric input; odd degree
+    raises ParityError.
+    """
+    p = trim(p)
+    if is_zero(p):
+        raise SymmetryError("the zero polynomial has no trace form")
+    rev = p[::-1]
+    if rev != p and rev != neg(p):
+        raise SymmetryError("polynomial is not self-reciprocal")
+    if degree(p) % 2 != 0:
+        raise ParityError("self-reciprocal polynomial has odd span")
+    if rev != p:
+        raise SymmetryError("anti-palindromic polynomial is not a polynomial in x + 1/x")
+    m = degree(p) // 2
+    # x^j + x^-j as monic integer polynomials in z (T~_0 = 2, T~_1 = z, ...)
+    tj = [(2,), (0, 1)]
+    for _ in range(2, m + 1):
+        tj.append(sub(shift(tj[-1], 1), tj[-2]))
+    q = trim((p[m],))
+    for j in range(1, m + 1):
+        q = add(q, scale(tj[j], p[m + j]))
+    assert from_trace_poly(q) == p
+    return q
+
+
+def from_trace_poly(q: Poly) -> Poly:
+    """The pull-back x^(deg q) * q(x + 1/x), palindromic of degree 2 deg q."""
+    q = trim(q)
+    out: Poly = ()
+    for j, c in enumerate(reversed(q)):
+        out = add(mul(out, (1, 0, 1)), shift((c,), j))
     return out
 
 

@@ -17,9 +17,9 @@ from functools import lru_cache
 
 from .braids import BraidWord, seifert_from_braid
 from .errors import TableError
-from .laurent import LaurentPoly, normalize_alexander
 from .record import Record
-from .seifert import SeifertMatrix, alexander_polynomial, murasugi_signature
+from .seifert import (SeifertMatrix, alexander_polynomial, murasugi_signature,
+                      normalize_alexander)
 
 
 class TableEntry(Record):
@@ -88,7 +88,7 @@ def _validated(name: str) -> SeifertMatrix:
     else:
         V = SeifertMatrix(entry.matrix)
     delta = alexander_polynomial(V)
-    expected = normalize_alexander(LaurentPoly(0, entry.alexander))
+    expected = normalize_alexander(entry.alexander)
     if delta != expected:
         raise TableError(f"{name}: Alexander polynomial mismatch (table data corrupt)")
     sig = murasugi_signature(V)

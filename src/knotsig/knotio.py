@@ -2,8 +2,9 @@
 
 A Seifert matrix file is a JSON array of objects
 ``{"name": str, "matrix": [[int, ...], ...]}``.  Matrices are validated on
-load (square, even size, det(V - V^T) = 1); errors carry the entry name or
-index so a bad file points at the offending matrix.
+load (square, even size, det(V - V^T) = 1), and names must differ without
+regard to case, since expressions match them so; errors carry the entry
+name or index so a bad file points at the offending matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def read_seifert_file(path) -> list[tuple[str, SeifertMatrix]]:
         raise KnotsigError(f"{path}: not valid JSON at line {e.lineno}, column {e.colno}") from e
     if not isinstance(data, list):
         raise KnotsigError(f"{path}: expected a JSON array of knot objects")
-    out = []
+    out, seen = [], {}
     for k, item in enumerate(data):
         where = f"{path}: entry {k}"
         if not isinstance(item, dict) or "name" not in item or "matrix" not in item:
@@ -32,6 +33,11 @@ def read_seifert_file(path) -> list[tuple[str, SeifertMatrix]]:
         name = item["name"]
         if not isinstance(name, str) or not name:
             raise KnotsigError(f"{where}: 'name' must be a nonempty string")
+        key = name.lower()
+        if key in seen:
+            raise KnotsigError(f"{where}: name {name!r} repeats entry {seen[key]} "
+                               "(names match without regard to case)")
+        seen[key] = k
         rows = item["matrix"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise KnotsigError(f"{where} ({name}): 'matrix' must be a list of rows")

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from itertools import count
 from math import isqrt
-from operator import mul
+from operator import index, mul
 
-from .errors import SeifertInvariantError
+from . import intpoly as ip
+from .errors import ParityError, SeifertInvariantError, SymmetryError
 from .hermitian import connected_blocks, symmetric_signature
-from .laurent import LaurentPoly, normalize_alexander
 
 
 class SeifertMatrix:
@@ -26,7 +26,7 @@ class SeifertMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(c) for c in row) for row in rows)
+        rows = tuple(tuple(map(_entry, row)) for row in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise SeifertInvariantError("matrix is not square")
@@ -66,6 +66,13 @@ class SeifertMatrix:
         n = self.size
         return SeifertMatrix(tuple(tuple(-self.rows[j][i] for j in range(n))
                                    for i in range(n)))
+
+
+def _entry(c) -> int:
+    try:
+        return index(c)
+    except TypeError:
+        raise SeifertInvariantError(f"matrix entry {c!r} is not an integer") from None
 
 
 def connected_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
@@ -116,26 +123,54 @@ def _int_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def block_alexander_polynomials(V: SeifertMatrix) -> list[LaurentPoly]:
+def block_alexander_polynomials(V: SeifertMatrix) -> list[tuple]:
     """det(V_B - x V_B^T) for each connected block B of V, in the order of
-    connected_blocks, unnormalized."""
+    connected_blocks, unnormalized (see _det_poly)."""
     return [_det_poly([[V.rows[i][j] for j in block] for i in block])
             for block in connected_blocks(V.rows)]
 
 
-def alexander_polynomial(V: SeifertMatrix, blocks=None) -> LaurentPoly:
-    """det(V - x V^T), normalized symmetric with value 1 at x = 1: the
-    product of the block polynomials, computed here unless the caller has
-    them from block_alexander_polynomials(V) and passes them as blocks."""
-    total = LaurentPoly.one()
+def alexander_polynomial(V: SeifertMatrix, blocks=None) -> tuple:
+    """det(V - x V^T), normalized symmetric with value 1 at x = 1 (see
+    normalize_alexander): the product of the block polynomials, computed
+    here unless the caller has them from block_alexander_polynomials(V) and
+    passes them as blocks.  The tuple d holds the coefficients of
+    x^low .. x^-low in ascending order, low = -(len(d) - 1) // 2."""
+    total = (1,)
     for p in block_alexander_polynomials(V) if blocks is None else blocks:
-        total = total * p
+        total = ip.mul(total, p)
     return normalize_alexander(total)
 
 
-def _det_poly(M) -> LaurentPoly:
-    """det(M - x M^T) as a LaurentPoly, for a square integer M with
-    det(M - M^T) = 1.
+def normalize_alexander(p) -> tuple:
+    """The canonical symmetric representative with value 1 at x = 1.
+
+    Input may be any unit multiple +-x^k p, as an ascending tuple from x^0;
+    the result is palindromic of even degree 2m with p(1) = 1, which pins
+    the representative uniquely, and stands for x^-m times that tuple.
+    """
+    p = ip.trim(p)
+    k = 0
+    while k < len(p) and p[k] == 0:
+        k += 1
+    p = p[k:]  # drop the factor x^k
+    if ip.is_zero(p):
+        raise ValueError("Alexander polynomial cannot be zero")
+    rev = p[::-1]
+    if rev != p and rev != ip.neg(p):
+        raise SymmetryError("not symmetric up to units")
+    if ip.degree(p) % 2 != 0:
+        raise ParityError("Alexander polynomial must have even span")
+    at1 = sum(p)
+    if abs(at1) != 1:
+        raise ValueError(f"p(1) = {at1}, expected a unit (is this det(V - xV^T)?)")
+    return p if at1 > 0 else ip.neg(p)
+
+
+def _det_poly(M) -> tuple:
+    """det(M - x M^T) as an ascending tuple from x^0, trailing zeros
+    trimmed and leading ones kept (det M = 0 gives a leading 0), for a
+    square integer M with det(M - M^T) = 1.
 
     With D = M - M^T the matrix B = D^-1 M^T has integer entries, and
     M - x M^T = D (I - (x - 1) B), so det(M - x M^T) = sum_k chi_k (x - 1)^(n-k)
@@ -171,7 +206,7 @@ def _det_poly(M) -> LaurentPoly:
         if modulus > 2 * bound:
             break
     half = modulus // 2
-    return LaurentPoly(0, [c - modulus if c > half else c for c in coeffs])
+    return ip.trim(c - modulus if c > half else c for c in coeffs)
 
 
 def _det_poly_mod(M, p: int) -> list:

@@ -38,7 +38,6 @@ from . import intpoly as ip
 from .errors import KnotsigError
 from .hermitian import (signature_at_root, signature_at_sample as _sig_sample_raw,
                         signatures_at_roots)
-from .laurent import LaurentPoly, to_trace_poly
 from .factor import factor_int_poly
 from .record import Record
 from .seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
@@ -156,22 +155,22 @@ def _cyclotomic_index(f) -> int | None:
     return None
 
 
-def breakpoint_candidates(delta: LaurentPoly) -> list[BreakpointFactor]:
+def breakpoint_candidates(delta: tuple) -> list[BreakpointFactor]:
     """The irreducible self-reciprocal factors of delta with circle roots.
 
     Factors without unit-circle roots are dropped; multiplicity never
     affects which roots appear (a factor of even multiplicity still yields
     breakpoints, where the jump may well be 0).
     """
-    if delta.is_zero():
+    if ip.is_zero(delta):
         raise ValueError("zero Alexander polynomial")
-    _, prim = delta.int_coeffs()
+    _, prim = ip.primitive(delta)
     _, factors = factor_int_poly(prim)
     out = []
     for f, mult in factors:
         if tuple(f) != tuple(reversed(f)) or ip.degree(f) % 2 != 0 or ip.degree(f) == 0:
             continue
-        q = to_trace_poly(LaurentPoly(0, f))
+        q = ip.to_trace_poly(f)
         roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
         if not roots:
             continue
@@ -231,7 +230,7 @@ def _repeated_in_a_block(blocks, factors) -> list[BreakpointFactor]:
     if not repeated or len(blocks) == 1:
         return repeated
     return [bf for bf in repeated
-            if any(ip.is_zero(ip.pseudo_rem(b.coeffs, ip.mul(bf.x_factor, bf.x_factor)))
+            if any(ip.is_zero(ip.pseudo_rem(b, ip.mul(bf.x_factor, bf.x_factor)))
                    for b in blocks)]
 
 

@@ -111,12 +111,23 @@ def test_output_dir_env(tmp_path):
 def test_table_listing():
     r = run_cli("table")
     assert r.returncode == 0
-    for name in ("3_1", "8_20", "10_132", "11n6"):
-        assert name in r.stdout
+    assert r.stdout.splitlines() == [
+        "name      size  signature(-1)  alexander (symmetric form)",
+        "3_1          2             -2  x^-1 * (x^2 - x + 1)",
+        "4_1          2              0  x^-1 * (-x^2 + 3*x - 1)",
+        "5_1          4             -4  x^-2 * (x^4 - x^3 + x^2 - x + 1)",
+        "7_4          2             -2  x^-1 * (4*x^2 - 7*x + 4)",
+        "8_2          6             -4  x^-3 * (-x^6 + 3*x^5 - 3*x^4 + 3*x^3 - 3*x^2 + 3*x - 1)",
+        "8_20         6              0  x^-2 * (x^4 - 2*x^3 + 3*x^2 - 2*x + 1)",
+        "10_132       4              0  x^-2 * (x^4 - x^3 + x^2 - x + 1)",
+        "11n6         6              0  x^-3 * (-x^6 + 3*x^5 - 3*x^4 + 3*x^3 - 3*x^2 + 3*x - 1)",
+    ]
     r = run_cli("table", "--format", "json")
     data = json.loads(r.stdout)
     names = [e["name"] for e in data]
     assert names == ["3_1", "4_1", "5_1", "7_4", "8_2", "8_20", "10_132", "11n6"]
+    assert [e["lowest_exponent"] for e in data] == [-1, -1, -2, -1, -3, -2, -2, -3]
+    assert data[5]["alexander"] == [1, -2, 3, -2, 1]
 
 
 def test_oracle_check_cli():
@@ -136,6 +147,17 @@ def test_config_file(tmp_path):
     assert json.loads(r.stdout)["u2"] == 1
     r = run_cli("--config", str(cfg), "oracle-check", "--format", "json")
     assert json.loads(r.stdout)["range"] == 2
+    # names match without regard to case, so two that differ only in case clash
+    knots.write_text(json.dumps([{"name": "9K1", "matrix": [[-1, 0], [1, -1]]}]))
+    for spelling in ("9K1", "9k1"):
+        r = run_cli("--config", str(cfg), "bounds", spelling, "--format", "json")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["u2"] == 1
+    knots.write_text(json.dumps([{"name": "9K1", "matrix": [[-1, 0], [1, -1]]},
+                                 {"name": "9k1", "matrix": [[-1, 0], [1, -1]]}]))
+    r = run_cli("--config", str(cfg), "bounds", "9k1")
+    assert r.returncode == 1
+    assert "entry 1: name '9k1' repeats entry 0" in r.stderr, r.stderr
     for bad in ("abc", "-1", "2.5"):
         cfg.write_text(f"oracle_range = {bad}\n")
         r = run_cli("--config", str(cfg), "oracle-check")

@@ -26,10 +26,8 @@ def test_perfect_square_difference():
 
 def test_trace_of_squared_hexagonal_factor():
     # the trace polynomial of (x^2 - x + 1)^2 is (z - 1)^2
-    from knotsig.laurent import LaurentPoly, to_trace_poly
-
     sq = ip.mul((1, -1, 1), (1, -1, 1))
-    q = to_trace_poly(LaurentPoly(0, sq))
+    q = ip.to_trace_poly(sq)
     _, qi = ip.primitive(q)
     c, factors = factor_int_poly(qi)
     assert factors == [((-1, 1), 2)]
@@ -39,19 +37,16 @@ def test_torus_connected_sum_trace_factors():
     # Delta of T(3,10) # -T(2,15) # -T(5,6) has trace factors of
     # phi6^2 phi10^2 phi15^2 phi30^3
     from knotsig.expressions import resolve
-    from knotsig.laurent import to_trace_poly
     from knotsig.seifert import alexander_polynomial
 
     V = resolve("T(3,10) # -T(2,15) # -T(5,6)")
     delta = alexander_polynomial(V)
-    q = to_trace_poly(delta)
+    q = ip.to_trace_poly(delta)
     _, qi = ip.primitive(q)
     _, factors = factor_int_poly(qi)
 
     def trace_of(n):
-        from knotsig.laurent import LaurentPoly
-
-        t = to_trace_poly(LaurentPoly(0, ip.cyclotomic(n)))
+        t = ip.to_trace_poly(ip.cyclotomic(n))
         return ip.primitive(t)[1]
 
     expected = sorted(

@@ -12,11 +12,12 @@ import knotsig
 
 SRC = str(Path(knotsig.__file__).resolve().parent.parent)
 
-# the 81 public names the package exported when it imported every module
+# the public names: the 81 the package exported when it imported every
+# module, less LaurentPoly and laurent
 ALL = [
     "BoundReport", "BraidError", "BraidWord", "Breakpoint", "BreakpointFactor",
     "DivisibilityError", "ExhaustiveReport", "ExpressionError", "FactorInvariants",
-    "KnotExpression", "KnotsigError", "LatticeState", "LaurentPoly", "MovesResult",
+    "KnotExpression", "KnotsigError", "LatticeState", "MovesResult",
     "ParityError", "RealRoot", "SearchBoundError", "SeifertInvariantError",
     "SeifertMatrix", "SignatureFunction", "SignedBound", "SingularSampleError",
     "SquarefreeError", "SymmetryError", "TableError", "UnitRoot", "alexander_polynomial",
@@ -25,7 +26,7 @@ ALL = [
     "errors", "exhaustive_check", "expressions", "factor", "factor_int_poly",
     "factor_invariants", "factor_rational_poly", "from_trace_poly", "g4_bound", "gfpoly",
     "gordian_bound", "gordian_report", "hermitian", "intpoly", "is_irreducible",
-    "isolate_real_roots", "knot_names", "knot_table", "knotio", "laurent", "lookup",
+    "isolate_real_roots", "knot_names", "knot_table", "knotio", "lookup",
     "minimal_moves", "mirror", "murasugi_signature", "nonbalanced_at_root",
     "nonbalanced_bound", "normalize_alexander", "oracle", "parse_expression",
     "read_seifert_file", "resolve", "seifert", "seifert_from_braid", "signature",

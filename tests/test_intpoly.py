@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotsig import intpoly as ip
-from knotsig.errors import DivisibilityError
+from knotsig.errors import DivisibilityError, ParityError, SymmetryError
 
 small_polys = st.lists(st.integers(-6, 6), min_size=0, max_size=7).map(ip.trim)
 
@@ -106,3 +106,44 @@ def test_mod_monic_matches_divmod():
     r = ip.mod_monic(f, g)
     assert r == ip.pseudo_rem(f, g)
     assert ip.mul(ip.div_exact(ip.sub(f, r), g), g) == ip.sub(f, r)
+
+
+def test_trace_examples():
+    assert ip.to_trace_poly((1, -1, 1)) == (-1, 1)              # z - 1
+    assert ip.to_trace_poly((1, -1, 1, -1, 1)) == (-1, -1, 1)   # z^2 - z - 1
+    assert ip.to_trace_poly((1, -3, 1)) == (-3, 1)              # z - 3
+
+
+def test_trace_errors():
+    with pytest.raises(SymmetryError):
+        ip.to_trace_poly((1, 2))         # not self-reciprocal
+    with pytest.raises(SymmetryError):
+        ip.to_trace_poly((-1, 0, 1))     # x^2 - 1: anti-palindromic
+    with pytest.raises(ParityError):
+        ip.to_trace_poly((1, 1))         # odd span
+
+
+def test_trace_roundtrip_explicit():
+    q = ip.to_trace_poly((1, -1, 1, -1, 1))
+    assert ip.from_trace_poly(q) == (1, -1, 1, -1, 1)
+
+
+@given(st.lists(st.sampled_from([(1, -1, 1), (1, -3, 1), (1, 0, 1), (1, 1, 1),
+                                 (1, -1, 1, -1, 1), (4, -7, 4)]),
+                min_size=1, max_size=3))
+@settings(max_examples=40)
+def test_trace_roundtrip_products(factors):
+    f = (1,)
+    for g in factors:
+        f = ip.mul(f, g)
+    assert ip.from_trace_poly(ip.to_trace_poly(f)) == f
+
+
+def test_irreducible_pullback_stays_irreducible():
+    # if q is irreducible with a root in (-2, 2), the pull-back is irreducible
+    from knotsig.factor import factor_int_poly
+
+    for q in [(-1, 1), (-3, 1), (-1, -1, 1), (1, -4, -1, 1)]:
+        _, prim = ip.primitive(ip.from_trace_poly(q))
+        _, fs = factor_int_poly(prim)
+        assert len(fs) == 1 and fs[0][1] == 1, (q, fs)

@@ -52,7 +52,7 @@ def test_rows_report():
     assert [r[0] for r in rows] == list(EXPECTED_STEPS)
     for name, V, delta, sig in rows:
         assert V.size % 2 == 0
-        assert sum(delta.coeffs) == 1
+        assert sum(delta) == 1
         assert sig == sf_last(name)
 
 
@@ -62,21 +62,18 @@ def sf_last(name):
 
 def test_trace_roundtrip_for_every_table_factor():
     # every self-reciprocal factor of every table knot survives the trace
-    # substitution round trip up to a unit
+    # substitution round trip
+    from knotsig import intpoly as ip
     from knotsig.factor import factor_int_poly
-    from knotsig.laurent import LaurentPoly, from_trace_poly, to_trace_poly
     from knotsig.seifert import alexander_polynomial
 
     for name in EXPECTED_STEPS:
         delta = alexander_polynomial(lookup(name))
-        _, prim = delta.int_coeffs()
+        _, prim = ip.primitive(delta)
         for f, _mult in factor_int_poly(prim)[1]:
             if tuple(f) != tuple(reversed(f)):
                 continue
-            p = LaurentPoly(0, f)
-            q = to_trace_poly(p)
-            quotient = from_trace_poly(q).exact_div(p)
-            assert quotient.span == 0 and abs(quotient.coeffs[0]) == 1
+            assert ip.from_trace_poly(ip.to_trace_poly(f)) == f
 
 
 def test_breakpoint_angles():
