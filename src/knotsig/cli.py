@@ -27,7 +27,7 @@ from .certify import decimal_of_t
 from .errors import KnotsigError
 from .expressions import resolve
 from .intpoly import format_poly
-from .knotio import read_seifert_file, render_report_json
+from .knotio import read_seifert_file, read_text, render_report_json
 from .seifert import SeifertMatrix
 from .signature import SignatureFunction, step_function
 
@@ -118,8 +118,7 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     out = {}
-    with open(path) as f:
-        text = f.read()
+    text = read_text(path)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -187,13 +187,13 @@ def _resolve(node: KnotExpression, extra) -> SeifertMatrix:
     if isinstance(node, Mirror):
         return _resolve(node.inner, extra).mirror()
     if isinstance(node, Sum):
-        return connected_sum(_resolve(node.left, extra), _resolve(node.right, extra))
+        rights = []  # a # b # c parses as (a # b) # c: sum all three at once
+        while isinstance(node, Sum):
+            rights.append(node.right)
+            node = node.left
+        return connected_sum(*(_resolve(t, extra) for t in [node, *reversed(rights)]))
     if isinstance(node, Multiple):
-        out = SeifertMatrix.empty()
-        base = _resolve(node.inner, extra)
-        for _ in range(node.count):
-            out = connected_sum(out, base)
-        return out
+        return connected_sum(*[_resolve(node.inner, extra)] * node.count)
     raise ExpressionError(f"unknown expression node {node!r}")
 
 

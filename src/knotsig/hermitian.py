@@ -32,9 +32,12 @@ previous pivot.
 
 The pivot choice, the repair and every exact division depend only on the
 ring, not on which root of q is the embedding.  So the elimination runs
-once per irreducible q (and connected block) and records a sign-free
-PivotTrace; the signs are then taken per embedding, once for each root of
-q (signatures_at_roots).
+once per irreducible q and records a sign-free PivotTrace; the signs are
+then taken per embedding, once for each root of q (signatures_at_roots).
+
+Each function eliminates exactly the matrix it is given.  Callers pass the
+connected blocks of a Seifert matrix (SeifertMatrix.blocks) one at a time
+and add up the signatures.
 """
 
 from __future__ import annotations
@@ -344,44 +347,6 @@ def _eliminate(A, idx: list[int], order: Ring) -> PivotTrace:
     return PivotTrace(tuple(pivots), 0)
 
 
-def connected_blocks(V) -> list[list[int]]:
-    """Index sets of the connected components of the nonzero pattern of V+V^T."""
-    n = len(V)
-    seen = [False] * n
-    blocks = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp, stack = [], [s]
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and (V[i][j] != 0 or V[j][i] != 0):
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(sorted(comp))
-    return blocks
-
-
-def _block_signatures(V, embeddings: list[Ring]) -> list[tuple[int, int, int]]:
-    """(positive, negative, nullity) of V's hermitian matrix at each embedding.
-
-    The embeddings must be orders over one ring (the same q, other roots);
-    each connected block is eliminated once, over the first, and its trace
-    read at each one.
-    """
-    ring = embeddings[0]
-    totals = [(0, 0, 0)] * len(embeddings)
-    for block in connected_blocks(V):
-        sub = [[V[i][j] for j in block] for i in block]
-        trace = _eliminate(ring.hermitian_entries(sub), list(range(len(block))), ring)
-        totals = [tuple(a + b for a, b in zip(total, _trace_signs(trace, e)))
-                  for total, e in zip(totals, embeddings)]
-    return totals
-
-
 def signature_at_sample(V, z: Fraction) -> int:
     """Exact signature of (1-omega)V + (1-conj(omega))V^T at the unit-circle
     point with omega + conj(omega) = z, z rational in (-2, 2), off the roots
@@ -393,7 +358,7 @@ def signature_at_sample(V, z: Fraction) -> int:
     if len(V) == 0:
         return 0
     order = order_for_sample(z)
-    [(pos, neg, null)] = _block_signatures(V, [order])
+    pos, neg, null = signature_triple(order.hermitian_entries(V), order)
     if null:
         raise SingularSampleError(f"sample z = {z} is a root of the Alexander polynomial")
     sig = pos - neg
@@ -418,7 +383,8 @@ def signatures_at_roots(V, q, roots) -> list[tuple[int, int]]:
         orders = [IntPairOrder(Fraction(-q[0], q[1]))] * len(roots)
     else:
         orders = [ScaledOrder(q, root) for root in roots]
-    return [(pos - neg, null) for pos, neg, null in _block_signatures(V, orders)]
+    trace = _eliminate(orders[0].hermitian_entries(V), list(range(len(V))), orders[0])
+    return [(pos - neg, null) for pos, neg, null in (_trace_signs(trace, e) for e in orders)]
 
 
 def signature_at_root(V, q, root: RealRoot) -> tuple[int, int]:

@@ -15,10 +15,19 @@ from .errors import KnotsigError, SeifertInvariantError
 from .seifert import SeifertMatrix
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; KnotsigError naming the path if
+    they are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise KnotsigError(f"{path}: not UTF-8 text (byte {e.start})") from e
+
+
 def read_seifert_file(path) -> list[tuple[str, SeifertMatrix]]:
     """Load named Seifert matrices from a JSON file."""
-    with open(path) as f:
-        text = f.read()
+    text = read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -1,29 +1,31 @@
 """Seifert matrices: validation, mirror, connected sum, Alexander polynomial.
 
 A Seifert matrix is a square integer matrix V of even size with
-det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  The Alexander
-polynomial det(V - x V^T) is computed exactly block by block on the
-connected components of the support of V + V^T (connected sums are block
-sums, so this keeps the matrices small), each block as a characteristic
-polynomial and a Taylor shift modulo word-size primes, combined by the CRT
-under a Hadamard bound (see _det_poly).
+det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  It is split once, on
+construction, into connected blocks on the union of the supports of V and
+V^T (connected sums are block sums).  det(V - V^T) and the Alexander
+polynomial det(V - x V^T) are products over the blocks, each block
+polynomial computed exactly as a characteristic polynomial and a Taylor
+shift modulo word-size primes, combined by the CRT under a Hadamard bound
+(see _det_poly).
 """
 
 from __future__ import annotations
 
 from itertools import count
-from math import isqrt
+from math import isqrt, prod
 from operator import index, mul
 
 from . import intpoly as ip
 from .errors import ParityError, SeifertInvariantError, SymmetryError
-from .hermitian import connected_blocks, symmetric_signature
+from .hermitian import symmetric_signature
 
 
 class SeifertMatrix:
-    """Immutable integer Seifert matrix."""
+    """Immutable integer Seifert matrix; blocks holds the matrices (tuples of
+    rows) of its connected blocks, in the order of connected_blocks."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "blocks")
 
     def __init__(self, rows):
         rows = tuple(tuple(map(_entry, row)) for row in rows)
@@ -32,8 +34,12 @@ class SeifertMatrix:
             raise SeifertInvariantError("matrix is not square")
         if n % 2 != 0:
             raise SeifertInvariantError(f"size {n} is odd; Seifert matrices have even size")
+        blocks = tuple(tuple(tuple(rows[i][j] for j in block) for i in block)
+                       for block in connected_blocks(rows))
         object.__setattr__(self, "rows", rows)
-        d = _int_det([[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
+        object.__setattr__(self, "blocks", blocks)
+        d = prod(_int_det([[B[i][j] - B[j][i] for j in range(len(B))] for i in range(len(B))])
+                 for B in blocks)
         if d != 1:
             raise SeifertInvariantError(f"det(V - V^T) = {d}, expected 1")
 
@@ -63,9 +69,7 @@ class SeifertMatrix:
 
     def mirror(self) -> "SeifertMatrix":
         """-V^T, a Seifert matrix of the mirror image."""
-        n = self.size
-        return SeifertMatrix(tuple(tuple(-self.rows[j][i] for j in range(n))
-                                   for i in range(n)))
+        return SeifertMatrix(tuple(tuple(-c for c in col) for col in zip(*self.rows)))
 
 
 def _entry(c) -> int:
@@ -75,16 +79,36 @@ def _entry(c) -> int:
         raise SeifertInvariantError(f"matrix entry {c!r} is not an integer") from None
 
 
-def connected_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
-    """Block sum; realizes the connected sum of the underlying knots."""
-    n, m = a.size, b.size
-    rows = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = a.rows[i][j]
-    for i in range(m):
-        for j in range(m):
-            rows[n + i][n + j] = b.rows[i][j]
+def connected_blocks(V) -> list[list[int]]:
+    """Index sets of the connected components of the union of the supports
+    of V and V^T, each sorted, in the order of their smallest index.
+
+    Not the support of V + V^T: V[i][j] = 1 and V[j][i] = -1 cancel there
+    but still link i and j in V - x V^T.
+    """
+    todo, blocks = set(range(len(V))), []
+    while todo:
+        stack = [min(todo)]
+        comp = set(stack)
+        while stack:
+            i = stack.pop()
+            linked = {j for j in todo - comp if V[i][j] or V[j][i]}
+            comp |= linked
+            stack += linked
+        todo -= comp
+        blocks.append(sorted(comp))
+    return blocks
+
+
+def connected_sum(*summands: SeifertMatrix) -> SeifertMatrix:
+    """Block sum of the summands in order; realizes the connected sum of the
+    underlying knots (of none, the unknot)."""
+    n = sum(a.size for a in summands)
+    rows, left = [], 0
+    for a in summands:
+        right = n - left - a.size
+        rows += [(0,) * left + r + (0,) * right for r in a.rows]
+        left += a.size
     return SeifertMatrix(rows)
 
 
@@ -124,10 +148,9 @@ def _int_det(M) -> int:
 
 
 def block_alexander_polynomials(V: SeifertMatrix) -> list[tuple]:
-    """det(V_B - x V_B^T) for each connected block B of V, in the order of
-    connected_blocks, unnormalized (see _det_poly)."""
-    return [_det_poly([[V.rows[i][j] for j in block] for i in block])
-            for block in connected_blocks(V.rows)]
+    """det(B - x B^T) for each block B in V.blocks, unnormalized (see
+    _det_poly)."""
+    return [_det_poly(B) for B in V.blocks]
 
 
 def alexander_polynomial(V: SeifertMatrix, blocks=None) -> tuple:
@@ -319,12 +342,13 @@ def _is_prime(q: int) -> bool:
 
 
 def murasugi_signature(V: SeifertMatrix) -> int:
-    """The classical signature sigma(-1): the signature of V + V^T."""
-    n = V.size
-    if n == 0:
-        return 0
-    M = [[V.rows[i][j] + V.rows[j][i] for j in range(n)] for i in range(n)]
-    pos, neg, null = symmetric_signature(M)
-    if null:
-        raise SeifertInvariantError("V + V^T is singular; not a knot Seifert matrix")
-    return pos - neg
+    """The classical signature sigma(-1): the signature of V + V^T, summed
+    over the blocks."""
+    total = 0
+    for B in V.blocks:
+        pos, neg, null = symmetric_signature([[B[i][j] + B[j][i] for j in range(len(B))]
+                                              for i in range(len(B))])
+        if null:
+            raise SeifertInvariantError("V + V^T is singular; not a knot Seifert matrix")
+        total += pos - neg
+    return total

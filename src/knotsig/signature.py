@@ -195,14 +195,14 @@ def signature_at_sample(V: SeifertMatrix, z: Fraction) -> int:
     z must be rational in (-2, 2) and off the trace roots of the
     breakpoint factors; hitting a root raises SingularSampleError.
     """
-    return _sig_sample_raw(V.rows, Fraction(z))
+    z = Fraction(z)
+    return sum(_sig_sample_raw(B, z) for B in V.blocks)
 
 
 def nonbalanced_at_root(V: SeifertMatrix, r: UnitRoot) -> int:
     """The non-balanced signature: the honest signature (zero eigenvalues
     contribute nothing) of the hermitian matrix at the algebraic point r."""
-    s, _null = signature_at_root(V.rows, r.trace, r.root)
-    return s
+    return sum(signature_at_root(B, r.trace, r.root)[0] for B in V.blocks)
 
 
 def _separate_all(roots: list[UnitRoot]) -> None:
@@ -239,9 +239,8 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
 
     The non-balanced value at a root of a factor that is simple in every
     connected block is its balanced value (module docstring).  A factor
-    repeated inside one block takes one elimination, read at each of its
-    roots.  Samples and eliminations run serially; a thread pool gave no
-    speedup under the GIL.
+    repeated inside one block takes one elimination per block, read at each
+    of its roots, and the blocks' values add up.
     """
     blocks = block_alexander_polynomials(V)
     delta = alexander_polynomial(V, blocks)
@@ -270,8 +269,10 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
     nb_of: dict[UnitRoot, int] = {}
     if include_nonbalanced:
         for bf in _repeated_in_a_block(blocks, factors):
-            values = signatures_at_roots(V.rows, bf.roots[0].trace, [ur.root for ur in bf.roots])
-            nb_of.update((ur, s) for ur, (s, _null) in zip(bf.roots, values))
+            q, rs = bf.roots[0].trace, [ur.root for ur in bf.roots]
+            per_block = [signatures_at_roots(B, q, rs) for B in V.blocks]
+            nb_of.update((ur, sum(s for s, _null in at_ur))
+                         for ur, at_ur in zip(bf.roots, zip(*per_block)))
 
     bps = []
     for i, ur in enumerate(roots):

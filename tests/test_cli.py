@@ -166,6 +166,24 @@ def test_config_file(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_config_file_not_utf8(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe=1\n")
+    r = run_cli("--config", str(cfg), "bounds", "3_1")
+    assert r.returncode == 1
+    assert r.stderr == f"knotsig bounds: error: {cfg}: not UTF-8 text (byte 0)\n"
+
+
+def test_table_file_not_utf8(tmp_path):
+    knots = tmp_path / "extra.json"
+    knots.write_bytes(b'[{"name": "9_42\xff", "matrix": [[-1, 0], [1, -1]]}]')
+    cfg = tmp_path / "knotsig.conf"
+    cfg.write_text(f"table_path = {knots}\n")
+    r = run_cli("--config", str(cfg), "bounds", "3_1")
+    assert r.returncode == 1
+    assert r.stderr == f"knotsig bounds: error: {knots}: not UTF-8 text (byte 15)\n"
+
+
 def test_bounds_json_rational_trace_roots(tmp_path):
     # Delta = (x - 2)(2x - 1)(5x^2 - 9x + 5)(9x^2 - 17x + 9): the circle roots
     # sit at z = 9/5 and z = 17/9, and 9/5 is a decimal that no dyadic

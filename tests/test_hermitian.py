@@ -8,11 +8,10 @@ from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
 from knotsig.hermitian import (IntPairOrder, ScaledOrder, _eliminate, _trace_signs,
-                               connected_blocks, order_for_sample, signature_at_root,
-                               signature_at_sample, signature_triple, signatures_at_roots,
-                               symmetric_signature)
+                               order_for_sample, signature_at_root, signature_at_sample,
+                               signature_triple, signatures_at_roots, symmetric_signature)
 from knotsig.knot_table import lookup
-from knotsig.seifert import SeifertMatrix, connected_sum
+from knotsig.seifert import SeifertMatrix, connected_blocks, connected_sum
 from knotsig.sturm import RealRoot, isolate_real_roots
 
 

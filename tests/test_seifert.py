@@ -9,12 +9,12 @@ from conftest import (MIXED_SUMS, _interpolate_int, is_proven_prime, mixed_sum,
 from knotsig import intpoly as ip, seifert
 from knotsig.errors import KnotsigError, ParityError, SeifertInvariantError, SymmetryError
 from knotsig.expressions import resolve
-from knotsig.hermitian import connected_blocks, signature_at_sample
+from knotsig.hermitian import signature_at_sample
 from knotsig.knot_table import knot_names, lookup
 from knotsig.knotio import read_seifert_file, write_report
 from knotsig.seifert import (SeifertMatrix, _det_poly, _int_det, alexander_polynomial,
-                             connected_sum, mirror, murasugi_signature, normalize_alexander,
-                             stabilize)
+                             connected_blocks, connected_sum, mirror, murasugi_signature,
+                             normalize_alexander, stabilize)
 from knotsig.signature import step_function
 
 
@@ -41,6 +41,40 @@ def test_connected_sum_with_empty():
     V = lookup("3_1")
     assert connected_sum(V, SeifertMatrix.empty()) == V
     assert connected_sum(SeifertMatrix.empty(), V) == V
+
+
+def test_blocks_are_the_summands():
+    V = resolve("3_1 # 4_1")
+    assert V.blocks == (lookup("3_1").rows, lookup("4_1").rows)
+
+
+def test_blocks_link_where_v_plus_vt_cancels():
+    # two trefoil blocks joined only by V[1][2] = 1 and V[2][1] = -1, which
+    # cancel in V + V^T but not in V - x V^T: one block, not two
+    V = SeifertMatrix([[-1, 0, 0, 0], [1, -1, 1, 0], [0, -1, -1, 0], [0, 0, 1, -1]])
+    assert V.blocks == (V.rows,)
+    assert alexander_polynomial(V) == normalize_alexander(_reference_det_poly(V.rows))
+
+
+def test_degenerate_block_fails_validation():
+    # the trefoil block has det 1 and the second block det 0
+    with pytest.raises(SeifertInvariantError, match=re.escape("det(V - V^T) = 0, expected 1")):
+        SeifertMatrix([[-1, 0, 0, 0], [1, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+
+
+def test_connected_sum_is_variadic():
+    a, b, c = lookup("3_1"), lookup("4_1").mirror(), lookup("5_1")
+    assert connected_sum(a, b, c) == connected_sum(connected_sum(a, b), c)
+    assert connected_sum(a, b, c).blocks == a.blocks + b.blocks + c.blocks
+    assert resolve("3_1 # -4_1 + 5_1") == resolve("3_1 - 4_1 # (5_1)") == connected_sum(a, b, c)
+    assert connected_sum() == SeifertMatrix.empty()
+    assert connected_sum(a) == a
+
+
+def test_multiple_splits_into_its_blocks():
+    V = resolve("100*3_1")
+    assert V.size == 200 and len(V.blocks) == 100
+    assert murasugi_signature(V) == -200
 
 
 def test_trefoil_sum_alexander_and_signature():

@@ -6,9 +6,10 @@ from conftest import MIXED_SUMS, mixed_sum, random_seifert_matrices
 from knotsig import intpoly as ip, seifert
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
-from knotsig.hermitian import connected_blocks, signatures_at_roots
+from knotsig.hermitian import signatures_at_roots
 from knotsig.knot_table import lookup
-from knotsig.seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
+from knotsig.seifert import (SeifertMatrix, alexander_polynomial, block_alexander_polynomials,
+                             connected_blocks)
 from knotsig.signature import (_cyclotomic_index, _repeated_in_a_block, breakpoint_candidates,
                                nonbalanced_at_root, signature_at_sample, step_function)
 
