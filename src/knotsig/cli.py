@@ -152,15 +152,16 @@ def _emit(text: str, output: str | None) -> None:
     path.write_text(text)
 
 
-def _precision(text: str) -> int:
-    """--precision: a nonnegative int; anything else is a usage error."""
+def _nonnegative_int(text: str) -> int:
+    """--precision and --margin: a nonnegative int; anything else is a usage
+    error."""
     try:
-        digits = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if digits < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {digits}")
-    return digits
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,13 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
         if two_knots:
             p.add_argument("expression2")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--precision", type=_precision, default=6, help=precision_help)
+        p.add_argument("--precision", type=_nonnegative_int, default=6, help=precision_help)
         p.add_argument("--output", "-o")
         p.add_argument("--jobs", type=int, default=1)  # accepted and ignored: serial
 
     p_or = sub.add_parser("oracle-check", help="verify bound formulas by exhaustive search")
     p_or.add_argument("--range", type=int, default=None, dest="bound_range")
-    p_or.add_argument("--margin", type=int, default=6)
+    p_or.add_argument("--margin", type=_nonnegative_int, default=6)
     p_or.add_argument("--format", choices=("text", "json"), default="text")
     p_or.add_argument("--output", "-o")
 

@@ -12,28 +12,30 @@ of hermitian matrices land in the real (involution-fixed) subring and their
 signs are decided at the embedding.  There are two rings for it:
 
 - ScaledOrder, for deg q >= 2: elements are pairs (a, b) of integer
-  polynomials in zhat of degree less than deg q, meaning a + b*what; signs
-  of real elements are decided by interval evaluation at an isolating
-  interval of the root.
+  polynomials in zhat of degree less than deg q, meaning a + b*what; the
+  sign of a real element at a root of q is decided by interval evaluation
+  at an isolating interval of that root.
 - IntPairOrder, for deg q = 1, that is a rational z = zhat/l (every plateau
   sample and every rational trace root): zhat is an integer, elements are
   int pairs (a, b), real elements are plain ints and their sign is the
   int's sign.
 
-Both rings offer the same operations, and one kernel runs over either.
-Signatures are computed by a fraction-free (Bareiss) symmetric elimination:
-divisions are exact in the order, pivots are real, and the sign of each
-elimination step is sign(d_s * d_{s-1}).  Singular matrices are fine; a
-remaining all-zero block is reported as nullity.  When every active
-diagonal entry vanishes but the block is nonzero, a standard congruence
-repair creates a pivot; if that happens mid-elimination the active
-submatrix is restarted fresh, with signs corrected by the sign of the
-previous pivot.
+Both rings offer the same operations, and one kernel runs over either: a
+fraction-free (Bareiss) symmetric elimination whose divisions are exact in
+the order, whose pivots are real, and whose step signs are
+sign(d_s * d_{s-1}).  A final all-zero block is nullity.  When every
+active diagonal entry vanishes but the block is nonzero, the congruence
+row i += c*row j, column i += conj(c)*column j (c = A[i][j] != 0) makes
+the pivot 2*c*conj(c) in place, after earlier pivots too: the active
+entries are minors of the input bordered by the pivot rows and columns
+(Sylvester's identity; Bareiss, Math. Comp. 22, 1968), linear in their row
+and column, so the repair is that congruence on the input, and the later
+exact divisions and the sign rule carry over.
 
-The pivot choice, the repair and every exact division depend only on the
-ring, not on which root of q is the embedding.  So the elimination runs
-once per irreducible q and records a sign-free PivotTrace; the signs are
-then taken per embedding, once for each root of q (signatures_at_roots).
+The ring is per trace polynomial q, and so are the pivot choice, the
+repair and every division; the embedding is per root of q.  So one
+elimination per irreducible q records a sign-free PivotTrace, read at
+each root (signatures_at_roots).
 
 Each function eliminates exactly the matrix it is given.  Callers pass the
 connected blocks of a Seifert matrix (SeifertMatrix.blocks) one at a time
@@ -54,10 +56,10 @@ Pair = tuple  # (a, b): two int-coefficient tuples, ascending powers of zhat
 
 
 class ScaledOrder:
-    """The order Z[zhat, what] above for deg q >= 2, with the embedding data
-    for signs (a root of q, irrational since q is irreducible)."""
+    """The order Z[zhat, what] above for deg q >= 2, for every root of q at
+    once: real_sign takes the root (irrational, as q is irreducible)."""
 
-    def __init__(self, q, root: RealRoot):
+    def __init__(self, q):
         q = ip.trim(q)
         if ip.is_zero(q) or q[-1] <= 0:
             raise ValueError("defining polynomial must have positive leading coefficient")
@@ -67,7 +69,6 @@ class ScaledOrder:
         l, m = self.l, self.m
         self.qhat = tuple(q[k] * l ** (m - 1 - k) for k in range(m)) + (1,)
         self.e = l * l
-        self.root = RealRoot(self.qhat, l * root.lo, l * root.hi)
         self.zero: Pair = ((), ())
         self.one: Pair = ((1,), ())
 
@@ -106,17 +107,19 @@ class ScaledOrder:
         assert ip.is_zero(x[1]), "expected an involution-fixed element"
         return x[0]
 
-    def real_sign(self, a) -> int:
-        """Sign of a real element (an integer polynomial in zhat) at the embedding."""
+    def real_sign(self, a, root: RealRoot) -> int:
+        """Sign of a real element (an integer polynomial in zhat) at the
+        embedding zhat = l*root, root a root of q; refines root as needed."""
         if ip.is_zero(a):
             return 0
+        l = self.l
         while True:
-            lo, hi = ip.interval_eval(a, self.root.lo, self.root.hi)
+            lo, hi = ip.interval_eval(a, l * root.lo, l * root.hi)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            self.root.refine()
+            root.refine()
 
     def real_inverse(self, d):
         """(num, den) with num/den the inverse of the real element d mod qhat.
@@ -183,16 +186,20 @@ class ScaledOrder:
 
 
 class IntPairOrder:
-    """The order above for a rational trace value z = zhat/l (deg q = 1).
+    """The order above for a rational trace value z = zhat/l in (-2, 2)
+    (deg q = 1).
 
     zhat is an integer, so an element is an int pair (a, b) meaning
     a + b*what, with what^2 = zhat*what - l^2.  Real elements are plain ints
-    and their sign at the (only) embedding is their own.  Division by a real
-    element needs no inverse: real_inverse hands the int back and
-    divide_real divides exactly.
+    and their sign at the (only) embedding is their own, so real_sign
+    ignores its root.  Division by a real element needs no inverse:
+    real_inverse hands the int back and divide_real divides exactly.
     """
 
     def __init__(self, z: Fraction):
+        z = Fraction(z)
+        if not -2 < z < 2:
+            raise ValueError("sample must lie strictly inside (-2, 2)")
         self.zhat, self.l = z.numerator, z.denominator
         self.e = self.l * self.l
         self.zero = (0, 0)
@@ -224,7 +231,7 @@ class IntPairOrder:
         assert x[1] == 0, "expected an involution-fixed element"
         return x[0]
 
-    def real_sign(self, a: int) -> int:
+    def real_sign(self, a: int, root=None) -> int:
         return (a > 0) - (a < 0)
 
     def real_inverse(self, d: int) -> int:
@@ -247,22 +254,12 @@ class IntPairOrder:
 Ring = ScaledOrder | IntPairOrder
 
 
-def order_for_sample(z: Fraction) -> IntPairOrder:
-    """The (degree-1) order for a rational trace value z in (-2, 2)."""
-    z = Fraction(z)
-    if not -2 < z < 2:
-        raise ValueError("sample must lie strictly inside (-2, 2)")
-    return IntPairOrder(z)
-
-
-PivotTrace = namedtuple("PivotTrace", "pivots null restart", defaults=(None,))
+PivotTrace = namedtuple("PivotTrace", "pivots null")
 PivotTrace.__doc__ = """What a fraction-free elimination leaves once signs are set aside.
 
-A named tuple (pivots, null, restart=None): pivots are the real pivot
-elements d_1, d_2, ... in order, null the size of a final all-zero block,
-and restart is None or the PivotTrace of the fresh elimination of the
-active block after a mid-elimination repair (whose signs flip when the
-last pivot before it is negative).
+A named tuple (pivots, null): pivots are the real pivot elements d_1, d_2,
+... in order, repaired ones included, and null the size of the final
+all-zero block.
 """
 
 
@@ -272,24 +269,18 @@ def signature_triple(A: list[list[Pair]], order: Ring) -> tuple[int, int, int]:
     return _trace_signs(_eliminate([row[:] for row in A], list(range(n)), order), order)
 
 
-def _trace_signs(trace: PivotTrace, order: Ring) -> tuple[int, int, int]:
-    """(positive, negative, nullity) of a pivot trace at the order's embedding."""
+def _trace_signs(trace: PivotTrace, order: Ring, root=None) -> tuple[int, int, int]:
+    """(positive, negative, nullity) of a pivot trace at the root's embedding."""
     pos = neg = 0
     prev_sign = 1
     for d in trace.pivots:
-        d_sign = order.real_sign(d)
+        d_sign = order.real_sign(d, root)
         if d_sign * prev_sign > 0:
             pos += 1
         else:
             neg += 1
         prev_sign = d_sign
-    null = trace.null
-    if trace.restart is not None:
-        p2, n2, z2 = _trace_signs(trace.restart, order)
-        if prev_sign < 0:
-            p2, n2 = n2, p2
-        pos, neg, null = pos + p2, neg + n2, null + z2
-    return pos, neg, null
+    return pos, neg, trace.null
 
 
 def _eliminate(A, idx: list[int], order: Ring) -> PivotTrace:
@@ -304,21 +295,11 @@ def _eliminate(A, idx: list[int], order: Ring) -> PivotTrace:
                 if best is None or sz < best:
                     piv, best = i, sz
         if piv is None:
-            pair = None
-            for a_pos, i in enumerate(idx):
-                for j in idx[a_pos + 1 :]:
-                    if not order.is_zero(A[i][j]):
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for a_pos, i in enumerate(idx) for j in idx[a_pos + 1:]
+                         if not order.is_zero(A[i][j])), None)
             if pair is None:
                 return PivotTrace(tuple(pivots), len(idx))
-            if pivots:
-                # entries carry the Bareiss scaling; restart the block fresh
-                sub = [[A[i][j] for j in idx] for i in idx]
-                return PivotTrace(tuple(pivots), 0,
-                                  _eliminate(sub, list(range(len(idx))), order))
+            # congruence repair in place; the Bareiss scaling carries over
             i, j = pair
             c = A[i][j]
             cc = order.conj(c)
@@ -357,7 +338,7 @@ def signature_at_sample(V, z: Fraction) -> int:
     """
     if len(V) == 0:
         return 0
-    order = order_for_sample(z)
+    order = IntPairOrder(z)
     pos, neg, null = signature_triple(order.hermitian_entries(V), order)
     if null:
         raise SingularSampleError(f"sample z = {z} is a root of the Alexander polynomial")
@@ -379,12 +360,10 @@ def signatures_at_roots(V, q, roots) -> list[tuple[int, int]]:
     if not roots:
         return []
     q = ip.trim(q)
-    if ip.degree(q) == 1:
-        orders = [IntPairOrder(Fraction(-q[0], q[1]))] * len(roots)
-    else:
-        orders = [ScaledOrder(q, root) for root in roots]
-    trace = _eliminate(orders[0].hermitian_entries(V), list(range(len(V))), orders[0])
-    return [(pos - neg, null) for pos, neg, null in (_trace_signs(trace, e) for e in orders)]
+    order = IntPairOrder(Fraction(-q[0], q[1])) if ip.degree(q) == 1 else ScaledOrder(q)
+    trace = _eliminate(order.hermitian_entries(V), list(range(len(V))), order)
+    return [(pos - neg, null)
+            for pos, neg, null in (_trace_signs(trace, order, root) for root in roots)]
 
 
 def signature_at_root(V, q, root: RealRoot) -> tuple[int, int]:

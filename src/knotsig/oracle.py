@@ -239,6 +239,8 @@ def exhaustive_check(bound_range: int, margin: int = 6,
     """
     if bound_range < 0:
         raise ValueError("range must be nonnegative")
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
     total_formula = total_formula or _default_total
     signed_formula = signed_formula or _default_signed
     box = bound_range + margin

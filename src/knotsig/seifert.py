@@ -46,6 +46,9 @@ class SeifertMatrix:
     def __setattr__(self, *a):
         raise AttributeError("SeifertMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return SeifertMatrix, (self.rows,)
+
     @classmethod
     def empty(cls) -> "SeifertMatrix":
         return cls(())

@@ -72,6 +72,28 @@ def test_exit_codes():
     assert r.returncode == 2
     assert "--precision" in r.stderr and r.stdout == ""
 
+    # a negative margin is a usage error, not an unreachable lattice state
+    r = run_cli("oracle-check", "--range", "2", "--margin", "-9")
+    assert r.returncode == 2
+    assert "--margin: must be nonnegative" in r.stderr and r.stdout == ""
+
+
+def test_mixed_table_query_is_pinned():
+    # 8m1 is a congruence-mixed 2*T(2,5): one 8x8 block with Phi_10^2 inside
+    # it, so its non-balanced values come from the ScaledOrder path.  The
+    # config's relative table_path resolves against the repository root.
+    from pathlib import Path
+
+    from knotsig.knotio import read_seifert_file
+
+    root = Path(__file__).resolve().parent.parent
+    [(name, V)] = read_seifert_file(root / "tests" / "data" / "mixed.json")
+    assert name == "8m1" and [len(B) for B in V.blocks] == [8]
+    r = run_cli("--config", "tests/data/mixed.cfg", "bounds", "8m1", "--format", "json",
+                "--precision", "30", cwd=root)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == (root / "tests" / "data" / "8m1_bounds.json").read_text()
+
 
 def test_signature_csv():
     r = run_cli("signature", "5_1", "--format", "csv")

@@ -8,8 +8,8 @@ from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
 from knotsig.hermitian import (IntPairOrder, ScaledOrder, _eliminate, _trace_signs,
-                               order_for_sample, signature_at_root, signature_at_sample,
-                               signature_triple, signatures_at_roots, symmetric_signature)
+                               signature_at_root, signature_at_sample, signature_triple,
+                               signatures_at_roots, symmetric_signature)
 from knotsig.knot_table import lookup
 from knotsig.seifert import SeifertMatrix, connected_blocks, connected_sum
 from knotsig.sturm import RealRoot, isolate_real_roots
@@ -77,12 +77,9 @@ def test_symmetric_signature_cross_check():
             for j in range(i, n):
                 M[i][j] = M[j][i] = rng.randint(-4, 4)
         _check_symmetric_signature(M)
-    # sparse zero diagonals: the pivot repair runs over Z, and so does the
-    # fresh restart when every active diagonal vanishes after some pivots,
-    # also after a negative pivot, where the restart's signs flip
+    # sparse zero diagonals: the pivot repair runs over Z (test_repair_fuzz
+    # counts the repairs that follow pivots)
     rng = random.Random(12)
-    ring = IntPairOrder(Fraction(0))
-    flipped = 0
     for _ in range(200):
         n = rng.randint(2, 9)
         M = [[0] * n for _ in range(n)]
@@ -90,9 +87,6 @@ def test_symmetric_signature_cross_check():
             for j in range(i + 1, n):
                 M[i][j] = M[j][i] = rng.choice((0, 0, 0, -1, 1))
         _check_symmetric_signature(M)
-        trace = _eliminate([[(c, 0) for c in row] for row in M], list(range(n)), ring)
-        flipped += trace.restart is not None and trace.pivots[-1] < 0
-    assert flipped >= 5
 
 
 def test_zero_matrix_is_all_nullity():
@@ -217,7 +211,7 @@ def test_repair_path_small_hermitian():
 def test_real_inverse_is_an_inverse(q):
     # the trace of Phi_10, the 8_2 factor, two non-monic orders (scaled
     # zhat = l*z), and the degree-5 trace of Phi_11
-    order = ScaledOrder(q, isolate_real_roots(q, Fraction(-2), Fraction(2))[0])
+    order = ScaledOrder(q)
     rng = random.Random(sum(q) * 7919 + len(q))
     for bits in (2, 20, 200):
         for _ in range(15):
@@ -244,28 +238,65 @@ RESTART_V = [[-1, 1, 0, 0, 0], [0, -1, 2, 2, 2], [2, 0, -4, -3, -3], [2, 0, -3, 
              [2, 0, -3, -3, -4]]
 
 
-def test_restart_signs_are_taken_per_root():
+def _logged(order):
+    """(order, points): order now appends to points, at each repair it makes,
+    the number of pivots before it.  The kernel calls conj only to repair
+    and real_inverse once per pivot."""
+    points, made = [], [0]
+    conj, inverse = order.conj, order.real_inverse
+
+    def logged_conj(x):
+        points.append(made[0])
+        return conj(x)
+
+    def logged_inverse(d):
+        made[0] += 1
+        return inverse(d)
+
+    order.conj, order.real_inverse = logged_conj, logged_inverse
+    return order, points
+
+
+def test_repair_after_pivots_signs_per_root():
     # V = P (V_3_1 + W) P^T: the trefoil block plus a 3x3 block W with zero
     # diagonal and signature -1, mixed by a unimodular P.  After the two
     # trefoil pivots, z - 2 and 4 - 3z, the active block is W scaled by the
-    # last pivot, so the elimination repairs it and restarts.  At z^2 = 2
+    # last pivot, so the elimination repairs it in place.  At z^2 = 2
     # (t = 3/8 and 1/8) that pivot is positive at z = -sqrt 2 and negative
-    # at z = sqrt 2, so the restart's signs swap at one root only.
+    # at z = sqrt 2, so the repaired pivot's step sign differs by root.
     import math
 
     V = RESTART_V
     q = (-2, 0, 1)
     roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
-    orders = [ScaledOrder(q, r) for r in roots]
-    trace = _eliminate(orders[0].hermitian_entries(V), list(range(5)), orders[0])
-    assert trace.pivots == ((-2, 1), (4, -3)) and trace.restart is not None
-    assert [o.real_sign(trace.pivots[-1]) for o in orders] == [1, -1]
+    order, points = _logged(ScaledOrder(q))
+    trace = _eliminate(order.hermitian_entries(V), list(range(5)), order)
+    assert trace.pivots[:2] == ((-2, 1), (4, -3)) and points == [2]
+    assert len(trace.pivots) == 5 and trace.null == 0
+    assert [order.real_sign(trace.pivots[1], r) for r in roots] == [1, -1]
     got = signatures_at_roots(V, q, roots)
     assert got == [(-3, 0), (-1, 0)]
     for r, sig in zip(roots, got):
         r.refine_below(Fraction(1, 10**9))
         t = math.acos(float(r.mid) / 2) / (2 * math.pi)
         assert sig == float_signature_at_angle(V, t), float(r.mid)
+
+
+def test_one_scaled_order_per_call(monkeypatch):
+    # the ring is per trace polynomial, the embedding per root: the two
+    # roots of z^2 - 2 share one ScaledOrder
+    made = []
+    init = ScaledOrder.__init__
+
+    def counted(self, q):
+        made.append(q)
+        init(self, q)
+
+    monkeypatch.setattr(ScaledOrder, "__init__", counted)
+    q = (-2, 0, 1)
+    roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
+    assert signatures_at_roots(RESTART_V, q, roots) == [(-3, 0), (-1, 0)]
+    assert made == [q]
 
 
 def _float_triple(V, z: Fraction, gap: float = 1e-6):
@@ -295,7 +326,7 @@ def test_int_pair_ring_matches_eigenvalues():
                 V[i][i] = 0
         den = rng.randint(1, 40)
         z = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
-        order = order_for_sample(z)
+        order = IntPairOrder(z)
         got = signature_triple(order.hermitian_entries(V), order)
         assert sum(got) == n
         want = _float_triple(V, z)
@@ -325,14 +356,93 @@ def test_int_pair_ring_at_a_rational_root():
 
 
 @pytest.mark.parametrize("z", [Fraction(-1, 2), Fraction(3, 2)])
-def test_int_pair_ring_repairs_and_restarts(z):
-    # the 5x5 matrix of the per-root restart test at rational points: after
+def test_int_pair_ring_repairs_after_pivots(z):
+    # the 5x5 matrix of the per-root repair test at rational points: after
     # the two trefoil pivots the active block has a zero diagonal, so the
-    # elimination repairs it and restarts; the last pivot before the restart
-    # is positive at z = -1/2 and negative at z = 3/2, where the restart's
-    # signs swap
-    order = order_for_sample(z)
+    # elimination repairs it in place; the last pivot before the repair is
+    # positive at z = -1/2 and negative at z = 3/2
+    order, points = _logged(IntPairOrder(z))
     trace = _eliminate(order.hermitian_entries(RESTART_V), list(range(5)), order)
-    assert len(trace.pivots) == 2 and trace.restart is not None
-    assert order.real_sign(trace.pivots[-1]) == (1 if z < 1 else -1)
+    assert points == [2] and len(trace.pivots) == 5
+    assert order.real_sign(trace.pivots[1]) == (1 if z < 1 else -1)
     assert _trace_signs(trace, order) == _float_triple(RESTART_V, z)
+
+
+def test_int_pair_order_rejects_samples_off_the_circle():
+    for z in (Fraction(-2), Fraction(2), Fraction(5, 2)):
+        with pytest.raises(ValueError, match=r"sample must lie strictly inside \(-2, 2\)"):
+            IntPairOrder(z)
+
+
+def _sparse_matrix(rng, n):
+    """An n x n integer matrix whose entries, diagonal ones rarely, are
+    mostly zero."""
+    return [[rng.choice((-2, -1, 1, 2)) if rng.random() < (0.2 if i == j else 0.4) else 0
+             for j in range(n)] for i in range(n)]
+
+
+def _repairs_after_pivots(trace, points, sign):
+    """(1 if a repair followed a pivot, 1 if one followed a negative pivot)."""
+    after = [k for k in points if k > 0]
+    return bool(after), any(sign(trace.pivots[k - 1]) < 0 for k in after)
+
+
+def test_repair_fuzz():
+    # the in-place repair over all three uses of the kernel, against
+    # eigenvalues: symmetric integer matrices over Z, hermitian forms at
+    # rational z over the int-pair ring, and at the roots of irreducible
+    # trace polynomials over ScaledOrder, the non-monic 2z^2 - 1 included
+    import math
+
+    import numpy as np
+
+    rng = random.Random(15)
+    counts = {"symmetric": [0, 0], "int pair": [0, 0], "scaled": [0, 0]}
+
+    def tally(kind, trace, points, sign):
+        for k, hit in enumerate(_repairs_after_pivots(trace, points, sign)):
+            counts[kind][k] += hit
+
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        V = _sparse_matrix(rng, n)
+        M = [[V[i][j] + V[j][i] for j in range(n)] for i in range(n)]
+        order, points = _logged(IntPairOrder(Fraction(0)))
+        trace = _eliminate([[(c, 0) for c in row] for row in M], list(range(n)), order)
+        got = _trace_signs(trace, order)
+        eigs = np.linalg.eigvalsh(np.array(M, dtype=float))
+        assert got == symmetric_signature(M) == (
+            int((eigs > 1e-9).sum()), int((eigs < -1e-9).sum()),
+            int((abs(eigs) <= 1e-9).sum())), M
+        tally("symmetric", trace, points, order.real_sign)
+
+    for _ in range(4000):
+        n = rng.randint(2, 9)
+        V = _sparse_matrix(rng, n)
+        den = rng.randint(1, 12)
+        z = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
+        order, points = _logged(IntPairOrder(z))
+        trace = _eliminate(order.hermitian_entries(V), list(range(n)), order)
+        pos, neg, null = _trace_signs(trace, order)
+        t = math.acos(float(z) / 2) / (2 * math.pi)
+        assert (pos - neg, null) == float_signature_at_angle(V, t), (V, z)
+        tally("int pair", trace, points, order.real_sign)
+
+    traces = ((-1, 0, 2), (-2, 0, 1), (-1, -1, 1), (3, 0, -3, 1), (1, -5, 0, 3))
+    roots = {q: isolate_real_roots(q, Fraction(-2), Fraction(2)) for q in traces}
+    for q in traces:
+        for r in roots[q]:
+            r.refine_below(Fraction(1, 10**12))
+    for _ in range(600):
+        n = rng.randint(2, 8)
+        V = _sparse_matrix(rng, n)
+        q = rng.choice(traces)
+        order, points = _logged(ScaledOrder(q))
+        trace = _eliminate(order.hermitian_entries(V), list(range(n)), order)
+        for r in roots[q]:
+            pos, neg, null = _trace_signs(trace, order, r)
+            t = math.acos(float(r.mid) / 2) / (2 * math.pi)
+            assert (pos - neg, null) == float_signature_at_angle(V, t), (V, q, float(r.mid))
+            tally("scaled", trace, points, lambda d: order.real_sign(d, r))
+    # seed 15 counts 216/177, 264/232 and 94/90 (the scaled ones per root)
+    assert all(after >= 60 and negative >= 60 for after, negative in counts.values()), counts

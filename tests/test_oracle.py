@@ -15,6 +15,13 @@ def test_state_validation():
     LatticeState(1, -1, 3)
 
 
+def test_negative_range_or_margin_rejected():
+    with pytest.raises(ValueError, match="range must be nonnegative"):
+        exhaustive_check(-1)
+    with pytest.raises(ValueError, match="margin must be nonnegative"):
+        exhaustive_check(2, margin=-9)
+
+
 def test_apply_examples():
     assert apply_move(LatticeState(0, -2, -2), "F3+") == LatticeState(0, 0, 0)
     assert apply_move(LatticeState(2, 0, 2), "G1-") == LatticeState(1, -1, 1)

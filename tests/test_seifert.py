@@ -48,6 +48,15 @@ def test_blocks_are_the_summands():
     assert V.blocks == (lookup("3_1").rows, lookup("4_1").rows)
 
 
+def test_copy_and_pickle_rebuild_the_matrix():
+    import copy
+    import pickle
+
+    V = resolve("3_1 # 4_1")
+    for W in (copy.copy(V), copy.deepcopy(V), pickle.loads(pickle.dumps(V))):
+        assert W == V and W.blocks == V.blocks
+
+
 def test_blocks_link_where_v_plus_vt_cancels():
     # two trefoil blocks joined only by V[1][2] = 1 and V[2][1] = -1, which
     # cancel in V + V^T but not in V - x V^T: one block, not two
