@@ -32,6 +32,23 @@ entries are minors of the input bordered by the pivot rows and columns
 and column, so the repair is that congruence on the input, and the later
 exact divisions and the sign rule carry over.
 
+The kernel is sparse.  Each active row is a dict of its nonzero entries
+with a stamp t, the step at which it was last updated.  Step k + 1, with
+pivot p and pivot element d_{k+1}, takes row r to
+(d_{k+1}*r - r[p]*row_p) / d_k, so a row with r[p] = 0 is only rescaled,
+by d_{k+1}/d_k.  These factors telescope: at step k a row that has met no
+pivot since step t is exactly (d_k/d_t) times its stored entries, and
+being bordered minors, its entries stay in the order.  So a step updates
+only the rows in the support of the pivot row (by hermitian symmetry,
+those with a nonzero entry in the pivot column), in one pass from the
+stored entries x: (d_{k+1}*x - x[p]*row_p) / d_t.  The pivot
+row, and the two rows of a repair, are first brought to step k, by one
+multiplication by d_k and one exact division by d_t; the inverse of each
+d_t is made once, at the step after it, and kept.  Pivots have the fewest
+nonzeros in their row, then the least index (minimum degree: Rose, 1972;
+George and Liu, Computer Solution of Large Sparse Positive Definite
+Systems, 1981), so the work on a banded matrix stays near its band.
+
 The ring is per trace polynomial q, and so are the pivot choice, the
 repair and every division; the embedding is per root of q.  So one
 elimination per irreducible q records a sign-free PivotTrace, read at
@@ -94,12 +111,6 @@ class ScaledOrder:
     def conj(self, x: Pair) -> Pair:
         a, b = x
         return (self.reduce(ip.add(a, ip.shift(b, 1))), ip.neg(b))
-
-    def is_zero(self, x: Pair) -> bool:
-        return ip.is_zero(x[0]) and ip.is_zero(x[1])
-
-    def size(self, x: Pair) -> int:
-        return sum(abs(c).bit_length() for c in x[0]) + sum(abs(c).bit_length() for c in x[1])
 
     # -- real (involution-fixed) elements --------------------------------
 
@@ -179,10 +190,10 @@ class ScaledOrder:
 
         The positive rescale by l leaves the signature unchanged.
         """
-        n, l = len(V), self.l
-        return [[(self.reduce(ip.trim((l * (V[i][j] + V[j][i]), -V[j][i]))),
-                  ip.trim((V[j][i] - V[i][j],)))
-                 for j in range(n)] for i in range(n)]
+        l, zero = self.l, self.zero
+        return [[(self.reduce(ip.trim((l * (a + b), -b))), ip.trim((b - a,)))
+                 if a or b else zero for a, b in zip(row, col)]
+                for row, col in zip(V, zip(*V))]
 
 
 class IntPairOrder:
@@ -221,12 +232,6 @@ class IntPairOrder:
         a, b = x
         return (a + self.zhat * b, -b)
 
-    def is_zero(self, x) -> bool:
-        return not (x[0] or x[1])
-
-    def size(self, x) -> int:
-        return abs(x[0]).bit_length() + abs(x[1]).bit_length()
-
     def real_part_only(self, x) -> int:
         assert x[1] == 0, "expected an involution-fixed element"
         return x[0]
@@ -246,9 +251,9 @@ class IntPairOrder:
 
     def hermitian_entries(self, V) -> list[list[tuple]]:
         """l * [(1-omega)V + (1-conj(omega))V^T] over the order."""
-        n, l, zhat = len(V), self.l, self.zhat
-        return [[(l * (V[i][j] + V[j][i]) - zhat * V[j][i], V[j][i] - V[i][j])
-                 for j in range(n)] for i in range(n)]
+        l, zhat, zero = self.l, self.zhat, self.zero
+        return [[(l * (a + b) - zhat * b, b - a) if a or b else zero
+                 for a, b in zip(row, col)] for row, col in zip(V, zip(*V))]
 
 
 Ring = ScaledOrder | IntPairOrder
@@ -266,7 +271,7 @@ all-zero block.
 def signature_triple(A: list[list[Pair]], order: Ring) -> tuple[int, int, int]:
     """(positive, negative, nullity) of a hermitian matrix over the order."""
     n = len(A)
-    return _trace_signs(_eliminate([row[:] for row in A], list(range(n)), order), order)
+    return _trace_signs(_eliminate(A, list(range(n)), order), order)
 
 
 def _trace_signs(trace: PivotTrace, order: Ring, root=None) -> tuple[int, int, int]:
@@ -284,48 +289,80 @@ def _trace_signs(trace: PivotTrace, order: Ring, root=None) -> tuple[int, int, i
 
 
 def _eliminate(A, idx: list[int], order: Ring) -> PivotTrace:
-    pivots = []
-    prev = order.one
-    while idx:
-        piv, best = None, None
-        for i in idx:
-            d = A[i][i]
-            if not order.is_zero(d):
-                sz = order.size(d)
-                if best is None or sz < best:
-                    piv, best = i, sz
-        if piv is None:
-            pair = next(((i, j) for a_pos, i in enumerate(idx) for j in idx[a_pos + 1:]
-                         if not order.is_zero(A[i][j])), None)
-            if pair is None:
-                return PivotTrace(tuple(pivots), len(idx))
-            # congruence repair in place; the Bareiss scaling carries over
-            i, j = pair
-            c = A[i][j]
+    """The sparse fraction-free elimination (module docstring) of the rows
+    and columns idx of the hermitian matrix A, which it leaves unchanged.
+
+    Both rings keep their elements canonical, so an element is zero exactly
+    when it equals order.zero.
+    """
+    mul, sub, divide, zero = order.mul, order.sub, order.divide_real, order.zero
+    rows = {i: {j: a for j in idx if (a := A[i][j]) != zero} for i in idx}
+    stamp = dict.fromkeys(idx, 0)
+    d, inv, pivots = [order.one], [], []  # d[t] is d_t, inv[t] its real_inverse
+
+    def catch_up(i, k):
+        # row i, stored at step t = stamp[i], is (d_k / d_t) times that at step k
+        t = stamp[i]
+        if t != k:
+            dk, inv_t = d[k], inv[t]
+            rows[i] = {j: divide(mul(dk, x), inv_t) for j, x in rows[i].items()}
+            stamp[i] = k
+        return rows[i]
+
+    while rows:
+        k = len(pivots)
+        best = min(((len(row), i) for i, row in rows.items() if i in row), default=None)
+        if best is None:
+            i = min((i for i, row in rows.items() if row), default=None)
+            if i is None:
+                return PivotTrace(tuple(pivots), len(rows))
+            # congruence repair in place: rows i and j are brought to step k;
+            # column i += conj(c) * column j combines two entries of one
+            # stored row, which share its scale
+            j = min(rows[i])
+            row_i, row_j = catch_up(i, k), catch_up(j, k)
+            c = row_i[j]
             cc = order.conj(c)
-            for k in idx:
-                A[i][k] = order.add(A[i][k], order.mul(c, A[j][k]))
-            for k in idx:
-                A[k][i] = order.add(A[k][i], order.mul(A[k][j], cc))
+            for m, x in row_j.items():
+                _put(row_i, m, order.add(row_i.get(m, zero), mul(c, x)), zero)
+            for r in row_j:
+                row_r = rows[r]
+                _put(row_r, i, order.add(row_r.get(i, zero), mul(row_r[j], cc)), zero)
             continue
 
-        pivots.append(order.real_part_only(A[piv][piv]))
-        inv_prev = order.real_inverse(order.real_part_only(prev))
-        rest = [i for i in idx if i != piv]
-        dpair = A[piv][piv]
-        for k in rest:
-            aki = A[k][piv]
-            if order.is_zero(aki):
-                for m_ in rest:
-                    if not order.is_zero(A[k][m_]):
-                        A[k][m_] = order.divide_real(order.mul(dpair, A[k][m_]), inv_prev)
-                continue
-            for m_ in rest:
-                t = order.sub(order.mul(dpair, A[k][m_]), order.mul(aki, A[piv][m_]))
-                A[k][m_] = order.divide_real(t, inv_prev)
-        idx = rest
-        prev = dpair
+        p = best[1]
+        inv.append(order.real_inverse(order.real_part_only(d[k])))
+        row_p = catch_up(p, k)
+        del rows[p], stamp[p]
+        dp = row_p.pop(p)
+        pivots.append(order.real_part_only(dp))
+        d.append(dp)
+        # the rows that meet the pivot: row r, stored as x at step t, is
+        # (d_k / d_t) x, so its Bareiss step (dp * row - row[p] * row_p) / d_k
+        # is (dp * x - x[p] * row_p) / d_t; off the support of row_p that is
+        # dp * x / d_t, nonzero as the order has no zero divisors
+        for r in row_p:
+            x = rows[r]
+            inv_t = inv[stamp[r]]
+            a = x.pop(p)
+            out = {}
+            for m, y in row_p.items():
+                v = sub(mul(dp, x.pop(m)) if m in x else zero, mul(a, y))
+                if v != zero:
+                    out[m] = divide(v, inv_t)
+            for m, v in x.items():
+                out[m] = divide(mul(dp, v), inv_t)
+            rows[r] = out
+            stamp[r] = k + 1
     return PivotTrace(tuple(pivots), 0)
+
+
+def _put(row: dict, m, x, zero) -> None:
+    """Store x at column m of a sparse row, or drop the entry if x is zero."""
+    if x == zero:
+        row.pop(m, None)
+    else:
+        row[m] = x
 
 
 def signature_at_sample(V, z: Fraction) -> int:

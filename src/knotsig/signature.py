@@ -24,9 +24,10 @@ w0 add up to that order (Kato, Perturbation Theory for Linear Operators,
 ch. II).  For order 1 exactly one branch vanishes, to first order, so it
 changes sign and the block's signature at w0 is the average of its two
 one-sided values; for order 0 the block is continuous at w0.  Signatures
-add over blocks.  Where f repeats inside one block (Phi_6^2 in 8_20) the
-value is not determined by the plateaus, and it is computed by exact
-congruence diagonalization over the number field of f.
+add over blocks.  Where f repeats inside a block (Phi_6^2 in 8_20) that
+block's value is not determined by its plateaus, and it is computed by
+exact congruence diagonalization over the number field of f; the other
+blocks still take the rule above.
 """
 
 from __future__ import annotations
@@ -217,8 +218,9 @@ def _separate_all(roots: list[UnitRoot]) -> None:
             return
 
 
-def _repeated_in_a_block(blocks, factors) -> list[BreakpointFactor]:
-    """The factors whose square divides one of the block polynomials
+def _repeated_blocks(blocks, factors) -> list[tuple[BreakpointFactor, list[int]]]:
+    """[(factor, indices of the blocks it repeats in), ...] for the factors
+    whose square divides one of the block polynomials
     (block_alexander_polynomials); every other factor is simple in each
     block.
 
@@ -227,20 +229,26 @@ def _repeated_in_a_block(blocks, factors) -> list[BreakpointFactor]:
     are only divided for a repeated factor of a matrix with several blocks.
     """
     repeated = [bf for bf in factors if bf.multiplicity >= 2]
-    if not repeated or len(blocks) == 1:
-        return repeated
-    return [bf for bf in repeated
-            if any(ip.is_zero(ip.pseudo_rem(b, ip.mul(bf.x_factor, bf.x_factor)))
-                   for b in blocks)]
+    if len(blocks) == 1:
+        return [(bf, [0]) for bf in repeated]
+    out = []
+    for bf in repeated:
+        square = ip.mul(bf.x_factor, bf.x_factor)
+        hit = [b for b, p in enumerate(blocks) if ip.is_zero(ip.pseudo_rem(p, square))]
+        if hit:
+            out.append((bf, hit))
+    return out
 
 
 def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> SignatureFunction:
     """The full signature step function of the knot with Seifert matrix V.
 
     The non-balanced value at a root of a factor that is simple in every
-    connected block is its balanced value (module docstring).  A factor
-    repeated inside one block takes one elimination per block, read at each
-    of its roots, and the blocks' values add up.
+    connected block is its balanced value (module docstring).  For a factor
+    repeated inside some block, each such block takes one elimination, read
+    at each of the factor's roots; every other block, where the factor is
+    simple or absent, adds the average of its own two plateau values next to
+    the root (Rellich, block by block), and the blocks' values add up.
     """
     blocks = block_alexander_polynomials(V)
     delta = alexander_polynomial(V, blocks)
@@ -259,7 +267,8 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
     else:
         samples.append(Fraction(0))
 
-    plateaus = tuple(signature_at_sample(V, z) for z in samples)
+    per_block = [[_sig_sample_raw(B, z) for z in samples] for B in V.blocks]
+    plateaus = tuple(sum(values[i] for values in per_block) for i in range(len(samples)))
     if plateaus[0] != 0:
         raise AssertionError("signature near omega = 1 must vanish")
     for p in plateaus:
@@ -268,11 +277,14 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
 
     nb_of: dict[UnitRoot, int] = {}
     if include_nonbalanced:
-        for bf in _repeated_in_a_block(blocks, factors):
+        at = {ur: i for i, ur in enumerate(roots)}
+        for bf, repeating in _repeated_blocks(blocks, factors):
             q, rs = bf.roots[0].trace, [ur.root for ur in bf.roots]
-            per_block = [signatures_at_roots(B, q, rs) for B in V.blocks]
-            nb_of.update((ur, sum(s for s, _null in at_ur))
-                         for ur, at_ur in zip(bf.roots, zip(*per_block)))
+            kernel = {b: signatures_at_roots(V.blocks[b], q, rs) for b in repeating}
+            for k, ur in enumerate(bf.roots):
+                i = at[ur]
+                nb_of[ur] = sum(kernel[b][k][0] if b in kernel else (values[i] + values[i + 1]) // 2
+                                for b, values in enumerate(per_block))
 
     bps = []
     for i, ur in enumerate(roots):

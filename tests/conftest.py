@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -379,6 +380,85 @@ def check_float_crossval(V, samples: int, seed: int):
             continue  # separation not certified at this sample
         assert exact == approx, f"mismatch at z = {z}"
         done += 1
+
+
+# ---- the real-form oracle: exact signatures that share no code with the
+# hermitian kernel.  For rational s > 0 put omega = (s + i)/(s - i), so
+# z = omega + conj(omega) = 2(s^2 - 1)/(s^2 + 1), s^2 = (2 + z)/(2 - z), and
+# ((s^2 + 1)/2) H(omega) = S - isA with S = V + V^T, A = V - V^T.  The real
+# symmetric form [[S, sA], [-sA, S]] of S - isA has signature 2*sigma(omega)
+# and twice its nullity.  Its characteristic polynomial, by integer
+# Faddeev-LeVerrier, has only real roots, so Descartes' rule of signs counts
+# them exactly (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, 2.2) ----
+
+def plateau_s_points(sf) -> list[Fraction]:
+    """A rational s > 0 inside each plateau's s-interval, in plateau order.
+
+    Plateau i lies strictly between the isolating intervals of breakpoints
+    i - 1 and i (z = 2 and z = -2 at the ends), and s^2 = (2 + z)/(2 - z)
+    increases with z.  s is a dyadic lower approximation of the square root
+    of the midpoint of the s^2-interval."""
+    edges = [None] + [bp.root.root for bp in sf.breakpoints] + [None]
+    out = []
+    for upper, lower in zip(edges, edges[1:]):
+        lo = Fraction(0) if lower is None else (2 + lower.hi) / (2 - lower.hi)
+        hi = 4 * lo + 4 if upper is None else (2 + upper.lo) / (2 - upper.lo)
+        mid = (lo + hi) / 2
+        k = 0
+        while True:
+            s = Fraction(math.isqrt(mid.numerator * 4**k // mid.denominator), 2**k)
+            if lo < s * s < hi:
+                break
+            k += 1
+        out.append(s)
+    return out
+
+
+def _faddeev_leverrier(M) -> list[int]:
+    """Coefficients, ascending, of det(x I - M) for an integer matrix M:
+    M_1 = I, M_k = M M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(M M_k)/k, where
+    each division by k is exact."""
+    n = len(M)
+    c = [0] * n + [1]
+    Mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*Mk))
+        Mk = [[sum(map(operator.mul, row, col)) for col in cols] for row in M]
+        for i in range(n):
+            Mk[i][i] += c[n - k + 1]
+        tr = sum(sum(map(operator.mul, M[i], col)) for i, col in enumerate(zip(*Mk)))
+        assert tr % k == 0, "Faddeev-LeVerrier division must be exact"
+        c[n - k] = -tr // k
+    return c
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def real_form_signature(V_rows, s: Fraction) -> tuple[int, int]:
+    """(signature, nullity) of b [[S, sA], [-sA, S]], s = a/b, by Descartes'
+    rule on its characteristic polynomial: twice (sigma, nullity) of the
+    hermitian form at omega = (s + i)/(s - i)."""
+    n = len(V_rows)
+    a, b = s.numerator, s.denominator
+    S = [[b * (V_rows[i][j] + V_rows[j][i]) for j in range(n)] for i in range(n)]
+    A = [[a * (V_rows[i][j] - V_rows[j][i]) for j in range(n)] for i in range(n)]
+    M = [S[i] + A[i] for i in range(n)] + [[-x for x in A[i]] + S[i] for i in range(n)]
+    c = _faddeev_leverrier(M)
+    null = next(k for k, x in enumerate(c) if x)
+    pos = _sign_changes(c)
+    neg = _sign_changes([x if k % 2 == 0 else -x for k, x in enumerate(c)])
+    assert pos + neg + null == 2 * n, "a symmetric matrix has only real eigenvalues"
+    return pos - neg, null
+
+
+def check_real_form_plateaus(V, sf):
+    """Every plateau value of sf is half the real form's signature at an s
+    inside that plateau, where the form is nonsingular."""
+    for s, value in zip(plateau_s_points(sf), sf.plateaus, strict=True):
+        assert real_form_signature(V.rows, s) == (2 * value, 0), (s, value)
 
 
 # ---- the Fraction reference for certified decimals: the rational interval

@@ -10,7 +10,7 @@ from knotsig.hermitian import signatures_at_roots
 from knotsig.knot_table import lookup
 from knotsig.seifert import (SeifertMatrix, alexander_polynomial, block_alexander_polynomials,
                              connected_blocks)
-from knotsig.signature import (_cyclotomic_index, _repeated_in_a_block, breakpoint_candidates,
+from knotsig.signature import (_cyclotomic_index, _repeated_blocks, breakpoint_candidates,
                                nonbalanced_at_root, signature_at_sample, step_function)
 
 
@@ -187,7 +187,32 @@ def test_summary_is_invariant_under_congruence(expr):
         # Phi_10^2: a degree-2 trace polynomial, eliminated over ScaledOrder
         factors = breakpoint_candidates(alexander_polynomial(W))
         assert [len(bf.roots[0].trace) - 1 for bf in factors] == [2]
-        assert _repeated_in_a_block(block_alexander_polynomials(W), factors) == factors
+        assert _repeated_blocks(block_alexander_polynomials(W), factors) == [(factors[0], [0])]
+
+
+def test_repeated_factor_eliminates_only_its_blocks(monkeypatch):
+    # Phi_10^2 lies inside the mixed 2*T(2,5) block only: the T(2,5) block,
+    # where Phi_10 is simple, and the 3_1 block, where it is absent, add
+    # their plateau averages, so only the 8x8 block is eliminated over a
+    # ScaledOrder
+    from knotsig import hermitian
+    from knotsig.seifert import connected_sum
+
+    made = []
+    init = hermitian.ScaledOrder.__init__
+
+    def counted(self, q):
+        made.append(q)
+        init(self, q)
+
+    _V, W = mixed_sum("2*T(2,5)")
+    V = connected_sum(W, resolve("T(2,5)"), lookup("3_1"))
+    assert [len(B) for B in V.blocks] == [8, 4, 2]
+    monkeypatch.setattr(hermitian.ScaledOrder, "__init__", counted)
+    sf = step_function(V)
+    assert made == [(-1, -1, 1)]
+    assert sf.summary() == step_function(resolve("3*T(2,5) # 3_1")).summary()
+    assert [bp.nonbalanced for bp in sf.breakpoints] == [-3, -7, -11]
 
 
 def test_block_polynomials_once_per_step_function(monkeypatch):

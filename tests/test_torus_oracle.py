@@ -20,8 +20,8 @@ from knotsig.signature import breakpoint_candidates, step_function
 
 HALF = Fraction(1, 2)
 
-SMALL_TORUS = [(p, q) for p in range(2, 8) for q in range(p + 1, 42)
-               if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 40]
+SMALL_TORUS = [(p, q) for p in range(2, 9) for q in range(p + 1, 62)
+               if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 60]
 
 NONBALANCED_TORUS = [(4, 9), (3, 11), (5, 6), (2, 21)]
 
@@ -58,9 +58,11 @@ def expected_plateaus(summands, angles) -> list[int]:
 
 
 def test_small_torus_list():
-    assert len(SMALL_TORUS) == 43
+    assert len(SMALL_TORUS) == 75
     assert (5, 7) in SMALL_TORUS and (2, 25) in SMALL_TORUS and (3, 13) in SMALL_TORUS
     assert (2, 41) in SMALL_TORUS and (5, 11) in SMALL_TORUS and (6, 7) in SMALL_TORUS
+    assert (2, 61) in SMALL_TORUS and (7, 11) in SMALL_TORUS and (8, 9) in SMALL_TORUS
+    assert (3, 31) in SMALL_TORUS and (4, 21) in SMALL_TORUS and (5, 16) in SMALL_TORUS
 
 
 @pytest.mark.parametrize("p,q", SMALL_TORUS)
