@@ -193,7 +193,12 @@ def _resolve(node: KnotExpression, extra) -> SeifertMatrix:
             node = node.left
         return connected_sum(*(_resolve(t, extra) for t in [node, *reversed(rights)]))
     if isinstance(node, Multiple):
-        return connected_sum(*[_resolve(node.inner, extra)] * node.count)
+        inner = _resolve(node.inner, extra)
+        try:
+            summands = [inner] * node.count
+        except OverflowError:
+            raise ExpressionError(f"multiplier {node.count} is too large") from None
+        return connected_sum(*summands)
     raise ExpressionError(f"unknown expression node {node!r}")
 
 

@@ -23,14 +23,18 @@ signs are decided at the embedding.  There are two rings for it:
 Both rings offer the same operations, and one kernel runs over either: a
 fraction-free (Bareiss) symmetric elimination whose divisions are exact in
 the order, whose pivots are real, and whose step signs are
-sign(d_s * d_{s-1}).  A final all-zero block is nullity.  When every
-active diagonal entry vanishes but the block is nonzero, the congruence
-row i += c*row j, column i += conj(c)*column j (c = A[i][j] != 0) makes
-the pivot 2*c*conj(c) in place, after earlier pivots too: the active
-entries are minors of the input bordered by the pivot rows and columns
-(Sylvester's identity; Bareiss, Math. Comp. 22, 1968), linear in their row
-and column, so the repair is that congruence on the input, and the later
-exact divisions and the sign rule carry over.
+sign(d_s * d_{s-1}).  Every entry it computes, in a step and in a
+rescale, is one fused ring call bareiss(d, x, a, y, t) = (d*x - a*y)/t
+with d and t real (t passed as its real_inverse) and x possibly absent:
+IntPairOrder does it inline on ints, and ScaledOrder reduces modulo qhat
+once per part, after the multiplication by the inverse.  A final all-zero
+block is nullity.  When every active diagonal entry vanishes but the block
+is nonzero, the congruence row i += c*row j, column i += conj(c)*column j
+(c = A[i][j] != 0) makes the pivot 2*c*conj(c) in place, after earlier
+pivots too: the active entries are minors of the input bordered by the
+pivot rows and columns (Sylvester's identity; Bareiss, Math. Comp. 22,
+1968), linear in their row and column, so the repair is that congruence
+on the input, and the later exact divisions and the sign rule carry over.
 
 The kernel is sparse.  Each active row is a dict of its nonzero entries
 with a stamp t, the step at which it was last updated.  Step k + 1, with
@@ -42,12 +46,17 @@ being bordered minors, its entries stay in the order.  So a step updates
 only the rows in the support of the pivot row (by hermitian symmetry,
 those with a nonzero entry in the pivot column), in one pass from the
 stored entries x: (d_{k+1}*x - x[p]*row_p) / d_t.  The pivot
-row, and the two rows of a repair, are first brought to step k, by one
-multiplication by d_k and one exact division by d_t; the inverse of each
-d_t is made once, at the step after it, and kept.  Pivots have the fewest
-nonzeros in their row, then the least index (minimum degree: Rose, 1972;
-George and Liu, Computer Solution of Large Sparse Positive Definite
-Systems, 1981), so the work on a banded matrix stays near its band.
+row, and the two rows of a repair, are first brought to step k, each
+entry by one bareiss(d_k, x, 0, 0, d_t); the inverse of each d_t is made
+once, at the step after it, and kept.  Pivots have the fewest nonzeros in
+their row, then the least index (minimum degree: Rose, 1972; George and
+Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981),
+so the work on a banded matrix stays near its band.  The candidates sit
+in a list of (len(row), i), sorted and kept so with bisect, over the rows
+with a nonzero diagonal entry: a step moves only the rows it updates,
+and a repair rebuilds the list.  The rows themselves are built from the
+nonzeros of V and V^T (hermitian_rows), so no step of a sample, the set-up
+included, scans a dense n x n grid of ring elements.
 
 The ring is per trace polynomial q, and so are the pivot choice, the
 repair and every division; the embedding is per root of q.  So one
@@ -61,8 +70,10 @@ and add up the signatures.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from . import intpoly as ip
@@ -97,16 +108,40 @@ class ScaledOrder:
     def add(self, x: Pair, y: Pair) -> Pair:
         return (ip.add(x[0], y[0]), ip.add(x[1], y[1]))
 
-    def sub(self, x: Pair, y: Pair) -> Pair:
-        return (ip.sub(x[0], y[0]), ip.sub(x[1], y[1]))
-
     def mul(self, x: Pair, y: Pair) -> Pair:
+        return tuple(map(self.reduce, self._mul(x, y)))
+
+    def _mul(self, x: Pair, y: Pair) -> Pair:
+        """x * y with both parts left unreduced modulo qhat."""
         a1, b1 = x
         a2, b2 = y
         bb = ip.mul(b1, b2)
         re = ip.sub(ip.mul(a1, a2), ip.scale(bb, self.e))
         im = ip.add(ip.add(ip.mul(a1, b2), ip.mul(a2, b1)), ip.shift(bb, 1))
-        return (self.reduce(re), self.reduce(im))
+        return re, im
+
+    def bareiss(self, d, x, a: Pair, y: Pair, t) -> Pair:
+        """(d*x - a*y)/t for real d, x a pair or None (zero), and t the
+        real_inverse (num, den) of a real element; the division must be
+        exact.  Reduction modulo qhat is a ring map, so the parts are
+        reduced once, after the multiplication by num: d*x takes two
+        polynomial products, a*y four."""
+        re, im = self._mul(a, y)
+        if x is None:
+            re, im = ip.neg(re), ip.neg(im)
+        else:
+            re, im = ip.sub(ip.mul(d, x[0]), re), ip.sub(ip.mul(d, x[1]), im)
+        num, den = t
+        out = []
+        for v in (re, im):
+            if num != (1,):
+                v = ip.mul(v, num)
+            v = self.reduce(v)
+            if den != 1:
+                assert all(c % den == 0 for c in v), "inexact Bareiss division"
+                v = tuple(c // den for c in v)
+            out.append(v)
+        return (out[0], out[1])
 
     def conj(self, x: Pair) -> Pair:
         a, b = x
@@ -173,27 +208,17 @@ class ScaledOrder:
             g = -g
         return (ip.trim(v // g for v in x), det // g)
 
-    def divide_real(self, x: Pair, inv) -> Pair:
-        """Divide x by a real element given as (num, den); must be exact."""
-        num, den = inv
-        out = []
-        for comp in x:
-            v = self.reduce(ip.mul(comp, num))
-            if den != 1:
-                assert all(c % den == 0 for c in v), "inexact Bareiss division"
-                v = tuple(c // den for c in v)
-            out.append(v)
-        return (out[0], out[1])
-
-    def hermitian_entries(self, V) -> list[list[Pair]]:
-        """l * [(1-omega)V + (1-conj(omega))V^T] over the order.
+    def hermitian_rows(self, V) -> dict:
+        """l * [(1-omega)V + (1-conj(omega))V^T] over the order, as sparse
+        rows (see _support).
 
         The positive rescale by l leaves the signature unchanged.
         """
-        l, zero = self.l, self.zero
-        return [[(self.reduce(ip.trim((l * (a + b), -b))), ip.trim((b - a,)))
-                 if a or b else zero for a, b in zip(row, col)]
-                for row, col in zip(V, zip(*V))]
+        l = self.l
+        rows = {i: {} for i in range(len(V))}
+        for i, j, a, b in _support(V):
+            rows[i][j] = (self.reduce(ip.trim((l * (a + b), -b))), ip.trim((b - a,)))
+        return rows
 
 
 class IntPairOrder:
@@ -204,7 +229,7 @@ class IntPairOrder:
     a + b*what, with what^2 = zhat*what - l^2.  Real elements are plain ints
     and their sign at the (only) embedding is their own, so real_sign
     ignores its root.  Division by a real element needs no inverse:
-    real_inverse hands the int back and divide_real divides exactly.
+    real_inverse hands the int back and bareiss divides exactly.
     """
 
     def __init__(self, z: Fraction):
@@ -218,9 +243,6 @@ class IntPairOrder:
 
     def add(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
-
-    def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
 
     def mul(self, x, y):
         a1, b1 = x
@@ -242,21 +264,51 @@ class IntPairOrder:
     def real_inverse(self, d: int) -> int:
         return d
 
-    def divide_real(self, x, d: int):
-        """Divide x by the nonzero int d; must be exact."""
-        a, ra = divmod(x[0], d)
-        b, rb = divmod(x[1], d)
-        assert ra == 0 and rb == 0, "inexact Bareiss division"
-        return (a, b)
+    def bareiss(self, d: int, x, a, y, t: int):
+        """(d*x - a*y)/t for ints d and t != 0, x a pair or None (zero);
+        the division must be exact."""
+        a0, a1 = a
+        y0, y1 = y
+        bb = a1 * y1
+        re = a0 * y0 - self.e * bb
+        im = a0 * y1 + a1 * y0 + self.zhat * bb
+        if x is None:
+            re, im = -re, -im
+        else:
+            re, im = d * x[0] - re, d * x[1] - im
+        re, r_re = divmod(re, t)
+        im, r_im = divmod(im, t)
+        assert not (r_re or r_im), "inexact Bareiss division"
+        return (re, im)
 
-    def hermitian_entries(self, V) -> list[list[tuple]]:
-        """l * [(1-omega)V + (1-conj(omega))V^T] over the order."""
-        l, zhat, zero = self.l, self.zhat, self.zero
-        return [[(l * (a + b) - zhat * b, b - a) if a or b else zero
-                 for a, b in zip(row, col)] for row, col in zip(V, zip(*V))]
+    def hermitian_rows(self, V) -> dict:
+        """l * [(1-omega)V + (1-conj(omega))V^T] over the order, as sparse
+        rows (see _support)."""
+        l, zhat = self.l, self.zhat
+        rows = {i: {} for i in range(len(V))}
+        for i, j, a, b in _support(V):
+            rows[i][j] = (l * (a + b) - zhat * b, b - a)
+        return rows
 
 
 Ring = ScaledOrder | IntPairOrder
+
+
+def _support(V):
+    """(i, j, V[i][j], V[j][i]) once for each position (i, j) in the union
+    of the supports of V and V^T.
+
+    The hermitian matrix of either ring is nonzero exactly there: its
+    entry at (i, j) has the part V[j][i] - V[i][j] at what, and where that
+    vanishes, the part (2 l - zhat) V[i][j] with |zhat| < 2 l.
+    """
+    cols = range(len(V))
+    for i, row in enumerate(V):
+        for j in compress(cols, row):
+            b = V[j][i]
+            yield i, j, row[j], b
+            if not b:
+                yield j, i, 0, row[j]
 
 
 PivotTrace = namedtuple("PivotTrace", "pivots null")
@@ -268,10 +320,11 @@ all-zero block.
 """
 
 
-def signature_triple(A: list[list[Pair]], order: Ring) -> tuple[int, int, int]:
-    """(positive, negative, nullity) of a hermitian matrix over the order."""
-    n = len(A)
-    return _trace_signs(_eliminate(A, list(range(n)), order), order)
+def signature_triple(rows: dict, order: Ring) -> tuple[int, int, int]:
+    """(positive, negative, nullity) of a hermitian matrix over the order,
+    given as sparse rows {i: {j: entry}} of its nonzero entries, which the
+    elimination consumes."""
+    return _trace_signs(_eliminate(rows, order), order)
 
 
 def _trace_signs(trace: PivotTrace, order: Ring, root=None) -> tuple[int, int, int]:
@@ -288,31 +341,30 @@ def _trace_signs(trace: PivotTrace, order: Ring, root=None) -> tuple[int, int, i
     return pos, neg, trace.null
 
 
-def _eliminate(A, idx: list[int], order: Ring) -> PivotTrace:
-    """The sparse fraction-free elimination (module docstring) of the rows
-    and columns idx of the hermitian matrix A, which it leaves unchanged.
+def _eliminate(rows: dict, order: Ring) -> PivotTrace:
+    """The sparse fraction-free elimination (module docstring) of the
+    hermitian matrix with sparse rows {i: {j: entry}}, which it consumes.
 
     Both rings keep their elements canonical, so an element is zero exactly
     when it equals order.zero.
     """
-    mul, sub, divide, zero = order.mul, order.sub, order.divide_real, order.zero
-    rows = {i: {j: a for j in idx if (a := A[i][j]) != zero} for i in idx}
-    stamp = dict.fromkeys(idx, 0)
-    d, inv, pivots = [order.one], [], []  # d[t] is d_t, inv[t] its real_inverse
+    bareiss, zero = order.bareiss, order.zero
+    stamp = dict.fromkeys(rows, 0)
+    d, inv, pivots = [order.real_part_only(order.one)], [], []  # inv[t]: real_inverse of d[t]
+    queue = sorted((len(row), i) for i, row in rows.items() if i in row)
 
     def catch_up(i, k):
         # row i, stored at step t = stamp[i], is (d_k / d_t) times that at step k
         t = stamp[i]
         if t != k:
             dk, inv_t = d[k], inv[t]
-            rows[i] = {j: divide(mul(dk, x), inv_t) for j, x in rows[i].items()}
+            rows[i] = {j: bareiss(dk, x, zero, zero, inv_t) for j, x in rows[i].items()}
             stamp[i] = k
         return rows[i]
 
     while rows:
         k = len(pivots)
-        best = min(((len(row), i) for i, row in rows.items() if i in row), default=None)
-        if best is None:
+        if not queue:
             i = min((i for i, row in rows.items() if row), default=None)
             if i is None:
                 return PivotTrace(tuple(pivots), len(rows))
@@ -324,36 +376,42 @@ def _eliminate(A, idx: list[int], order: Ring) -> PivotTrace:
             c = row_i[j]
             cc = order.conj(c)
             for m, x in row_j.items():
-                _put(row_i, m, order.add(row_i.get(m, zero), mul(c, x)), zero)
+                _put(row_i, m, order.add(row_i.get(m, zero), order.mul(c, x)), zero)
             for r in row_j:
                 row_r = rows[r]
-                _put(row_r, i, order.add(row_r.get(i, zero), mul(row_r[j], cc)), zero)
+                _put(row_r, i, order.add(row_r.get(i, zero), order.mul(row_r[j], cc)), zero)
+            queue = sorted((len(row), r) for r, row in rows.items() if r in row)
             continue
 
-        p = best[1]
-        inv.append(order.real_inverse(order.real_part_only(d[k])))
+        p = queue.pop(0)[1]
+        inv.append(order.real_inverse(d[k]))
         row_p = catch_up(p, k)
         del rows[p], stamp[p]
-        dp = row_p.pop(p)
-        pivots.append(order.real_part_only(dp))
+        dp = order.real_part_only(row_p.pop(p))
+        pivots.append(dp)
         d.append(dp)
         # the rows that meet the pivot: row r, stored as x at step t, is
         # (d_k / d_t) x, so its Bareiss step (dp * row - row[p] * row_p) / d_k
         # is (dp * x - x[p] * row_p) / d_t; off the support of row_p that is
-        # dp * x / d_t, nonzero as the order has no zero divisors
+        # dp * x / d_t, nonzero as the order has no zero divisors.  The
+        # queue keeps (len(row), r) for the rows with a nonzero diagonal.
         for r in row_p:
             x = rows[r]
+            if r in x:
+                del queue[bisect_left(queue, (len(x), r))]
             inv_t = inv[stamp[r]]
             a = x.pop(p)
             out = {}
             for m, y in row_p.items():
-                v = sub(mul(dp, x.pop(m)) if m in x else zero, mul(a, y))
+                v = bareiss(dp, x.pop(m, None), a, y, inv_t)
                 if v != zero:
-                    out[m] = divide(v, inv_t)
+                    out[m] = v
             for m, v in x.items():
-                out[m] = divide(mul(dp, v), inv_t)
+                out[m] = bareiss(dp, v, zero, zero, inv_t)
             rows[r] = out
             stamp[r] = k + 1
+            if r in out:
+                insort(queue, (len(out), r))
     return PivotTrace(tuple(pivots), 0)
 
 
@@ -376,7 +434,7 @@ def signature_at_sample(V, z: Fraction) -> int:
     if len(V) == 0:
         return 0
     order = IntPairOrder(z)
-    pos, neg, null = signature_triple(order.hermitian_entries(V), order)
+    pos, neg, null = signature_triple(order.hermitian_rows(V), order)
     if null:
         raise SingularSampleError(f"sample z = {z} is a root of the Alexander polynomial")
     sig = pos - neg
@@ -398,7 +456,7 @@ def signatures_at_roots(V, q, roots) -> list[tuple[int, int]]:
         return []
     q = ip.trim(q)
     order = IntPairOrder(Fraction(-q[0], q[1])) if ip.degree(q) == 1 else ScaledOrder(q)
-    trace = _eliminate(order.hermitian_entries(V), list(range(len(V))), order)
+    trace = _eliminate(order.hermitian_rows(V), order)
     return [(pos - neg, null)
             for pos, neg, null in (_trace_signs(trace, order, root) for root in roots)]
 
@@ -412,9 +470,10 @@ def symmetric_signature(M) -> tuple[int, int, int]:
     """(positive, negative, nullity) of an integer symmetric matrix.
 
     The kernel above over the int-pair ring, with every entry c as (c, 0).
-    Elements with b = 0 are closed under add, sub, mul, conj and
-    divide_real, and with b = 0 none of these reads zhat or l^2, so the ring
-    is plain Z and the z chosen is irrelevant.  Used for the Murasugi
-    signature at omega = -1 and for validating the knot table.
+    Elements with b = 0 are closed under add, mul, conj and bareiss, and
+    with b = 0 none of these reads zhat or l^2, so the ring is plain Z and
+    the z chosen is irrelevant.  Used for the Murasugi signature at
+    omega = -1 and for validating the knot table.
     """
-    return signature_triple([[(c, 0) for c in row] for row in M], IntPairOrder(Fraction(0)))
+    rows = {i: {j: (c, 0) for j, c in enumerate(row) if c} for i, row in enumerate(M)}
+    return signature_triple(rows, IntPairOrder(Fraction(0)))

@@ -6,13 +6,12 @@ construction, into connected blocks on the union of the supports of V and
 V^T (connected sums are block sums).  det(V - V^T) and the Alexander
 polynomial det(V - x V^T) are products over the blocks, each block
 polynomial computed exactly as a characteristic polynomial and a Taylor
-shift modulo word-size primes, combined by the CRT under a Hadamard bound
-(see _det_poly).
+shift modulo one proven prime just above twice a Hadamard bound (see
+_det_poly).
 """
 
 from __future__ import annotations
 
-from itertools import count
 from math import isqrt, prod
 from operator import index, mul
 
@@ -201,8 +200,8 @@ def _det_poly(M) -> tuple:
     With D = M - M^T the matrix B = D^-1 M^T has integer entries, and
     M - x M^T = D (I - (x - 1) B), so det(M - x M^T) = sum_k chi_k (x - 1)^(n-k)
     where chi = det(lambda I - B) in ascending coefficients: one
-    characteristic polynomial and one Taylor shift.  Both are computed
-    modulo word-size primes from 2^61 - 1 down: solve D B = M^T by
+    characteristic polynomial and one Taylor shift.  Both are computed in
+    one pass modulo a single prime p (_det_poly_mod): solve D B = M^T by
     Gauss-Jordan, reduce B to Hessenberg form by similarity and read chi
     off the Hessenberg recurrence (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.2.9), then substitute y = x - 1.
@@ -211,9 +210,12 @@ def _det_poly(M) -> tuple:
     |M| + |M^T| in absolute value, so by Hadamard |det(M - x M^T)| <= H, the
     product over j of the ceiling of the 2-norm of column j of |M| + |M^T|,
     and every coefficient, a mean of the polynomial over the circle, is at
-    most H too.  The residues are combined by the CRT until the product of
-    the primes exceeds 2 H and lifted to the symmetric range (von zur
-    Gathen and Gerhard, Modern Computer Algebra, ch. 5), which is exact.
+    most H too.  p is a Proth prime k 2^m + 1 with small k and m the bit
+    length of 2 H (_prime), so p > 2 H: the coefficients lie in [-H, H], an
+    interval shorter than p, and the residue in the symmetric range
+    (-p/2, p/2] is the coefficient itself.  One pass modulo a prime just
+    above 2 H costs less than the several word-size passes and the CRT
+    that would reach the same modulus.
     """
     n = len(M)
     bound = 1
@@ -221,18 +223,9 @@ def _det_poly(M) -> tuple:
         s = sum((abs(M[i][j]) + abs(M[j][i])) ** 2 for i in range(n))
         r = isqrt(s)
         bound *= r if r * r == s else r + 1
-    coeffs, modulus = [0] * (n + 1), 1
-    for k in count():
-        p = _prime(k)
-        residues = _det_poly_mod(M, p)
-        # coeffs <- the residues mod modulus * p that agree with coeffs mod modulus
-        m_inv = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((r - c) * m_inv % p) for c, r in zip(coeffs, residues)]
-        modulus *= p
-        if modulus > 2 * bound:
-            break
-    half = modulus // 2
-    return ip.trim(c - modulus if c > half else c for c in coeffs)
+    p = _prime((2 * bound).bit_length())
+    half = p // 2
+    return ip.trim(c - p if c > half else c for c in _det_poly_mod(M, p))
 
 
 def _det_poly_mod(M, p: int) -> list:
@@ -310,38 +303,42 @@ def _det_poly_mod(M, p: int) -> list:
     return out
 
 
-# Primes below 2^61, descending from the Mersenne prime 2^61 - 1, found on
-# first use; Miller-Rabin with the first twelve prime bases is exact below 2^64.
-_PRIMES: list = []
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the odd primes below 256, a sieve for the candidates of _prime and the
+# bases of its Proth test: Fermat's test to base 2 is exact below 341
+_SMALL_PRIMES = tuple(q for q in range(3, 256, 2) if pow(2, q - 1, q) == 1)
+_PROTH: dict = {}  # m -> _prime(m)
 
 
-def _prime(k: int) -> int:
-    """The k-th prime (from 0) counting down from 2^61 - 1."""
-    while len(_PRIMES) <= k:
-        q = _PRIMES[-1] - 2 if _PRIMES else (1 << 61) - 1
-        while not _is_prime(q):
-            q -= 2
-        _PRIMES.append(q)
-    return _PRIMES[k]
+def _prime(m: int) -> int:
+    """A prime p = k 2^m + 1 with k odd and k < 2^m, for m >= 2: the one
+    with the least k that a base a < 256 proves prime.
 
-
-def _is_prime(q: int) -> bool:
-    """Deterministic Miller-Rabin for odd 37 < q < 2^64."""
-    d, s = q - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, q)
-        if x in (1, q - 1):
+    Proth's theorem (1878): such a p is prime if a^((p-1)/2) = -1 mod p for
+    some a.  For a prime p every quadratic nonresidue a is such a witness,
+    and by Euler's criterion a^((p-1)/2) is 1 or -1 for every 0 < a < p, so
+    any other value proves p composite.  Candidates divisible by a small
+    prime q < 2^m < p are skipped first, and p is cached per m.
+    """
+    p = _PROTH.get(m)
+    if p is not None:
+        return p
+    step = 1 << m
+    # q divides k 2^m + 1 exactly when k = -2^-m mod q
+    sieve = [(q, -pow(step, -1, q) % q) for q in _SMALL_PRIMES if q < step]
+    for k in range(1, step, 2):
+        if any(k % q == r for q, r in sieve):
             continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
+        p = k * step + 1
+        for a in _SMALL_PRIMES:
+            if a >= p:
                 break
-        else:
-            return False
-    return True
+            x = pow(a, p >> 1, p)
+            if x == p - 1:
+                _PROTH[m] = p
+                return p
+            if x != 1:
+                break
+    raise AssertionError(f"no Proth prime k 2^{m} + 1 with k < 2^{m} found")
 
 
 def murasugi_signature(V: SeifertMatrix) -> int:

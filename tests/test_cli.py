@@ -63,6 +63,11 @@ def test_exit_codes():
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
 
+    # a multiplier too large to be an index is an expression error
+    r = run_cli("bounds", "99999999999999999999*3_1")
+    assert r.returncode == 1
+    assert "multiplier 99999999999999999999" in r.stderr and "Traceback" not in r.stderr
+
     r = run_cli("oracle-check", "--range", "-1")
     assert r.returncode == 1
     assert r.stderr.startswith("knotsig oracle-check: error: ")

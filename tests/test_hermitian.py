@@ -201,7 +201,7 @@ def test_repair_path_small_hermitian():
     # at z = 0 (omega = i) the form [[0, w],[conj(w), 0]] needs the repair step
     order = IntPairOrder(Fraction(0))
     w = (0, 1)
-    A = [[order.zero, w], [order.conj(w), order.zero]]
+    A = {0: {1: w}, 1: {0: order.conj(w)}}
     pos, neg, null = signature_triple(A, order)
     assert (pos, neg, null) == (1, 1, 0)
 
@@ -270,7 +270,7 @@ def test_repair_after_pivots_signs_per_root():
     q = (-2, 0, 1)
     roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
     order, points = _logged(ScaledOrder(q))
-    trace = _eliminate(order.hermitian_entries(V), list(range(5)), order)
+    trace = _eliminate(order.hermitian_rows(V), order)
     assert trace.pivots[:2] == ((-2, 1), (4, -3)) and points == [2]
     assert len(trace.pivots) == 5 and trace.null == 0
     assert [order.real_sign(trace.pivots[1], r) for r in roots] == [1, -1]
@@ -327,7 +327,7 @@ def test_int_pair_ring_matches_eigenvalues():
         den = rng.randint(1, 40)
         z = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
         order = IntPairOrder(z)
-        got = signature_triple(order.hermitian_entries(V), order)
+        got = signature_triple(order.hermitian_rows(V), order)
         assert sum(got) == n
         want = _float_triple(V, z)
         if want is not None:
@@ -362,7 +362,7 @@ def test_int_pair_ring_repairs_after_pivots(z):
     # elimination repairs it in place; the last pivot before the repair is
     # positive at z = -1/2 and negative at z = 3/2
     order, points = _logged(IntPairOrder(z))
-    trace = _eliminate(order.hermitian_entries(RESTART_V), list(range(5)), order)
+    trace = _eliminate(order.hermitian_rows(RESTART_V), order)
     assert points == [2] and len(trace.pivots) == 5
     assert order.real_sign(trace.pivots[1]) == (1 if z < 1 else -1)
     assert _trace_signs(trace, order) == _float_triple(RESTART_V, z)
@@ -408,7 +408,8 @@ def test_repair_fuzz():
         V = _sparse_matrix(rng, n)
         M = [[V[i][j] + V[j][i] for j in range(n)] for i in range(n)]
         order, points = _logged(IntPairOrder(Fraction(0)))
-        trace = _eliminate([[(c, 0) for c in row] for row in M], list(range(n)), order)
+        rows = {i: {j: (c, 0) for j, c in enumerate(row) if c} for i, row in enumerate(M)}
+        trace = _eliminate(rows, order)
         got = _trace_signs(trace, order)
         eigs = np.linalg.eigvalsh(np.array(M, dtype=float))
         assert got == symmetric_signature(M) == (
@@ -422,7 +423,7 @@ def test_repair_fuzz():
         den = rng.randint(1, 12)
         z = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
         order, points = _logged(IntPairOrder(z))
-        trace = _eliminate(order.hermitian_entries(V), list(range(n)), order)
+        trace = _eliminate(order.hermitian_rows(V), order)
         pos, neg, null = _trace_signs(trace, order)
         t = math.acos(float(z) / 2) / (2 * math.pi)
         assert (pos - neg, null) == float_signature_at_angle(V, t), (V, z)
@@ -438,7 +439,7 @@ def test_repair_fuzz():
         V = _sparse_matrix(rng, n)
         q = rng.choice(traces)
         order, points = _logged(ScaledOrder(q))
-        trace = _eliminate(order.hermitian_entries(V), list(range(n)), order)
+        trace = _eliminate(order.hermitian_rows(V), order)
         for r in roots[q]:
             pos, neg, null = _trace_signs(trace, order, r)
             t = math.acos(float(r.mid) / 2) / (2 * math.pi)

@@ -56,7 +56,7 @@ def test_sparse_forms_with_zero_diagonals():
               for j in range(n)] for i in range(n)]
         s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         order = IntPairOrder(2 * (s * s - 1) / (s * s + 1))
-        pos, neg, null = signature_triple(order.hermitian_entries(V), order)
+        pos, neg, null = signature_triple(order.hermitian_rows(V), order)
         assert real_form_signature(V, s) == (2 * (pos - neg), 2 * null), (V, s)
         singular += null > 0
     assert singular >= 30, singular

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -218,7 +219,7 @@ def _reference_det_poly(M) -> tuple:
 
 def _dense_matrices():
     # S + U with symmetric entries up to 10^9: coefficients of hundreds of
-    # bits, so the CRT needs five or more primes on the larger blocks
+    # bits, beyond the product of five 61-bit primes on the larger blocks
     return random_seifert_matrices(6, seed=20261018, entries=10**9)
 
 
@@ -235,6 +236,7 @@ def test_alexander_unchanged_on_table_and_large_torus():
             assert _det_poly(M) == _reference_det_poly(M), label
     # large torus knots and a sum, against the closed form
     for expr, parts in (("T(5,11)", [(5, 11)]), ("T(2,31)", [(2, 31)]),
+                        ("T(2,101)", [(2, 101)]),
                         ("T(3,10) # -T(2,15) # -T(5,6)", [(3, 10), (2, 15), (5, 6)])):
         want = (1,)
         for p, q in parts:
@@ -242,22 +244,43 @@ def test_alexander_unchanged_on_table_and_large_torus():
         assert alexander_polynomial(resolve(expr)) == normalize_alexander(want), expr
 
 
-def test_crt_primes_are_prime(monkeypatch):
-    # every modulus _det_poly combines is proven prime without Miller-Rabin,
-    # and the dense blocks take at least five of them
+def _hadamard_bound(M) -> int:
+    """The product over j of the ceiling of the 2-norm of column j of |M| + |M^T|."""
+    n, H = len(M), 1
+    for j in range(n):
+        s = sum((abs(M[i][j]) + abs(M[j][i])) ** 2 for i in range(n))
+        r = math.isqrt(s)
+        H *= r if r * r == s else r + 1
+    return H
+
+
+def test_det_poly_takes_one_proven_prime(monkeypatch):
+    # each block's polynomial is one pass modulo one prime p = k 2^m + 1
+    # with m the bit length of twice its Hadamard bound H, so p > 2 H and
+    # the symmetric lift is exact; p is proven prime without Miller-Rabin,
+    # and the dense blocks reach moduli of five 61-bit primes and more
     used = []
-    prime = seifert._prime
+    det_poly_mod = seifert._det_poly_mod
 
-    def recorded(k):
-        used.append(prime(k))
-        return used[-1]
+    def recorded(M, p):
+        used.append(p)
+        return det_poly_mod(M, p)
 
-    monkeypatch.setattr(seifert, "_prime", recorded)
-    most = 0
-    for V in _dense_matrices():
-        before = len(used)
-        _det_poly(V.rows)
-        most = max(most, len(used) - before)
-    assert most >= 5
-    assert used[0] == 2**61 - 1
+    monkeypatch.setattr(seifert, "_det_poly_mod", recorded)
+    cases = [lookup(name) for name in knot_names()]
+    cases += random_seifert_matrices(30, seed=1)
+    cases += [mixed_sum(expr)[1] for expr in MIXED_SUMS]
+    cases += _dense_matrices()
+    widest = 0
+    for V in cases:
+        for B in V.blocks:
+            before = len(used)
+            _det_poly(B)
+            assert len(used) == before + 1
+            p, m = used[-1], (2 * _hadamard_bound(B)).bit_length()
+            k = (p - 1) >> m
+            assert p > 2 * _hadamard_bound(B) and p == k * 2**m + 1
+            assert k % 2 == 1 and k < 2**m
+            widest = max(widest, m)
+    assert widest >= 305
     assert all(is_proven_prime(p) for p in set(used))
