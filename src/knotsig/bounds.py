@@ -17,17 +17,22 @@ always guarded by a parity check).  From these:
   classical half-spread of the plateaus;
 * non-balanced: ceil(M/2) - floor(m/2) over the extremes of the
   non-balanced function, also reported as the double-slicing bound.
+
+The closed forms need only errors and record; the report builders import
+the signature stack when they run, so the move-lattice oracle can use the
+closed forms without loading it.
 """
 
 from __future__ import annotations
 
-from .certify import decimal_of_fraction, decimal_of_root, decimal_of_t
 from .errors import ParityError
-from .expressions import (KnotExpression, Mirror, expression_to_str,
-                          parse_expression, resolve)
 from .record import Record
-from .seifert import SeifertMatrix, connected_sum
-from .signature import SignatureFunction, step_function
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only; typing itself stays unloaded
+    from .expressions import KnotExpression
+    from .seifert import SeifertMatrix
+    from .signature import SignatureFunction
 
 
 class FactorInvariants(Record):
@@ -207,6 +212,8 @@ _NONBALANCED_NOTE = (
 def report_for_matrix(V: SeifertMatrix, expression: str,
                       other_expression: str | None = None,
                       include_nonbalanced: bool = True) -> BoundReport:
+    from .signature import step_function
+
     sf = step_function(V, include_nonbalanced=include_nonbalanced)
     factors = []
     signed_list = []
@@ -241,12 +248,17 @@ def report_for_matrix(V: SeifertMatrix, expression: str,
 
 
 def _as_expression(k) -> KnotExpression:
+    from .expressions import parse_expression
+
     return parse_expression(k) if isinstance(k, str) else k
 
 
 def bound_report(knot, include_nonbalanced: bool = True,
                  extra_table=None) -> BoundReport:
     """BoundReport for a knot given as expression text, tree, or matrix."""
+    from .expressions import expression_to_str, resolve
+    from .seifert import SeifertMatrix
+
     if isinstance(knot, SeifertMatrix):
         return report_for_matrix(knot, "<matrix>", include_nonbalanced=include_nonbalanced)
     expr = _as_expression(knot)
@@ -261,6 +273,9 @@ def gordian_report(knot, other, include_nonbalanced: bool = True,
 
     Everything is computed on K # -J; the distance bounds are its u2.
     """
+    from .expressions import Mirror, expression_to_str, resolve
+    from .seifert import connected_sum
+
     ek, ej = _as_expression(knot), _as_expression(other)
     V = connected_sum(resolve(ek, extra_table), resolve(Mirror(ej), extra_table))
     return report_for_matrix(V, expression_to_str(ek), expression_to_str(ej),
@@ -282,6 +297,8 @@ def clasp_bound(knot, other, extra_table=None) -> int:
 def root_to_dict(root, digits: int, bp=None) -> dict:
     """JSON-ready view of one circle point: exact rational angle when the
     factor is cyclotomic, certified decimal truncations otherwise."""
+    from .certify import decimal_of_fraction, decimal_of_root, decimal_of_t
+
     t_exact = None
     if root.exact_t is not None:
         t_exact = f"{root.exact_t.numerator}/{root.exact_t.denominator}"

@@ -13,7 +13,13 @@ Exit status: 0 on success, 1 on a computation error (bad knot name,
 invalid matrix file, ...), 2 on a usage error.  Output goes to stdout or
 to --output; a relative --output lands under $KNOTSIG_OUTPUT_DIR when that
 is set.  A --config file of key=value lines may set oracle_range and
-table_path (extra named Seifert matrices for expressions).
+table_path (extra named Seifert matrices for expressions).  Only the four
+commands that resolve expressions (signature, bounds, gordian, clasp) read
+table_path, so a missing or invalid table fails them and nothing else.
+
+Each command imports only the modules it runs: importing this module loads
+no other knotsig module but errors, and oracle-check loads the lattice
+search with the closed forms of bounds, not the signature stack.
 """
 
 from __future__ import annotations
@@ -22,19 +28,20 @@ import argparse
 import os
 import sys
 
-from .bounds import BoundReport, bound_report, gordian_report, report_to_dict, root_to_dict
-from .certify import decimal_of_t
 from .errors import KnotsigError
-from .expressions import resolve
-from .intpoly import format_poly
-from .knotio import read_seifert_file, read_text, render_report_json
-from .seifert import SeifertMatrix
-from .signature import SignatureFunction, step_function
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only; typing itself stays unloaded
+    from .bounds import BoundReport
+    from .seifert import SeifertMatrix
+    from .signature import SignatureFunction
 
 
 def _t_string(root, digits: int) -> str:
     if root.exact_t is not None:
         return f"{root.exact_t.numerator}/{root.exact_t.denominator}"
+    from .certify import decimal_of_t
+
     return decimal_of_t(root.root, digits)
 
 
@@ -43,6 +50,8 @@ def _half(doubled: int) -> str:
 
 
 def report_to_text(rep: BoundReport, digits: int) -> str:
+    from .intpoly import format_poly
+
     lines = []
     head = rep.expression if rep.other_expression is None else (
         f"{rep.expression}  vs  {rep.other_expression} (computed on K # -J)")
@@ -85,6 +94,8 @@ def signature_to_csv(sf: SignatureFunction, digits: int) -> str:
 
 
 def signature_to_dict(sf: SignatureFunction, expression: str, digits: int) -> dict:
+    from .bounds import root_to_dict
+
     return {
         "expression": expression,
         "plateaus": list(sf.plateaus),
@@ -117,6 +128,8 @@ def signature_to_text(sf: SignatureFunction, expression: str, digits: int) -> st
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
+    from .knotio import read_text
+
     out = {}
     text = read_text(path)
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -131,9 +144,13 @@ def _load_config(path: str | None) -> dict:
 
 
 def _extra_table(config: dict) -> dict[str, SeifertMatrix]:
+    """The table_path matrices by name; only commands that resolve
+    expressions read them."""
     path = config.get("table_path")
     if not path:
         return {}
+    from .knotio import read_seifert_file
+
     return dict(read_seifert_file(path))
 
 
@@ -206,9 +223,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        extra = _extra_table(config)
-        return _dispatch(args, config, extra)
+        return _dispatch(args, _load_config(args.config))
     except KnotsigError as e:
         stage = args.command if getattr(args, "command", None) else "setup"
         print(f"knotsig {stage}: error: {e}", file=sys.stderr)
@@ -235,10 +250,53 @@ def _oracle_range(bound_range: int | None, config: dict) -> int:
     return rng
 
 
-def _dispatch(args, config: dict, extra) -> int:
+def _dispatch(args, config: dict) -> int:
+    from .knotio import render_report_json
+
+    if args.command == "oracle-check":
+        rng = _oracle_range(args.bound_range, config)
+        from .oracle import exhaustive_check
+
+        report = exhaustive_check(rng, margin=args.margin)
+        if args.format == "json":
+            text = render_report_json(report.to_dict())
+        else:
+            status = "ok" if report.ok else f"{len(report.mismatches)} MISMATCHES"
+            text = (f"checked {report.states_checked} states with coordinates "
+                    f"in [-{rng}, {rng}]: {status}\n")
+            for m in report.mismatches:
+                text += f"  {m.kind} mismatch at {m.state}: search {m.bfs} formula {m.formula}\n"
+        _emit(text, args.output)
+        return 0 if report.ok else 1
+
+    if args.command == "table":
+        from .intpoly import format_poly
+        from .knot_table import table_rows
+
+        rows = table_rows()
+        if args.format == "json":
+            data = [{"name": name, "size": V.size,
+                     "alexander": list(delta),
+                     "lowest_exponent": -(len(delta) - 1) // 2,
+                     "signature_at_minus_one": sig}
+                    for name, V, delta, sig in rows]
+            text = render_report_json(data)
+        else:
+            lines = ["name      size  signature(-1)  alexander (symmetric form)"]
+            for name, V, delta, sig in rows:
+                low = -(len(delta) - 1) // 2
+                lines.append(f"{name:<9} {V.size:>4}  {sig:>13}  x^{low} * ({format_poly(delta)})")
+            text = "\n".join(lines) + "\n"
+        _emit(text, args.output)
+        return 0
+
+    extra = _extra_table(config)
+
     if args.command == "signature":
-        V = resolve(args.expression, extra)
-        sf = step_function(V)
+        from .expressions import resolve
+        from .signature import step_function
+
+        sf = step_function(resolve(args.expression, extra))
         if args.format == "csv":
             text = signature_to_csv(sf, args.precision)
         elif args.format == "json":
@@ -251,6 +309,8 @@ def _dispatch(args, config: dict, extra) -> int:
             text = signature_to_text(sf, args.expression, args.precision)
         _emit(text, args.output)
         return 0
+
+    from .bounds import bound_report, gordian_report, report_to_dict
 
     if args.command == "bounds":
         rep = bound_report(args.expression, extra_table=extra)
@@ -270,42 +330,6 @@ def _dispatch(args, config: dict, extra) -> int:
             text = report_to_text(rep, args.precision)
             if args.command == "clasp":
                 text += "(reported as the clasp / singular concordance distance)\n"
-        _emit(text, args.output)
-        return 0
-
-    if args.command == "oracle-check":
-        rng = _oracle_range(args.bound_range, config)
-        from .oracle import exhaustive_check
-
-        report = exhaustive_check(rng, margin=args.margin)
-        if args.format == "json":
-            text = render_report_json(report.to_dict())
-        else:
-            status = "ok" if report.ok else f"{len(report.mismatches)} MISMATCHES"
-            text = (f"checked {report.states_checked} states with coordinates "
-                    f"in [-{rng}, {rng}]: {status}\n")
-            for m in report.mismatches:
-                text += f"  {m.kind} mismatch at {m.state}: search {m.bfs} formula {m.formula}\n"
-        _emit(text, args.output)
-        return 0 if report.ok else 1
-
-    if args.command == "table":
-        from .knot_table import table_rows
-
-        rows = table_rows()
-        if args.format == "json":
-            data = [{"name": name, "size": V.size,
-                     "alexander": list(delta),
-                     "lowest_exponent": -(len(delta) - 1) // 2,
-                     "signature_at_minus_one": sig}
-                    for name, V, delta, sig in rows]
-            text = render_report_json(data)
-        else:
-            lines = ["name      size  signature(-1)  alexander (symmetric form)"]
-            for name, V, delta, sig in rows:
-                low = -(len(delta) - 1) // 2
-                lines.append(f"{name:<9} {V.size:>4}  {sig:>13}  x^{low} * ({format_poly(delta)})")
-            text = "\n".join(lines) + "\n"
         _emit(text, args.output)
         return 0
 

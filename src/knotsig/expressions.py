@@ -196,7 +196,7 @@ def _resolve(node: KnotExpression, extra) -> SeifertMatrix:
         inner = _resolve(node.inner, extra)
         try:
             summands = [inner] * node.count
-        except OverflowError:
+        except (OverflowError, MemoryError):  # too long a list to make
             raise ExpressionError(f"multiplier {node.count} is too large") from None
         return connected_sum(*summands)
     raise ExpressionError(f"unknown expression node {node!r}")

@@ -12,7 +12,10 @@ from __future__ import annotations
 import json
 
 from .errors import KnotsigError, SeifertInvariantError
-from .seifert import SeifertMatrix
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only; typing itself stays unloaded
+    from .seifert import SeifertMatrix
 
 
 def read_text(path) -> str:
@@ -27,6 +30,8 @@ def read_text(path) -> str:
 
 def read_seifert_file(path) -> list[tuple[str, SeifertMatrix]]:
     """Load named Seifert matrices from a JSON file."""
+    from .seifert import SeifertMatrix
+
     text = read_text(path)
     try:
         data = json.loads(text)

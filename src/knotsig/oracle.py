@@ -14,12 +14,23 @@ search).  exhaustive_check replays this for every state in a range and
 compares against the closed-form bounds; any mismatch is reported with the
 offending state.  The move set is closed under inversion (each '-' move
 inverts to a '+' move), so the sweeps run backwards from the origin.
+
+The search runs on a flat grid.  The box 0 <= j <= box,
+-box <= smin <= smax <= box is laid out row-major in a list whose every
+coordinate is padded by 2 on both sides, so a state is one index and each
+move one fixed index offset.  No move changes a coordinate by more than 2,
+so a move out of a box point lands in the padding, never in another row:
+no coordinate needs a bounds check.  A sweep's distances start at -1 off
+the box and at _UNSEEN on it, so one comparison both keeps a move inside
+the box and relaxes its target.  Every sweep is one Dial-style 0-1
+breadth-first search, level by level: a move of the costly sign (every
+move, for plain distances) goes to the next level, any other move to the
+current one.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 from .bounds import FactorInvariants, signed_bounds, unknotting_bound
 from .errors import ParityError, SearchBoundError
@@ -41,7 +52,9 @@ MOVES: dict[str, tuple[int, int, int]] = {
     "G2+": (1, 1, 1),
 }
 
-_MOVE_ITEMS = tuple(MOVES.items())
+_MOVE_NAMES = tuple(MOVES)
+_PAD = 2  # the largest coordinate change of one move
+_UNSEEN = 10**9  # the distance of a box point no sweep has reached
 
 
 class LatticeState(Record):
@@ -77,33 +90,57 @@ def apply_move(state: LatticeState, move: str) -> LatticeState | None:
     return LatticeState(j, a, b)
 
 
-def _neighbors(s: State, box: int):
-    j, a, b = s
-    for name, (dj, da, db) in _MOVE_ITEMS:
-        nj, na, nb = j + dj, a + da, b + db
-        if nj < 0 or na > nb or nj > box or na < -box or nb > box:
-            continue
-        yield name, (nj, na, nb)
+class _Grid:
+    """The box as a padded flat array (see the module docstring)."""
+
+    __slots__ = ("box", "row", "plane", "steps", "blank")
+
+    def __init__(self, box: int):
+        self.box = box
+        self.row = row = 2 * box + 1 + 2 * _PAD
+        self.plane = plane = row * row
+        self.steps = tuple(dj * plane + da * row + db for dj, da, db in MOVES.values())
+        self.blank = blank = [-1] * ((box + 1 + 2 * _PAD) * plane)
+        for j in range(box + 1):
+            for a in range(-box, box + 1):
+                lo = self.index(j, a, a)
+                blank[lo:lo + box - a + 1] = [_UNSEEN] * (box - a + 1)
+
+    def index(self, j: int, smin: int, smax: int) -> int:
+        shift = self.box + _PAD
+        return (j + _PAD) * self.plane + (smin + shift) * self.row + smax + shift
 
 
-def _signed_sweep(source: State, box: int, costly_sign: str) -> dict[State, int]:
-    """Least number of moves of sign costly_sign from source to every state
-    in the box (0-1 breadth-first search: other moves cost nothing)."""
-    best = {source: 0}
-    dq = deque([(0, source)])
-    while dq:
-        d, s = dq.popleft()
-        if d > best[s]:
-            continue
-        for name, t in _neighbors(s, box):
-            nd = d + (1 if name.endswith(costly_sign) else 0)
-            if nd < best.get(t, 10**9):
-                best[t] = nd
-                if nd == d:
-                    dq.appendleft((nd, t))
-                else:
-                    dq.append((nd, t))
-    return best
+def _sweep(grid: _Grid, source: int, costly_sign: str = "") -> tuple[list, list]:
+    """(dist, via): the least cost from source to every box point, and the
+    index in MOVES of the move that first reached each one.  A move costs 1
+    when costly_sign is empty or is its sign, and 0 otherwise."""
+    free, paid = [], []
+    for k, (name, step) in enumerate(zip(_MOVE_NAMES, grid.steps)):
+        (paid if not costly_sign or name.endswith(costly_sign) else free).append((k, step))
+    dist = grid.blank.copy()
+    via = [0] * len(dist)
+    dist[source] = 0
+    level, d = [source], 0
+    while level:
+        ahead, nd = [], d + 1
+        for s in level:  # grows while it runs: free moves stay on this level
+            if dist[s] != d:
+                continue  # lowered after it was queued
+            for k, step in free:
+                t = s + step
+                if dist[t] > d:
+                    dist[t] = d
+                    via[t] = k
+                    level.append(t)
+            for k, step in paid:
+                t = s + step
+                if dist[t] > nd:
+                    dist[t] = nd
+                    via[t] = k
+                    ahead.append(t)
+        level, d = ahead, nd
+    return dist, via
 
 
 class MovesResult(Record):
@@ -126,48 +163,35 @@ def minimal_moves(start: LatticeState, margin: int = 6) -> MovesResult:
     """
     s0 = start.as_tuple()
     box = max(abs(c) for c in s0) + margin if s0 != (0, 0, 0) else margin
-    target = (0, 0, 0)
+    grid = _Grid(box)
+    source, target = grid.index(*s0), grid.index(0, 0, 0)
 
-    dist = {s0: 0}
-    parent: dict[State, tuple[State, str]] = {}
-    queue = deque([s0])
-    while queue:
-        s = queue.popleft()
-        if s == target:
-            break
-        for name, t in _neighbors(s, box):
-            if t not in dist:
-                dist[t] = dist[s] + 1
-                parent[t] = (s, name)
-                queue.append(t)
-    if target not in dist:
-        raise SearchBoundError(f"origin unreachable from {s0} within box {box}")
+    dist, via = _sweep(grid, source)
     total = dist[target]
+    if total == _UNSEEN:
+        raise SearchBoundError(f"origin unreachable from {s0} within box {box}")
     witness = []
     cur = target
-    while cur != s0:
-        prev, name = parent[cur]
-        witness.append(name)
-        cur = prev
+    while cur != source:
+        k = via[cur]
+        witness.append(_MOVE_NAMES[k])
+        cur -= grid.steps[k]
     witness.reverse()
-
-    def signed_min(costly_sign: str) -> int:
-        best = _signed_sweep(s0, box, costly_sign)
-        if target not in best:
-            raise SearchBoundError(f"origin unreachable from {s0} within box {box}")
-        return best[target]
 
     def lex_min() -> tuple:
         # minimize (total, number of '-' moves) lexicographically
-        best: dict[State, tuple] = {s0: (0, 0)}
-        heap = [((0, 0), s0)]
+        best: dict[int, tuple] = {source: (0, 0)}
+        heap = [((0, 0), source)]
         while heap:
             cost, s = heapq.heappop(heap)
-            if cost > best.get(s, (10**9, 0)):
+            if cost > best[s]:
                 continue
-            for name, t in _neighbors(s, box):
+            for name, step in zip(_MOVE_NAMES, grid.steps):
+                t = s + step
+                if grid.blank[t] < 0:
+                    continue
                 nc = (cost[0] + 1, cost[1] + (1 if name.endswith("-") else 0))
-                if nc < best.get(t, (10**9, 0)):
+                if nc < best.get(t, (_UNSEEN, 0)):
                     best[t] = nc
                     heapq.heappush(heap, (nc, t))
         tot, n = best[target]
@@ -177,8 +201,8 @@ def minimal_moves(start: LatticeState, margin: int = 6) -> MovesResult:
     return MovesResult(
         total=total,
         witness=tuple(witness),
-        min_negative_to_positive=signed_min("-"),
-        min_positive_to_negative=signed_min("+"),
+        min_negative_to_positive=_sweep(grid, source, "-")[0][target],
+        min_positive_to_negative=_sweep(grid, source, "+")[0][target],
         lex_split=lex_min(),
     )
 
@@ -244,19 +268,13 @@ def exhaustive_check(bound_range: int, margin: int = 6,
     total_formula = total_formula or _default_total
     signed_formula = signed_formula or _default_signed
     box = bound_range + margin
+    grid = _Grid(box)
+    origin = grid.index(0, 0, 0)
 
-    dist: dict[State, int] = {(0, 0, 0): 0}
-    queue = deque([(0, 0, 0)])
-    while queue:
-        s = queue.popleft()
-        for _name, t in _neighbors(s, box):
-            if t not in dist:
-                dist[t] = dist[s] + 1
-                queue.append(t)
-
+    dist = _sweep(grid, origin)[0]
     # '-' moves from s to origin reverse to '+' moves from origin to s
-    min_neg = _signed_sweep((0, 0, 0), box, "+")
-    min_pos = _signed_sweep((0, 0, 0), box, "-")
+    min_neg = _sweep(grid, origin, "+")[0]
+    min_pos = _sweep(grid, origin, "-")[0]
 
     mismatches = []
     checked = 0
@@ -268,14 +286,15 @@ def exhaustive_check(bound_range: int, margin: int = 6,
                 if (b - j) % 2:
                     continue
                 s = (j, a, b)
+                i = grid.index(j, a, b)
                 checked += 1
-                bfs_total = dist.get(s)
-                if bfs_total is None:
+                bfs_total = dist[i]
+                if bfs_total == _UNSEEN:
                     raise SearchBoundError(f"state {s} unreachable within box {box}")
                 want_total = total_formula(j, a, b)
                 if bfs_total != want_total:
                     mismatches.append(Mismatch(s, "total", (bfs_total,), (want_total,)))
-                bfs_signed = (min_neg[s], min_pos[s])
+                bfs_signed = (min_neg[i], min_pos[i])
                 want_signed = tuple(signed_formula(j, a, b))
                 if bfs_signed != want_signed:
                     mismatches.append(Mismatch(s, "signed", bfs_signed, want_signed))

@@ -68,6 +68,12 @@ def test_exit_codes():
     assert r.returncode == 1
     assert "multiplier 99999999999999999999" in r.stderr and "Traceback" not in r.stderr
 
+    # an index, but a list too long for CPython to make: refused, not allocated
+    r = run_cli("bounds", "1000000000000000000*3_1")
+    assert r.returncode == 1
+    assert "multiplier 1000000000000000000 is too large" in r.stderr
+    assert "Traceback" not in r.stderr
+
     r = run_cli("oracle-check", "--range", "-1")
     assert r.returncode == 1
     assert r.stderr.startswith("knotsig oracle-check: error: ")
@@ -209,6 +215,25 @@ def test_table_file_not_utf8(tmp_path):
     r = run_cli("--config", str(cfg), "bounds", "3_1")
     assert r.returncode == 1
     assert r.stderr == f"knotsig bounds: error: {knots}: not UTF-8 text (byte 15)\n"
+
+
+def test_table_path_read_only_by_knot_commands(tmp_path, capsys):
+    # a missing or invalid table fails the commands that resolve expressions;
+    # oracle-check and table resolve none, so it does not touch them
+    plain = {}
+    for argv in (["oracle-check", "--range", "2"], ["table"]):
+        assert main(argv) == 0
+        plain[argv[0]] = capsys.readouterr().out
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("[{")
+    cfg = tmp_path / "knotsig.conf"
+    for table in (tmp_path / "missing.json", bad_json):
+        cfg.write_text(f"table_path = {table}\n")
+        assert main(["--config", str(cfg), "bounds", "3_1"]) == 1
+        assert str(table) in capsys.readouterr().err
+        for argv in (["oracle-check", "--range", "2"], ["table"]):
+            assert main(["--config", str(cfg), *argv]) == 0
+            assert capsys.readouterr() == (plain[argv[0]], "")
 
 
 def test_bounds_json_rational_trace_roots(tmp_path):

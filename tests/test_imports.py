@@ -47,10 +47,19 @@ def loaded_after(code: str) -> set:
 
 def test_cli_import_loads_only_what_every_command_runs():
     loaded = loaded_after("import knotsig.cli")
-    assert "knotsig.bounds" in loaded
-    for name in ("dataclasses", "typing", "inspect", "pathlib", "knotsig.oracle",
-                 "knotsig.plot", "knotsig.knot_table", "knotsig.braids"):
+    ours = sorted(m for m in loaded if m.startswith("knotsig."))
+    assert ours == ["knotsig.cli", "knotsig.errors"]
+    for name in ("dataclasses", "typing", "inspect", "pathlib"):
         assert name not in loaded, name
+
+
+def test_oracle_check_loads_only_the_lattice_search():
+    loaded = loaded_after('from knotsig.cli import main\n'
+                          'assert main(["oracle-check", "--range", "2"]) == 0')
+    for name in ("seifert", "hermitian", "signature", "certify", "expressions",
+                 "factor", "sturm", "intpoly"):
+        assert f"knotsig.{name}" not in loaded, name
+    assert {"knotsig.oracle", "knotsig.bounds"} <= loaded
 
 
 def test_package_import_loads_no_submodule():

@@ -1,8 +1,65 @@
+import heapq
+from collections import deque
+
 import pytest
 
 from knotsig.errors import ParityError
-from knotsig.oracle import (MOVES, LatticeState, apply_move, exhaustive_check,
-                            minimal_moves)
+from knotsig.oracle import (_UNSEEN, MOVES, LatticeState, _Grid, _sweep, apply_move,
+                            exhaustive_check, minimal_moves)
+
+
+# An independent reference for the grid sweeps: states are tuples, distances
+# live in dicts, and each neighbour is bounds-checked coordinate by coordinate.
+
+def reference_neighbours(state, box):
+    j, a, b = state
+    for name, (dj, da, db) in MOVES.items():
+        t = (j + dj, a + da, b + db)
+        if 0 <= t[0] <= box and -box <= t[1] <= t[2] <= box:
+            yield name, t
+
+
+def reference_sweep(source, box, costly_sign=None):
+    """Move counts from source (every move costs 1), or with costly_sign the
+    least number of moves of that sign (0-1 breadth-first search)."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        s = queue.popleft()
+        for name, t in reference_neighbours(s, box):
+            if costly_sign is None:
+                if t not in dist:
+                    dist[t] = dist[s] + 1
+                    queue.append(t)
+                continue
+            cost = 1 if name.endswith(costly_sign) else 0
+            if dist[s] + cost < dist.get(t, _UNSEEN):
+                dist[t] = dist[s] + cost
+                (queue.append if cost else queue.appendleft)(t)
+    return dist
+
+
+def reference_lex(source, target, box):
+    """Least (moves, '-' moves) from source to target, lexicographically."""
+    best = {source: (0, 0)}
+    heap = [((0, 0), source)]
+    while heap:
+        cost, s = heapq.heappop(heap)
+        if s == target:
+            return cost
+        if cost > best[s]:
+            continue
+        for name, t in reference_neighbours(s, box):
+            nc = (cost[0] + 1, cost[1] + name.endswith("-"))
+            if nc < best.get(t, (_UNSEEN, 0)):
+                best[t] = nc
+                heapq.heappush(heap, (nc, t))
+    return None
+
+
+def box_states(box):
+    return [(j, a, b) for j in range(box + 1)
+            for a in range(-box, box + 1) for b in range(a, box + 1)]
 
 
 def test_state_validation():
@@ -138,3 +195,36 @@ def test_report_dict():
     assert d["ok"] is True
     assert d["mismatch_count"] == 0
     assert d["states_checked"] == rep.states_checked
+
+
+@pytest.mark.parametrize("box", range(11))
+def test_grid_sweeps_match_reference(box):
+    grid = _Grid(box)
+    origin = grid.index(0, 0, 0)
+    for sign in (None, "-", "+"):
+        ref = reference_sweep((0, 0, 0), box, sign)
+        dist = _sweep(grid, origin, sign or "")[0]
+        for s in box_states(box):
+            assert dist[grid.index(*s)] == ref.get(s, _UNSEEN), (s, sign)
+
+
+def test_minimal_moves_match_reference():
+    checked = 0
+    for j, a, b in box_states(4):
+        if (a - j) % 2 or (b - j) % 2:
+            continue
+        start = (j, a, b)
+        box = max(j, -a, b) + 6 if start != (0, 0, 0) else 6
+        r = minimal_moves(LatticeState(j, a, b))
+        assert r.total == reference_sweep(start, box)[(0, 0, 0)], start
+        assert r.min_negative_to_positive == reference_sweep(start, box, "-")[(0, 0, 0)]
+        assert r.min_positive_to_negative == reference_sweep(start, box, "+")[(0, 0, 0)]
+        total, n = reference_lex(start, (0, 0, 0), box)
+        assert r.lex_split == (n, total - n), start
+        checked += 1
+    assert checked == 65
+
+
+def test_exhaustive_check_without_margin():
+    rep = exhaustive_check(0, margin=0)
+    assert rep.states_checked == 1 and rep.ok
