@@ -79,14 +79,6 @@ def shift(f: Poly, k: int) -> Poly:
     return (0,) * k + tuple(f)
 
 
-def eval_at(f: Poly, x):
-    """Evaluate by Horner's rule; works for int, Fraction, complex inputs."""
-    r = 0
-    for c in reversed(f):
-        r = r * x + c
-    return r
-
-
 def derivative(f: Poly) -> Poly:
     return trim(tuple(i * c for i, c in enumerate(f))[1:])
 

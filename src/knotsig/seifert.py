@@ -4,10 +4,10 @@ A Seifert matrix is a square integer matrix V of even size with
 det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  It is split once, on
 construction, into connected blocks on the union of the supports of V and
 V^T (connected sums are block sums).  det(V - V^T) and the Alexander
-polynomial det(V - x V^T) are products over the blocks, each block
+polynomial det(V - x V^T) are products over the blocks, each distinct block
 polynomial computed exactly as a characteristic polynomial and a Taylor
-shift modulo one proven prime just above twice a Hadamard bound (see
-_det_poly).
+shift modulo one proven prime just above twice a Hadamard bound, by a
+Krylov pass on vectors packed one per int (see _det_poly).
 """
 
 from __future__ import annotations
@@ -151,8 +151,12 @@ def _int_det(M) -> int:
 
 def block_alexander_polynomials(V: SeifertMatrix) -> list[tuple]:
     """det(B - x B^T) for each block B in V.blocks, unnormalized (see
-    _det_poly)."""
-    return [_det_poly(B) for B in V.blocks]
+    _det_poly), computed once per distinct block."""
+    polys: dict = {}
+    for B in V.blocks:
+        if B not in polys:
+            polys[B] = _det_poly(B)
+    return [polys[B] for B in V.blocks]
 
 
 def alexander_polynomial(V: SeifertMatrix, blocks=None) -> tuple:
@@ -201,10 +205,17 @@ def _det_poly(M) -> tuple:
     M - x M^T = D (I - (x - 1) B), so det(M - x M^T) = sum_k chi_k (x - 1)^(n-k)
     where chi = det(lambda I - B) in ascending coefficients: one
     characteristic polynomial and one Taylor shift.  Both are computed in
-    one pass modulo a single prime p (_det_poly_mod): solve D B = M^T by
-    Gauss-Jordan, reduce B to Hessenberg form by similarity and read chi
-    off the Hessenberg recurrence (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.2.9), then substitute y = x - 1.
+    one pass modulo a single prime p (_det_poly_mod) on vectors packed one
+    per int (gfmat.Slots): solve D B = M^T (gfmat.solve), reduce B^T to
+    Hessenberg form by Krylov (gfmat.hessenberg), read chi off the
+    Hessenberg recurrence (gfmat.charpoly), then substitute y = x - 1.  B^T has the characteristic
+    polynomial of B, since det(lambda I - B^T) is the determinant of the
+    transpose of lambda I - B.  Slots are wide enough that no sum between
+    two reductions carries into the next slot, and a Krylov basis that
+    closes an invariant subspace early restarts at a unit vector, leaving a
+    zero on the subdiagonal of H.  The pass takes O(n^2) big-integer
+    operations (the LU-Krylov characteristic polynomial of Dumas, Pernet
+    and Wan, ISSAC 2005).
 
     On |x| = 1 every entry of column j of M - x M^T is at most the entry of
     |M| + |M^T| in absolute value, so by Hadamard |det(M - x M^T)| <= H, the
@@ -230,73 +241,17 @@ def _det_poly(M) -> tuple:
 
 def _det_poly_mod(M, p: int) -> list:
     """The n + 1 ascending coefficients of det(M - x M^T) mod p (see _det_poly)."""
+    from . import gfmat  # only block polynomials need it, not validation
+
     n = len(M)
-    # Gauss-Jordan on [D | M^T] leaves [I | B]
-    rows = [[(M[i][j] - M[j][i]) % p for j in range(n)] + [M[j][i] % p for j in range(n)]
-            for i in range(n)]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            det = 0
-            break
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c] % p
-        inv = pow(rows[c][c], -1, p)
-        # columns left of c are zero in row c and stay as they are
-        pr = rows[c][c:] = [v * inv % p for v in rows[c][c:]]
-        for i in range(n):
-            u = rows[i][c]
-            if u and i != c:
-                rows[i][c:] = [(a - u * b) % p for a, b in zip(rows[i][c:], pr)]
+    S = gfmat.Slots(p, n)
+    det, B = gfmat.solve(M, S)
     if det != 1:
         raise SeifertInvariantError("det(M - M^T) is not 1")
-    H = [r[n:] for r in rows]
-    # Hessenberg form by similarity: for each column c, clear H[i][c] for
-    # i > c + 1 with row i -= u_i row c+1, then column c+1 += sum u_i column i
-    for c in range(n - 2):
-        c1 = c + 1
-        piv = next((i for i in range(c1, n) if H[i][c]), None)
-        if piv is None:
-            continue
-        if piv != c1:
-            H[c1], H[piv] = H[piv], H[c1]
-            for r in H:
-                r[c1], r[piv] = r[piv], r[c1]
-        inv = pow(H[c1][c], -1, p)
-        pr = H[c1][c:]  # rows below c1 are zero left of c
-        us = [0] * (n - c1 - 1)
-        for i in range(c1 + 1, n):
-            u = H[i][c] * inv % p
-            if u:
-                us[i - c1 - 1] = u
-                H[i][c:] = [(a - u * b) % p for a, b in zip(H[i][c:], pr)]
-        if any(us):
-            for r in H:
-                r[c1] = (r[c1] + sum(map(mul, us, r[c1 + 1:]))) % p
-    # chi_m = (lambda - h_mm) chi_(m-1)
-    #         - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) chi_(i-1)
-    chis = [[1]]
-    for m in range(n):
-        prev = chis[m]
-        acc = [0] + prev
-        h = H[m][m]
-        for k, v in enumerate(prev):
-            acc[k] -= h * v
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * H[i + 1][i] % p
-            if not t:
-                break
-            w = H[i][m] * t
-            for k, v in enumerate(chis[i]):
-                acc[k] -= w * v
-        chis.append([v % p for v in acc])
+    chi = S.unpack(gfmat.charpoly(gfmat.hessenberg(B, S), S), n + 1)
     # det(M - x M^T) = g(x - 1) with g(y) = sum_k chi_k y^(n-k): Horner in x - 1
     out = [0] * (n + 1)
-    for k, g in enumerate(chis[n]):  # g is the coefficient of y^(n-k)
+    for g in chi:  # g is the coefficient of y^(n-k)
         for j in range(n, 0, -1):
             out[j] = (out[j - 1] - out[j]) % p
         out[0] = (g - out[0]) % p

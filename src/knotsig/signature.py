@@ -131,14 +131,6 @@ class SignatureFunction(Record):
         keys = sorted(groups, key=lambda f: (len(f), f))
         return [(f, mults[f], tuple(groups[f])) for f in keys]
 
-    def negated(self) -> "SignatureFunction":
-        return SignatureFunction(
-            tuple(-p for p in self.plateaus),
-            tuple(Breakpoint(bp.root, bp.multiplicity, -bp.left, -bp.right, -bp.jump,
-                             -bp.balanced2,
-                             None if bp.nonbalanced is None else -bp.nonbalanced)
-                  for bp in self.breakpoints))
-
     def summary(self):
         """Hash-friendly content view used by the property tests."""
         return (self.plateaus,

@@ -136,14 +136,6 @@ class RealRoot:
             other.refine()
         raise ArithmeticError("failed to separate roots (equal numbers?)")
 
-    def compare(self, other: "RealRoot") -> int:
-        """-1, 0, +1 ordering; 0 only for exact equal rationals."""
-        if self.is_exact and other.is_exact:
-            a, b = self._lo, other._lo
-            return (a > b) - (a < b)
-        self.separate_from(other)
-        return -1 if self._hi < other._lo else 1
-
     def refine_strictly_inside(self, lo: Fraction, hi: Fraction) -> None:
         """Shrink until the interval sits strictly inside (lo, hi)."""
         while not (self.is_exact or (lo < self._lo and self._hi < hi)):

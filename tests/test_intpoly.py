@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import eval_at
 from knotsig import intpoly as ip
 from knotsig.errors import DivisibilityError, ParityError, SymmetryError
 
@@ -97,7 +98,7 @@ def test_interval_eval_contains_true_values():
         x = Fraction(-1, 2) + Fraction(k, 16)
         if x > Fraction(3, 4):
             break
-        assert lo <= ip.eval_at(f, x) <= hi
+        assert lo <= eval_at(f, x) <= hi
 
 
 def test_mod_monic_matches_divmod():

@@ -7,15 +7,15 @@ import pytest
 
 from conftest import (MIXED_SUMS, _interpolate_int, is_proven_prime, mixed_sum,
                       random_seifert_matrices)
-from knotsig import intpoly as ip, seifert
+from knotsig import gfmat, intpoly as ip, seifert
 from knotsig.errors import KnotsigError, ParityError, SeifertInvariantError, SymmetryError
 from knotsig.expressions import resolve
 from knotsig.hermitian import signature_at_sample
 from knotsig.knot_table import knot_names, lookup
 from knotsig.knotio import read_seifert_file, write_report
-from knotsig.seifert import (SeifertMatrix, _det_poly, _int_det, alexander_polynomial,
-                             connected_blocks, connected_sum, mirror, murasugi_signature,
-                             normalize_alexander, stabilize)
+from knotsig.seifert import (SeifertMatrix, _det_poly, _det_poly_mod, _int_det,
+                             alexander_polynomial, connected_blocks, connected_sum, mirror,
+                             murasugi_signature, normalize_alexander, stabilize)
 from knotsig.signature import step_function
 
 
@@ -223,13 +223,19 @@ def _dense_matrices():
     return random_seifert_matrices(6, seed=20261018, entries=10**9)
 
 
-def test_alexander_unchanged_on_table_and_large_torus():
-    # every block's polynomial equals the Lagrange reference at its points
+def _cases():
+    """(label, V): the table, 30 S+U matrices, the one-block copies of the
+    mixed sums and the dense matrices."""
     cases = [(name, lookup(name)) for name in knot_names()]
     cases += [(f"S+U #{k}", V) for k, V in enumerate(random_seifert_matrices(30, seed=1))]
     cases += [(f"mixed {expr}", mixed_sum(expr)[1]) for expr in MIXED_SUMS]
     cases += [(f"dense #{k}", V) for k, V in enumerate(_dense_matrices())]
-    for label, V in cases:
+    return cases
+
+
+def test_alexander_unchanged_on_table_and_large_torus():
+    # every block's polynomial equals the Lagrange reference at its points
+    for label, V in _cases():
         rows = V.rows
         for block in connected_blocks(rows):
             M = [[rows[i][j] for j in block] for i in block]
@@ -267,12 +273,8 @@ def test_det_poly_takes_one_proven_prime(monkeypatch):
         return det_poly_mod(M, p)
 
     monkeypatch.setattr(seifert, "_det_poly_mod", recorded)
-    cases = [lookup(name) for name in knot_names()]
-    cases += random_seifert_matrices(30, seed=1)
-    cases += [mixed_sum(expr)[1] for expr in MIXED_SUMS]
-    cases += _dense_matrices()
     widest = 0
-    for V in cases:
+    for _label, V in _cases():
         for B in V.blocks:
             before = len(used)
             _det_poly(B)
@@ -284,3 +286,46 @@ def test_det_poly_takes_one_proven_prime(monkeypatch):
             widest = max(widest, m)
     assert widest >= 305
     assert all(is_proven_prime(p) for p in set(used))
+
+
+def _recorded_hessenberg(monkeypatch) -> list:
+    """The H of every _det_poly_mod call from now on, in call order."""
+    seen = []
+    hessenberg = gfmat.hessenberg
+
+    def recorded(B, S):
+        seen.append(hessenberg(B, S))
+        return seen[-1]
+
+    monkeypatch.setattr(gfmat, "hessenberg", recorded)
+    return seen
+
+
+def _zero_subdiagonals(H) -> int:
+    return sum(H[k][k + 1] == 0 for k in range(len(H) - 1))
+
+
+def test_det_poly_mod_at_small_primes(monkeypatch):
+    # modulo 3, 5 and 7 pivots of D vanish and the Krylov remainders of
+    # B^T vanish early; the residues are the reference's all the same
+    seen = _recorded_hessenberg(monkeypatch)
+    for label, V in _cases():
+        for B in V.blocks:
+            n, want = len(B), _reference_det_poly(B)
+            for q in (3, 5, 7, 101):
+                assert _det_poly_mod(B, q) == [c % q for c in want] + [0] * (n + 1 - len(want)), \
+                    (label, q)
+    assert sum(map(_zero_subdiagonals, seen)) >= 40
+
+
+def test_hessenberg_restarts_on_a_repeated_block(monkeypatch):
+    # the one-block copy of 2*T(2,5) is congruent to a block sum of two
+    # equal blocks: the characteristic polynomial of B is a square and its
+    # minimal polynomial has degree at most 4, so every Krylov subspace of
+    # B^T has dimension at most 4 and the pass restarts at a unit vector
+    seen = _recorded_hessenberg(monkeypatch)
+    _V, W = mixed_sum("2*T(2,5)")
+    assert len(W.blocks) == 1 and W.size == 8
+    assert _det_poly(W.rows) == _reference_det_poly(W.rows)
+    assert _zero_subdiagonals(seen[0]) >= 1
+    assert all(len(col) == k + 2 for k, col in enumerate(seen[0][:-1]))

@@ -216,8 +216,9 @@ def test_repeated_factor_eliminates_only_its_blocks(monkeypatch):
 
 
 def test_block_polynomials_once_per_step_function(monkeypatch):
-    # Phi_10^2 of 2*T(2,5) is split over two blocks: the repeated-factor
-    # test divides the block polynomials that gave Delta, not new ones
+    # Phi_10^2 of 2*T(2,5) is split over two equal blocks: their polynomial
+    # is computed once, and the repeated-factor test divides the block
+    # polynomials that gave Delta, not new ones
     calls = []
     det_poly = seifert._det_poly
 
@@ -228,5 +229,6 @@ def test_block_polynomials_once_per_step_function(monkeypatch):
     monkeypatch.setattr(seifert, "_det_poly", counted)
     V = resolve("2*T(2,5)")
     sf = step_function(V)
-    assert calls == [len(b) for b in connected_blocks(V.rows)] == [4, 4]
+    assert [len(b) for b in connected_blocks(V.rows)] == [4, 4] and V.blocks[0] == V.blocks[1]
+    assert calls == [4]
     assert [m for _f, m, _bps in sf.factor_groups()] == [2]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import eval_at
 from knotsig import intpoly as ip
 from knotsig import sturm
 from knotsig.errors import SquarefreeError
@@ -119,11 +120,10 @@ def test_refine_evaluates_once(monkeypatch):
 
 def test_refinement_and_comparison():
     a, b = isolate_real_roots((-1, -1, 1), Fraction(-2), Fraction(2))
-    assert a.compare(b) == -1
-    assert b.compare(a) == 1
     c = RealRoot.exact((-1, 1), Fraction(1))
-    assert a.compare(c) == -1  # -0.618 < 1
-    assert c.compare(b) == -1  # 1 < 1.618
+    for x, y in ((a, b), (a, c), (c, b)):  # -0.618 < 1 < 1.618
+        x.separate_from(y)
+        assert x.hi < y.lo
 
 
 def test_sign_at():
@@ -146,7 +146,7 @@ def test_integer_sign_at_matches_fraction_horner():
         x = Fraction(rng.randint(-4 * den, 4 * den), den)
         if k % 4 == 0:
             f = ip.mul(f, (-x.numerator, x.denominator))  # x is an exact root
-        v = ip.eval_at(f, x)
+        v = eval_at(f, x)
         assert sign_at(f, x) == (v > 0) - (v < 0), (f, x)
         zeros += v == 0
     assert zeros >= 100
