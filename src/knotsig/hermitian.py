@@ -23,40 +23,50 @@ signs are decided at the embedding.  There are two rings for it:
 Both rings offer the same operations, and one kernel runs over either: a
 fraction-free (Bareiss) symmetric elimination whose divisions are exact in
 the order, whose pivots are real, and whose step signs are
-sign(d_s * d_{s-1}).  Every entry it computes, in a step and in a
-rescale, is one fused ring call bareiss(d, x, a, y, t) = (d*x - a*y)/t
-with d and t real (t passed as its real_inverse) and x possibly absent:
-IntPairOrder does it inline on ints, and ScaledOrder reduces modulo qhat
-once per part, after the multiplication by the inverse.  A final all-zero
-block is nullity.  When every active diagonal entry vanishes but the block
-is nonzero, the congruence row i += c*row j, column i += conj(c)*column j
-(c = A[i][j] != 0) makes the pivot 2*c*conj(c) in place, after earlier
-pivots too: the active entries are minors of the input bordered by the
-pivot rows and columns (Sylvester's identity; Bareiss, Math. Comp. 22,
-1968), linear in their row and column, so the repair is that congruence
-on the input, and the later exact divisions and the sign rule carry over.
+sign(d_s * d_{s-1}).  Every entry it computes in a step is one fused ring
+call bareiss(d, x, a, y, t) = (d*x - a*y)/t with d and t real (t passed as
+its real_inverse) and x possibly absent, and every rescale is one ring
+call rescale(d, x, t) = d*x/t: IntPairOrder does both inline on ints, and
+ScaledOrder reduces modulo qhat once per part, after the multiplication
+by the inverse.  A final all-zero block is nullity.  When every active
+diagonal entry vanishes but the block is nonzero, the congruence
+row i += c*row j, column i += conj(c)*column j (c = A[i][j] != 0) makes
+the pivot 2*c*conj(c) in place, after earlier pivots too: the active
+entries are minors of the input bordered by the pivot rows and columns
+(Sylvester's identity; Bareiss, Math. Comp. 22, 1968), linear in their row
+and column, so the repair is that congruence on the input, and the later
+exact divisions and the sign rule carry over.
 
-The kernel is sparse.  Each active row is a dict of its nonzero entries
-with a stamp t, the step at which it was last updated.  Step k + 1, with
-pivot p and pivot element d_{k+1}, takes row r to
-(d_{k+1}*r - r[p]*row_p) / d_k, so a row with r[p] = 0 is only rescaled,
-by d_{k+1}/d_k.  These factors telescope: at step k a row that has met no
-pivot since step t is exactly (d_k/d_t) times its stored entries, and
-being bordered minors, its entries stay in the order.  So a step updates
-only the rows in the support of the pivot row (by hermitian symmetry,
-those with a nonzero entry in the pivot column), in one pass from the
-stored entries x: (d_{k+1}*x - x[p]*row_p) / d_t.  The pivot
-row, and the two rows of a repair, are first brought to step k, each
-entry by one bareiss(d_k, x, 0, 0, d_t); the inverse of each d_t is made
-once, at the step after it, and kept.  Pivots have the fewest nonzeros in
-their row, then the least index (minimum degree: Rose, 1972; George and
-Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981),
-so the work on a banded matrix stays near its band.  The candidates sit
-in a list of (len(row), i), sorted and kept so with bisect, over the rows
-with a nonzero diagonal entry: a step moves only the rows it updates,
-and a repair rebuilds the list.  The rows themselves are built from the
-nonzeros of V and V^T (hermitian_rows), so no step of a sample, the set-up
-included, scans a dense n x n grid of ring elements.
+The kernel is sparse.  Each active row is a dict of its nonzero entries,
+each a pair (s, x) with s the step at which x was last computed.  Step
+k + 1, with pivot p and pivot element d_{k+1}, takes the entry (r, m) to
+(d_{k+1}*A[r][m] - A[r][p]*A[p][m]) / d_k, so where A[r][p] or A[p][m] is
+zero it is only rescaled, by d_{k+1}/d_k.  These factors telescope: at
+step k an entry that no pivot has met since step s is exactly (d_k/d_s) x,
+and being a bordered minor, it stays in the order.  So a step rewrites
+only the entries (r, m) with r and m in the support of the pivot row (by
+hermitian symmetry, the rows with a nonzero entry in the pivot column);
+every other entry keeps its stamp and is not touched.  An entry is brought
+up to date only when it is read.  The pivot row is brought to step k, each
+entry by one rescale(d_k, x, d_s).  The entry (r, m), stored as x at step
+s, and a = A[r][p], stored at step t, are both brought to u, the later of
+s and t (a once per u and row), and (d_{k+1}*x - a*A[p][m]) / d_u is one
+bareiss.  The entry (m, r) is a bordered minor at the same step and the
+conjugate of (r, m), so it is set to conj of it: a step computes only the
+diagonal and one triangle.  A repair brings its rows i and j to step k,
+and its column update A[r][i] += A[r][j]*conj(c) first brings the two
+entries of row r to the later of their steps; both are untouched since
+then, so the combination is the repaired entry at that step.  The inverse
+of each d_t is made once, at the step after it, and kept.  Pivots have the
+fewest nonzeros in their row, then the least index (minimum degree: Rose,
+1972; George and Liu, Computer Solution of Large Sparse Positive Definite
+Systems, 1981), so the work on a banded matrix stays near its band.  The
+candidates sit in a list of (len(row), i), sorted and kept so with bisect,
+over the rows with a nonzero diagonal entry: a step moves only the rows it
+updates, and a repair rebuilds the list.  The rows themselves are built
+from the nonzeros of V and V^T (hermitian_rows), each entry stamped 0, so
+no step of a sample, the set-up included, scans a dense n x n grid of ring
+elements.
 
 The ring is per trace polynomial q, and so are the pivot choice, the
 repair and every division; the embedding is per root of q.  So one
@@ -143,6 +153,10 @@ class ScaledOrder:
             out.append(v)
         return (out[0], out[1])
 
+    def rescale(self, d, x: Pair, t) -> Pair:
+        """d*x/t, as bareiss(d, x, 0, 0, t)."""
+        return self.bareiss(d, x, self.zero, self.zero, t)
+
     def conj(self, x: Pair) -> Pair:
         a, b = x
         return (self.reduce(ip.add(a, ip.shift(b, 1))), ip.neg(b))
@@ -210,14 +224,14 @@ class ScaledOrder:
 
     def hermitian_rows(self, V) -> dict:
         """l * [(1-omega)V + (1-conj(omega))V^T] over the order, as sparse
-        rows (see _support).
+        rows of entries stamped 0 (see _support and _eliminate).
 
         The positive rescale by l leaves the signature unchanged.
         """
         l = self.l
         rows = {i: {} for i in range(len(V))}
         for i, j, a, b in _support(V):
-            rows[i][j] = (self.reduce(ip.trim((l * (a + b), -b))), ip.trim((b - a,)))
+            rows[i][j] = (0, (self.reduce(ip.trim((l * (a + b), -b))), ip.trim((b - a,))))
         return rows
 
 
@@ -281,13 +295,20 @@ class IntPairOrder:
         assert not (r_re or r_im), "inexact Bareiss division"
         return (re, im)
 
+    def rescale(self, d: int, x, t: int):
+        """d*x/t for ints d and t != 0; the division must be exact."""
+        re, r_re = divmod(d * x[0], t)
+        im, r_im = divmod(d * x[1], t)
+        assert not (r_re or r_im), "inexact Bareiss division"
+        return (re, im)
+
     def hermitian_rows(self, V) -> dict:
         """l * [(1-omega)V + (1-conj(omega))V^T] over the order, as sparse
-        rows (see _support)."""
+        rows of entries stamped 0 (see _support and _eliminate)."""
         l, zhat = self.l, self.zhat
         rows = {i: {} for i in range(len(V))}
         for i, j, a, b in _support(V):
-            rows[i][j] = (l * (a + b) - zhat * b, b - a)
+            rows[i][j] = (0, (l * (a + b) - zhat * b, b - a))
         return rows
 
 
@@ -322,8 +343,8 @@ all-zero block.
 
 def signature_triple(rows: dict, order: Ring) -> tuple[int, int, int]:
     """(positive, negative, nullity) of a hermitian matrix over the order,
-    given as sparse rows {i: {j: entry}} of its nonzero entries, which the
-    elimination consumes."""
+    given as sparse rows {i: {j: (0, entry)}} of its nonzero entries (as
+    hermitian_rows makes them), which the elimination consumes."""
     return _trace_signs(_eliminate(rows, order), order)
 
 
@@ -343,24 +364,24 @@ def _trace_signs(trace: PivotTrace, order: Ring, root=None) -> tuple[int, int, i
 
 def _eliminate(rows: dict, order: Ring) -> PivotTrace:
     """The sparse fraction-free elimination (module docstring) of the
-    hermitian matrix with sparse rows {i: {j: entry}}, which it consumes.
+    hermitian matrix with sparse rows {i: {j: (s, entry)}}, stamps s = 0,
+    which it consumes.
 
     Both rings keep their elements canonical, so an element is zero exactly
     when it equals order.zero.
     """
-    bareiss, zero = order.bareiss, order.zero
-    stamp = dict.fromkeys(rows, 0)
+    bareiss, rescale, conj, zero = order.bareiss, order.rescale, order.conj, order.zero
     d, inv, pivots = [order.real_part_only(order.one)], [], []  # inv[t]: real_inverse of d[t]
     queue = sorted((len(row), i) for i, row in rows.items() if i in row)
 
     def catch_up(i, k):
-        # row i, stored at step t = stamp[i], is (d_k / d_t) times that at step k
-        t = stamp[i]
-        if t != k:
-            dk, inv_t = d[k], inv[t]
-            rows[i] = {j: bareiss(dk, x, zero, zero, inv_t) for j, x in rows[i].items()}
-            stamp[i] = k
-        return rows[i]
+        # every entry of row i brought to step k
+        row = rows[i]
+        dk = d[k]
+        for j, (s, x) in row.items():
+            if s != k:
+                row[j] = (k, rescale(dk, x, inv[s]))
+        return row
 
     while rows:
         k = len(pivots)
@@ -368,59 +389,92 @@ def _eliminate(rows: dict, order: Ring) -> PivotTrace:
             i = min((i for i, row in rows.items() if row), default=None)
             if i is None:
                 return PivotTrace(tuple(pivots), len(rows))
-            # congruence repair in place: rows i and j are brought to step k;
-            # column i += conj(c) * column j combines two entries of one
-            # stored row, which share its scale
+            # congruence repair in place: rows i and j are brought to step k,
+            # then column i += conj(c) * column j combines two entries of
+            # row r, first brought to the later of their two steps
             j = min(rows[i])
             row_i, row_j = catch_up(i, k), catch_up(j, k)
-            c = row_i[j]
-            cc = order.conj(c)
-            for m, x in row_j.items():
-                _put(row_i, m, order.add(row_i.get(m, zero), order.mul(c, x)), zero)
+            c = row_i[j][1]
+            cc = conj(c)
+            for m, (_, x) in row_j.items():
+                _put(row_i, m, order.add(row_i.get(m, (k, zero))[1], order.mul(c, x)), k, zero)
             for r in row_j:
                 row_r = rows[r]
-                _put(row_r, i, order.add(row_r.get(i, zero), order.mul(row_r[j], cc)), zero)
+                u, y = row_r[j]
+                s, x = row_r.get(i, (u, zero))
+                if s < u:
+                    x = rescale(d[u], x, inv[s])
+                elif u < s:
+                    y, u = rescale(d[s], y, inv[u]), s
+                _put(row_r, i, order.add(x, order.mul(y, cc)), u, zero)
             queue = sorted((len(row), r) for r, row in rows.items() if r in row)
             continue
 
         p = queue.pop(0)[1]
         inv.append(order.real_inverse(d[k]))
-        row_p = catch_up(p, k)
-        del rows[p], stamp[p]
-        dp = order.real_part_only(row_p.pop(p))
+        # row p brought to step k: the pivot, and (m, row_m, entry) for the
+        # rows m that meet it
+        row_p, dk = rows.pop(p), d[k]
+        cols = []
+        for m, (s, y) in row_p.items():
+            if s != k:
+                y = rescale(dk, y, inv[s])
+            if m == p:
+                dp = order.real_part_only(y)
+            else:
+                x = rows[m]
+                cols.append((m, x, y))
+                if m in x:
+                    del queue[bisect_left(queue, (len(x), m))]
         pivots.append(dp)
         d.append(dp)
-        # the rows that meet the pivot: row r, stored as x at step t, is
-        # (d_k / d_t) x, so its Bareiss step (dp * row - row[p] * row_p) / d_k
-        # is (dp * x - x[p] * row_p) / d_t; off the support of row_p that is
-        # dp * x / d_t, nonzero as the order has no zero divisors.  The
+        # row r meets the pivot with a = its entry in column p, stored at
+        # step t: the Bareiss step of entry (r, m), stored as x at step s, is
+        # (dp * x - a * row_p[m]) / d_u once x and a are brought to u, the
+        # later of s and t.  Entries off the columns of row_p keep their
+        # stamps.  (m, r) is the conjugate of (r, m), so only the diagonal
+        # and one triangle are computed, and both get the stamp k + 1.  The
         # queue keeps (len(row), r) for the rows with a nonzero diagonal.
-        for r in row_p:
-            x = rows[r]
-            if r in x:
-                del queue[bisect_left(queue, (len(x), r))]
-            inv_t = inv[stamp[r]]
-            a = x.pop(p)
-            out = {}
-            for m, y in row_p.items():
-                v = bareiss(dp, x.pop(m, None), a, y, inv_t)
+        k += 1
+        for n, (r, x, _) in enumerate(cols):
+            t, a = x.pop(p)
+            inv_t, at = inv[t], {}  # at[s]: a brought to step s > t
+            for m, row_m, y in cols[n:]:
+                e = x.get(m)
+                if e is None:
+                    v = bareiss(dp, None, a, y, inv_t)
+                else:
+                    s, v = e
+                    if s == t:
+                        v = bareiss(dp, v, a, y, inv_t)
+                    elif s < t:
+                        v = bareiss(dp, rescale(d[t], v, inv[s]), a, y, inv_t)
+                    else:
+                        a_s = at.get(s)
+                        if a_s is None:
+                            a_s = at[s] = rescale(d[s], a, inv_t)
+                        v = bareiss(dp, v, a_s, y, inv[s])
                 if v != zero:
-                    out[m] = v
-            for m, v in x.items():
-                out[m] = bareiss(dp, v, zero, zero, inv_t)
-            rows[r] = out
-            stamp[r] = k + 1
-            if r in out:
-                insort(queue, (len(out), r))
+                    x[m] = (k, v)
+                    if m != r:
+                        row_m[r] = (k, conj(v))
+                elif e is not None:
+                    del x[m]
+                    if m != r:
+                        del row_m[r]
+        for r, x, _ in cols:
+            if r in x:
+                insort(queue, (len(x), r))
     return PivotTrace(tuple(pivots), 0)
 
 
-def _put(row: dict, m, x, zero) -> None:
-    """Store x at column m of a sparse row, or drop the entry if x is zero."""
+def _put(row: dict, m, x, s, zero) -> None:
+    """Store x at column m of a sparse row with stamp s, or drop the entry
+    if x is zero."""
     if x == zero:
         row.pop(m, None)
     else:
-        row[m] = x
+        row[m] = (s, x)
 
 
 def signature_at_sample(V, z: Fraction) -> int:
@@ -475,5 +529,5 @@ def symmetric_signature(M) -> tuple[int, int, int]:
     the z chosen is irrelevant.  Used for the Murasugi signature at
     omega = -1 and for validating the knot table.
     """
-    rows = {i: {j: (c, 0) for j, c in enumerate(row) if c} for i, row in enumerate(M)}
+    rows = {i: {j: (0, (c, 0)) for j, c in enumerate(row) if c} for i, row in enumerate(M)}
     return signature_triple(rows, IntPairOrder(Fraction(0)))

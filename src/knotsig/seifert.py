@@ -129,24 +129,42 @@ def stabilize(a: SeifertMatrix) -> SeifertMatrix:
 
 def _int_det(M) -> int:
     """Exact integer determinant (fraction-free Bareiss): the validation
-    det(V - V^T) = 1, and the tests' reference values for _det_poly."""
+    det(V - V^T) = 1, and the tests' reference values for _det_poly.
+
+    Step k + 1 takes row i to (d_{k+1} * row_i - A[i][k] * row_k) / d_k, so
+    a row whose column-k entry is 0 is only rescaled, by d_{k+1}/d_k.  These
+    factors telescope, so such a row is not touched: it keeps the step t at
+    which it was last updated, and is brought up by d_k/d_t only when it
+    becomes the pivot row (swapped in or not), or when it next meets a
+    pivot, in the one pass (d_{k+1} * row_i - A[i][k] * row_k) / d_t.
+    """
     n = len(M)
     if n == 0:
         return 1
     A = [list(map(int, row)) for row in M]
-    sign, prev = 1, 1
-    for k in range(n - 1):
+    stamp, d, sign = [0] * n, [1], 1
+    for k in range(n):
         if A[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
             if piv is None:
                 return 0
             A[k], A[piv] = A[piv], A[k]
+            stamp[k], stamp[piv] = stamp[piv], stamp[k]
             sign = -sign
+        row_k, t = A[k], stamp[k]
+        if t != k:
+            dk, dt = d[k], d[t]
+            row_k[k:] = [x * dk // dt for x in row_k[k:]]
+        dp = row_k[k]
+        d.append(dp)
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[k][k] * A[i][j] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+            row = A[i]
+            a = row[k]
+            if a:
+                dt = d[stamp[i]]
+                row[k + 1:] = [(dp * x - a * y) // dt for x, y in zip(row[k + 1:], row_k[k + 1:])]
+                stamp[i] = k + 1
+    return sign * d[n]
 
 
 def block_alexander_polynomials(V: SeifertMatrix) -> list[tuple]:

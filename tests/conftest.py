@@ -594,3 +594,105 @@ def decimal_of_root_reference(root, digits: int) -> str:
     while (s := certified_decimal(lo, hi, digits)) is None:
         lo, hi = _halve_fraction(root.poly, lo, hi)
     return s
+
+
+# ---- the reference kernel: the sparse elimination with one stamp per row,
+# which computes both triangles and rescales every entry of a row the pivot
+# meets.  Its pivots, repairs and divisions are those of
+# hermitian._eliminate, so the two PivotTraces must be equal ----
+
+def reference_eliminate(rows: dict, order):
+    """The PivotTrace of the hermitian matrix with sparse rows
+    {i: {j: (0, entry)}} (as hermitian_rows makes them), by the
+    row-stamped kernel."""
+    from bisect import bisect_left, insort
+
+    from knotsig.hermitian import PivotTrace
+
+    rows = {i: {j: x for j, (_, x) in row.items()} for i, row in rows.items()}
+    bareiss, zero = order.bareiss, order.zero
+    stamp = dict.fromkeys(rows, 0)
+    d, inv, pivots = [order.real_part_only(order.one)], [], []  # inv[t]: real_inverse of d[t]
+    queue = sorted((len(row), i) for i, row in rows.items() if i in row)
+
+    def catch_up(i, k):
+        # row i, stored at step t = stamp[i], is (d_k / d_t) times that at step k
+        t = stamp[i]
+        if t != k:
+            dk, inv_t = d[k], inv[t]
+            rows[i] = {j: bareiss(dk, x, zero, zero, inv_t) for j, x in rows[i].items()}
+            stamp[i] = k
+        return rows[i]
+
+    while rows:
+        k = len(pivots)
+        if not queue:
+            i = min((i for i, row in rows.items() if row), default=None)
+            if i is None:
+                return PivotTrace(tuple(pivots), len(rows))
+            # congruence repair in place: rows i and j are brought to step k;
+            # column i += conj(c) * column j combines two entries of one
+            # stored row, which share its scale
+            j = min(rows[i])
+            row_i, row_j = catch_up(i, k), catch_up(j, k)
+            c = row_i[j]
+            cc = order.conj(c)
+            for m, x in row_j.items():
+                _reference_put(row_i, m, order.add(row_i.get(m, zero), order.mul(c, x)), zero)
+            for r in row_j:
+                row_r = rows[r]
+                _reference_put(row_r, i, order.add(row_r.get(i, zero), order.mul(row_r[j], cc)),
+                               zero)
+            queue = sorted((len(row), r) for r, row in rows.items() if r in row)
+            continue
+
+        p = queue.pop(0)[1]
+        inv.append(order.real_inverse(d[k]))
+        row_p = catch_up(p, k)
+        del rows[p], stamp[p]
+        dp = order.real_part_only(row_p.pop(p))
+        pivots.append(dp)
+        d.append(dp)
+        for r in row_p:
+            x = rows[r]
+            if r in x:
+                del queue[bisect_left(queue, (len(x), r))]
+            inv_t = inv[stamp[r]]
+            a = x.pop(p)
+            out = {}
+            for m, y in row_p.items():
+                v = bareiss(dp, x.pop(m, None), a, y, inv_t)
+                if v != zero:
+                    out[m] = v
+            for m, v in x.items():
+                out[m] = bareiss(dp, v, zero, zero, inv_t)
+            rows[r] = out
+            stamp[r] = k + 1
+            if r in out:
+                insort(queue, (len(out), r))
+    return PivotTrace(tuple(pivots), 0)
+
+
+def _reference_put(row: dict, m, x, zero) -> None:
+    if x == zero:
+        row.pop(m, None)
+    else:
+        row[m] = x
+
+
+def plateau_samples(V) -> list:
+    """[(block, z), ...]: the plateau samples step_function(V) eliminates."""
+    from knotsig import signature
+
+    calls, raw = [], signature._sig_sample_raw
+
+    def recorded(B, z):
+        calls.append((B, z))
+        return raw(B, z)
+
+    signature._sig_sample_raw = recorded
+    try:
+        signature.step_function(V, include_nonbalanced=False)
+    finally:
+        signature._sig_sample_raw = raw
+    return calls

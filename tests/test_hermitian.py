@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import float_signature, float_signature_at_angle, random_sample_points
+from conftest import (float_signature, float_signature_at_angle, plateau_samples,
+                      random_sample_points, reference_eliminate)
 from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
 from knotsig.hermitian import (IntPairOrder, ScaledOrder, _eliminate, _trace_signs,
                                signature_at_root, signature_at_sample, signature_triple,
                                signatures_at_roots, symmetric_signature)
-from knotsig.knot_table import lookup
-from knotsig.seifert import SeifertMatrix, connected_blocks, connected_sum
+from knotsig.knot_table import knot_names, lookup
+from knotsig.seifert import (SeifertMatrix, alexander_polynomial, connected_blocks,
+                             connected_sum)
 from knotsig.sturm import RealRoot, isolate_real_roots
 
 
@@ -201,7 +203,7 @@ def test_repair_path_small_hermitian():
     # at z = 0 (omega = i) the form [[0, w],[conj(w), 0]] needs the repair step
     order = IntPairOrder(Fraction(0))
     w = (0, 1)
-    A = {0: {1: w}, 1: {0: order.conj(w)}}
+    A = {0: {1: (0, w)}, 1: {0: (0, order.conj(w))}}
     pos, neg, null = signature_triple(A, order)
     assert (pos, neg, null) == (1, 1, 0)
 
@@ -240,20 +242,22 @@ RESTART_V = [[-1, 1, 0, 0, 0], [0, -1, 2, 2, 2], [2, 0, -4, -3, -3], [2, 0, -3, 
 
 def _logged(order):
     """(order, points): order now appends to points, at each repair it makes,
-    the number of pivots before it.  The kernel calls conj only to repair
-    and real_inverse once per pivot."""
+    the number of pivots before it.  The kernel calls mul only to repair
+    and real_inverse once per pivot; a repair calls mul several times, and
+    a pivot always follows it, so calls between two pivots are one repair."""
     points, made = [], [0]
-    conj, inverse = order.conj, order.real_inverse
+    mul, inverse = order.mul, order.real_inverse
 
-    def logged_conj(x):
-        points.append(made[0])
-        return conj(x)
+    def logged_mul(x, y):
+        if not points or points[-1] != made[0]:
+            points.append(made[0])
+        return mul(x, y)
 
     def logged_inverse(d):
         made[0] += 1
         return inverse(d)
 
-    order.conj, order.real_inverse = logged_conj, logged_inverse
+    order.mul, order.real_inverse = logged_mul, logged_inverse
     return order, points
 
 
@@ -271,6 +275,7 @@ def test_repair_after_pivots_signs_per_root():
     roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
     order, points = _logged(ScaledOrder(q))
     trace = _eliminate(order.hermitian_rows(V), order)
+    assert trace == reference_eliminate(order.hermitian_rows(V), ScaledOrder(q))
     assert trace.pivots[:2] == ((-2, 1), (4, -3)) and points == [2]
     assert len(trace.pivots) == 5 and trace.null == 0
     assert [order.real_sign(trace.pivots[1], r) for r in roots] == [1, -1]
@@ -363,6 +368,7 @@ def test_int_pair_ring_repairs_after_pivots(z):
     # positive at z = -1/2 and negative at z = 3/2
     order, points = _logged(IntPairOrder(z))
     trace = _eliminate(order.hermitian_rows(RESTART_V), order)
+    assert trace == reference_eliminate(order.hermitian_rows(RESTART_V), IntPairOrder(z))
     assert points == [2] and len(trace.pivots) == 5
     assert order.real_sign(trace.pivots[1]) == (1 if z < 1 else -1)
     assert _trace_signs(trace, order) == _float_triple(RESTART_V, z)
@@ -389,9 +395,10 @@ def _repairs_after_pivots(trace, points, sign):
 
 def test_repair_fuzz():
     # the in-place repair over all three uses of the kernel, against
-    # eigenvalues: symmetric integer matrices over Z, hermitian forms at
-    # rational z over the int-pair ring, and at the roots of irreducible
-    # trace polynomials over ScaledOrder, the non-monic 2z^2 - 1 included
+    # eigenvalues and the reference kernel: symmetric integer matrices over
+    # Z, hermitian forms at rational z over the int-pair ring, and at the
+    # roots of irreducible trace polynomials over ScaledOrder, the
+    # non-monic 2z^2 - 1 included
     import math
 
     import numpy as np
@@ -408,8 +415,10 @@ def test_repair_fuzz():
         V = _sparse_matrix(rng, n)
         M = [[V[i][j] + V[j][i] for j in range(n)] for i in range(n)]
         order, points = _logged(IntPairOrder(Fraction(0)))
-        rows = {i: {j: (c, 0) for j, c in enumerate(row) if c} for i, row in enumerate(M)}
+        rows = {i: {j: (0, (c, 0)) for j, c in enumerate(row) if c} for i, row in enumerate(M)}
+        reference = reference_eliminate(rows, IntPairOrder(Fraction(0)))
         trace = _eliminate(rows, order)
+        assert trace == reference, M
         got = _trace_signs(trace, order)
         eigs = np.linalg.eigvalsh(np.array(M, dtype=float))
         assert got == symmetric_signature(M) == (
@@ -424,6 +433,7 @@ def test_repair_fuzz():
         z = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
         order, points = _logged(IntPairOrder(z))
         trace = _eliminate(order.hermitian_rows(V), order)
+        assert trace == reference_eliminate(order.hermitian_rows(V), IntPairOrder(z)), (V, z)
         pos, neg, null = _trace_signs(trace, order)
         t = math.acos(float(z) / 2) / (2 * math.pi)
         assert (pos - neg, null) == float_signature_at_angle(V, t), (V, z)
@@ -440,6 +450,7 @@ def test_repair_fuzz():
         q = rng.choice(traces)
         order, points = _logged(ScaledOrder(q))
         trace = _eliminate(order.hermitian_rows(V), order)
+        assert trace == reference_eliminate(order.hermitian_rows(V), ScaledOrder(q)), (V, q)
         for r in roots[q]:
             pos, neg, null = _trace_signs(trace, order, r)
             t = math.acos(float(r.mid) / 2) / (2 * math.pi)
@@ -447,3 +458,41 @@ def test_repair_fuzz():
             tally("scaled", trace, points, lambda d: order.real_sign(d, r))
     # seed 15 counts 216/177, 264/232 and 94/90 (the scaled ones per root)
     assert all(after >= 60 and negative >= 60 for after, negative in counts.values()), counts
+
+
+def _assert_reference_at_samples(V):
+    """The kernel's PivotTrace equals the reference kernel's at every
+    plateau sample of V."""
+    for B, z in plateau_samples(V):
+        order = IntPairOrder(z)
+        assert _eliminate(order.hermitian_rows(B), order) == \
+            reference_eliminate(order.hermitian_rows(B), IntPairOrder(z)), (B, z)
+
+
+def _trace_ring(q):
+    """A fresh order for the trace polynomial q, as signatures_at_roots
+    picks it."""
+    return IntPairOrder(Fraction(-q[0], q[1])) if len(q) == 2 else ScaledOrder(q)
+
+
+def test_traces_match_reference_on_table():
+    # every table knot at its plateau samples, and over the order of each
+    # breakpoint's trace polynomial
+    from knotsig.signature import breakpoint_candidates
+
+    for name in knot_names():
+        V = lookup(name)
+        _assert_reference_at_samples(V)
+        for bf in breakpoint_candidates(alexander_polynomial(V)):
+            q = bf.roots[0].trace
+            for B in V.blocks:
+                order = _trace_ring(q)
+                assert _eliminate(order.hermitian_rows(B), order) == \
+                    reference_eliminate(order.hermitian_rows(B), _trace_ring(q)), (name, q)
+
+
+@pytest.mark.parametrize("expr", ["T(3,10) # -T(2,15) # -T(5,6)", "T(5,11)", "T(2,31)",
+                                  "T(3,16)"])
+def test_traces_match_reference_on_torus_plateaus(expr):
+    # the plateau samples of the benchmark's torus_plateaus knots
+    _assert_reference_at_samples(resolve(expr))
