@@ -100,29 +100,39 @@ def factor_invariants(sf: SignatureFunction, factor: tuple) -> FactorInvariants:
 
 
 def unknotting_bound(f: FactorInvariants) -> int:
-    """The per-factor lower bound on the unknotting number.
+    """The per-factor lower bound on the unknotting number; see
+    unknotting_bound_of."""
+    return unknotting_bound_of(f.jump_max, f.sigma_min, f.sigma_max)
+
+
+def unknotting_bound_of(j: int, smin: int, smax: int) -> int:
+    """The per-factor lower bound for (J, S_min, S_max) given as ints.
 
     Mirrors internally when S_max < 0 (the unknotting number is mirror
     invariant); the two case formulas agree on the overlap S_min = J.
     """
-    if f.sigma_max < 0:
-        f = f.mirrored()
-    j, smin, smax = f.jump_max, f.sigma_min, f.sigma_max
+    if smax < 0:
+        smin, smax = -smax, -smin
     if smin <= j:
         return j + (smax - smin) // 2
     return (j + smax) // 2
 
 
 def signed_bounds(f: FactorInvariants) -> SignedBound:
-    """The four-case table of signed lower bounds, implemented verbatim."""
-    j, smin, smax = f.jump_max, f.sigma_min, f.sigma_max
+    """The four-case table of signed lower bounds; see signed_bounds_of."""
+    return SignedBound(*signed_bounds_of(f.jump_max, f.sigma_min, f.sigma_max))
+
+
+def signed_bounds_of(j: int, smin: int, smax: int) -> tuple[int, int]:
+    """(negative_to_positive, positive_to_negative) for (J, S_min, S_max)
+    given as ints: the four-case table, implemented verbatim."""
     if smax >= 0:
         if smin <= j:
-            return SignedBound((j + smax) // 2, (j - smin) // 2)
-        return SignedBound((j + smax) // 2, 0)
+            return (j + smax) // 2, (j - smin) // 2
+        return (j + smax) // 2, 0
     if -smax <= j:
-        return SignedBound((j + smax) // 2, (j - smin) // 2)
-    return SignedBound(0, (j - smin) // 2)
+        return (j + smax) // 2, (j - smin) // 2
+    return 0, (j - smin) // 2
 
 
 def combine(per_factor: list[SignedBound], classical: int) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 
-from .bounds import FactorInvariants, signed_bounds, unknotting_bound
+from .bounds import signed_bounds_of, unknotting_bound_of
 from .errors import ParityError, SearchBoundError
 from .record import Record
 
@@ -243,15 +243,6 @@ class ExhaustiveReport(Record):
         }
 
 
-def _default_total(j: int, smin: int, smax: int) -> int:
-    return unknotting_bound(FactorInvariants((), j, 2 * smin, 2 * smax))
-
-
-def _default_signed(j: int, smin: int, smax: int) -> tuple[int, int]:
-    sb = signed_bounds(FactorInvariants((), j, 2 * smin, 2 * smax))
-    return (sb.negative_to_positive, sb.positive_to_negative)
-
-
 def exhaustive_check(bound_range: int, margin: int = 6,
                      total_formula=None, signed_formula=None) -> ExhaustiveReport:
     """Compare search minima against the closed forms on all small states.
@@ -265,8 +256,8 @@ def exhaustive_check(bound_range: int, margin: int = 6,
         raise ValueError("range must be nonnegative")
     if margin < 0:
         raise ValueError("margin must be nonnegative")
-    total_formula = total_formula or _default_total
-    signed_formula = signed_formula or _default_signed
+    total_formula = total_formula or unknotting_bound_of
+    signed_formula = signed_formula or signed_bounds_of
     box = bound_range + margin
     grid = _Grid(box)
     origin = grid.index(0, 0, 0)

@@ -37,8 +37,7 @@ from math import gcd
 
 from . import intpoly as ip
 from .errors import KnotsigError
-from .hermitian import (signature_at_root, signature_at_sample as _sig_sample_raw,
-                        signatures_at_roots)
+from .hermitian import signature_at_root, signatures_at_roots, signatures_at_samples
 from .factor import factor_int_poly
 from .record import Record
 from .seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
@@ -189,7 +188,7 @@ def signature_at_sample(V: SeifertMatrix, z: Fraction) -> int:
     breakpoint factors; hitting a root raises SingularSampleError.
     """
     z = Fraction(z)
-    return sum(_sig_sample_raw(B, z) for B in V.blocks)
+    return sum(signatures_at_samples(B, [z])[0] for B in V.blocks)
 
 
 def nonbalanced_at_root(V: SeifertMatrix, r: UnitRoot) -> int:
@@ -259,7 +258,7 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
     else:
         samples.append(Fraction(0))
 
-    per_block = [[_sig_sample_raw(B, z) for z in samples] for B in V.blocks]
+    per_block = [signatures_at_samples(B, samples) for B in V.blocks]
     plateaus = tuple(sum(values[i] for values in per_block) for i in range(len(samples)))
     if plateaus[0] != 0:
         raise AssertionError("signature near omega = 1 must vanish")

@@ -680,19 +680,25 @@ def _reference_put(row: dict, m, x, zero) -> None:
         row[m] = x
 
 
-def plateau_samples(V) -> list:
-    """[(block, z), ...]: the plateau samples step_function(V) eliminates."""
+def plateau_blocks(V) -> list:
+    """[(block, samples), ...]: the blocks step_function(V) eliminates at its
+    plateau samples, each with the list of z it passes for that block."""
     from knotsig import signature
 
-    calls, raw = [], signature._sig_sample_raw
+    calls, raw = [], signature.signatures_at_samples
 
-    def recorded(B, z):
-        calls.append((B, z))
-        return raw(B, z)
+    def recorded(B, samples):
+        calls.append((B, list(samples)))
+        return raw(B, samples)
 
-    signature._sig_sample_raw = recorded
+    signature.signatures_at_samples = recorded
     try:
         signature.step_function(V, include_nonbalanced=False)
     finally:
-        signature._sig_sample_raw = raw
+        signature.signatures_at_samples = raw
     return calls
+
+
+def plateau_samples(V) -> list:
+    """[(block, z), ...]: the plateau samples step_function(V) eliminates."""
+    return [(B, z) for B, samples in plateau_blocks(V) for z in samples]

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (float_signature, float_signature_at_angle, plateau_samples,
-                      random_sample_points, reference_eliminate)
+from conftest import (MIXED_SUMS, float_signature, float_signature_at_angle, mixed_sum,
+                      plateau_blocks, plateau_samples, random_sample_points,
+                      random_seifert_matrices, reference_eliminate)
 from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
+from knotsig import plan as plan_module
 from knotsig.hermitian import (IntPairOrder, ScaledOrder, _eliminate, _trace_signs,
                                signature_at_root, signature_at_sample, signature_triple,
-                               signatures_at_roots, symmetric_signature)
+                               signatures_at_roots, signatures_at_samples, symmetric_signature)
+from knotsig.plan import record, replay
 from knotsig.knot_table import knot_names, lookup
 from knotsig.seifert import (SeifertMatrix, alexander_polynomial, connected_blocks,
                              connected_sum)
@@ -496,3 +499,132 @@ def test_traces_match_reference_on_table():
 def test_traces_match_reference_on_torus_plateaus(expr):
     # the plateau samples of the benchmark's torus_plateaus knots
     _assert_reference_at_samples(resolve(expr))
+
+
+# ---- plans: one recorded elimination per block, replayed at its other samples
+
+def _replays_at_samples(V) -> list:
+    """Check every plateau sample of V after its block's first: the block's
+    plan replays to _eliminate's PivotTrace there, and falls back exactly
+    where _eliminate makes other ring calls than at the first sample (a plan
+    recorded at that sample has other ops).  The recording run's own trace
+    is _eliminate's too.  Returns the (block, z) that fell back."""
+    fell_back = []
+    for B, samples in plateau_blocks(V):
+        first = IntPairOrder(samples[0])
+        trace, plan = record(B, IntPairOrder(samples[0]))
+        assert trace == _eliminate(first.hermitian_rows(B), first), (B, samples[0])
+        for z in samples[1:]:
+            order = IntPairOrder(z)
+            got = replay(plan, order)
+            assert (got is None) == (record(B, IntPairOrder(z))[1].ops != plan.ops), (B, z)
+            if got is None:
+                fell_back.append((B, z))
+            else:
+                assert got == _eliminate(order.hermitian_rows(B), order), (B, z)
+    return fell_back
+
+
+def test_replays_match_kernel_on_table():
+    for name in knot_names():
+        assert _replays_at_samples(lookup(name)) == [], name
+
+
+@pytest.mark.parametrize("expr,fallbacks", [
+    ("T(3,10) # -T(2,15) # -T(5,6)", []), ("T(5,11)", []), ("T(2,31)", []),
+    ("T(3,16)", [Fraction(0)]),
+    ("T(4,9)", [Fraction(-1)]), ("T(3,11)", []), ("T(5,6)", []), ("T(2,21)", [])])
+def test_replays_match_kernel_on_torus_workloads(expr, fallbacks):
+    # the knots of the benchmark's torus_plateaus and torus_nonbalanced
+    assert [z for _B, z in _replays_at_samples(resolve(expr))] == fallbacks
+
+
+def test_replays_match_kernel_on_random_matrices():
+    for V in random_seifert_matrices(60, seed=20):
+        _replays_at_samples(V)
+
+
+@pytest.mark.parametrize("expr", MIXED_SUMS)
+def test_replays_match_kernel_on_congruent_sums(expr):
+    # one dense block each, where entries cancel at many samples
+    _replays_at_samples(mixed_sum(expr)[1])
+
+
+@pytest.mark.parametrize("expr,z", [("T(3,16)", Fraction(0)), ("T(4,9)", Fraction(-1))])
+def test_fallback_gives_reference_signature(monkeypatch, expr, z):
+    # the sample's entries cancel, so its replay stops and _eliminate runs
+    (B, samples), = plateau_blocks(resolve(expr))
+    assert z in samples[1:]
+    replays = {}
+
+    def spy(plan, order):
+        replays[Fraction(order.zhat, order.l)] = out = replay(plan, order)
+        return out
+
+    monkeypatch.setattr(plan_module, "replay", spy)
+    got = signatures_at_samples(B, samples)
+    assert [w for w, out in replays.items() if out is None] == [z]
+    for w, sig in zip(samples, got):
+        order = IntPairOrder(w)
+        pos, neg, null = _trace_signs(reference_eliminate(order.hermitian_rows(B), order), order)
+        assert (sig, null) == (pos - neg, 0), w
+
+
+def test_few_samples_build_no_plan(monkeypatch):
+    # one sample (no circle roots), and up to three: a plan would not repay
+    # its recording
+    from knotsig.signature import step_function
+
+    made = []
+
+    def spy(V, order):
+        made.append(order)
+        return record(V, order)
+
+    monkeypatch.setattr(plan_module, "record", spy)
+    B = lookup("5_1").rows
+    assert signatures_at_samples(B, [Fraction(0)]) == [-2]
+    assert signature_at_sample(B, Fraction(-19, 10)) == -4
+    step_function(lookup("4_1"))  # no circle roots: one sample
+    assert signatures_at_samples(B, [Fraction(0), Fraction(-19, 10), Fraction(19, 10)]) == \
+        [-2, -4, 0]
+    assert made == []
+    assert signatures_at_samples(B, [Fraction(0), Fraction(-19, 10), Fraction(19, 10),
+                                     Fraction(1, 2)]) == [-2, -4, 0, -2]
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("samples", [
+    [Fraction(1), Fraction(0), Fraction(-1), Fraction(3, 2)],
+    [Fraction(0), Fraction(-1), Fraction(3, 2), Fraction(1)]])
+def test_singular_sample_raises_with_a_plan(samples):
+    # z = 1 is the phi_6 trace root of the trefoil, whether recorded or replayed
+    with pytest.raises(SingularSampleError):
+        signatures_at_samples(lookup("3_1").rows, samples)
+
+
+def test_replay_fuzz():
+    # plans of sparse random forms, repairs included, replayed at two more
+    # rational samples: each replay is _eliminate's trace or a fallback
+    # where _eliminate's ring calls differ
+    rng = random.Random(21)
+    counts = {"replayed": 0, "after a repair": 0, "fell back": 0}
+    for _ in range(600):
+        V = _sparse_matrix(rng, rng.randint(2, 9))
+        samples = []
+        for _ in range(3):
+            den = rng.randint(1, 12)
+            samples.append(Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den))
+        plan = record(V, IntPairOrder(samples[0]))[1]
+        for z in samples[1:]:
+            order = IntPairOrder(z)
+            got = replay(plan, order)
+            assert (got is None) == (record(V, IntPairOrder(z))[1].ops != plan.ops), (V, z)
+            if got is None:
+                counts["fell back"] += 1
+                continue
+            assert got == _eliminate(order.hermitian_rows(V), order), (V, z)
+            counts["replayed"] += 1
+            counts["after a repair"] += any(op[0] == plan_module._ADD for op in plan.ops)
+    # seed 21 counts 1090 replays, 369 of them after a repair, and 110 fallbacks
+    assert counts["after a repair"] >= 200 and counts["fell back"] >= 50, counts

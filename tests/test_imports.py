@@ -62,6 +62,17 @@ def test_oracle_check_loads_only_the_lattice_search():
     assert {"knotsig.oracle", "knotsig.bounds"} <= loaded
 
 
+def test_validation_does_not_load_plans():
+    # resolving and validating a matrix compiles no plan code, nor does a
+    # knot with three plateau samples; one with four loads it
+    loaded = loaded_after('import knotsig\nknotsig.resolve("T(5,11)")')
+    assert "knotsig.hermitian" in loaded and "knotsig.plan" not in loaded
+    loaded = loaded_after('import knotsig\nknotsig.step_function(knotsig.resolve("T(2,5)"))')
+    assert "knotsig.plan" not in loaded
+    loaded = loaded_after('import knotsig\nknotsig.step_function(knotsig.resolve("T(2,7)"))')
+    assert "knotsig.plan" in loaded
+
+
 def test_package_import_loads_no_submodule():
     loaded = loaded_after("import knotsig")
     assert "knotsig" in loaded
