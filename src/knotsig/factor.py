@@ -1,9 +1,18 @@
 """Factorization of univariate polynomials over the rationals.
 
-The pipeline is content extraction, Yun squarefree decomposition, trial
-division by cyclotomic polynomials (knot-theoretic inputs are cyclotomic-rich),
+The pipeline is content extraction, then a modular screen that splits off
+every cyclotomic factor Phi_m with its multiplicity (knot-theoretic inputs
+are cyclotomic-rich; Bradford and Davenport, Effective tests for cyclotomic
+polynomials, ISSAC '88), then Yun squarefree decomposition of the cofactor,
 then Zassenhaus: factor modulo a good small prime, Hensel lift to a modulus
 beyond the Mignotte bound, and recombine modular factors by subset search.
+
+The screen evaluates f at a primitive m-th root of unity w modulo a prime
+p = 1 (mod m), for each m with phi(m) <= deg f; since phi(m) >= sqrt(m/2),
+these m lie below 2 d^2 + 2.  The primitive m-th roots of unity mod p are
+the roots of Phi_m mod p, so a nonzero f(w) proves that Phi_m does not
+divide f; a zero is confirmed, and the multiplicity counted, by exact
+division.  Only per-m data is cached: the totient sieve and each m's (p, w).
 
 All polynomials follow the intpoly convention (ascending coefficient tuples).
 """
@@ -13,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, isqrt, log, log2
 
 from . import gfpoly as gp
@@ -205,45 +215,83 @@ def _zassenhaus(f) -> list[tuple]:
     return [g for g in factors if ip.degree(g) >= 1]
 
 
-def _factor_squarefree(f) -> list[tuple]:
-    """Irreducible factors of a primitive squarefree f with lc > 0.
+_TOTIENTS = [0, 1]
 
-    Cyclotomic trial division runs first: the polynomials coming from knots
-    are dominated by cyclotomic factors, and division is far cheaper than
-    lifting.  The totient filter avoids even materializing cyclotomics of
-    degree beyond deg f.
-    """
+
+def _totients(n: int) -> list[int]:
+    """Euler's phi of 0..n (or further), from a sieve kept between calls."""
+    global _TOTIENTS
+    if len(_TOTIENTS) <= n:
+        phi = list(range(n + 1))
+        for i in range(2, n + 1):
+            if phi[i] == i:  # untouched by every smaller prime: i is prime
+                phi[i::i] = [v - v // i for v in phi[i::i]]
+        _TOTIENTS = phi
+    return _TOTIENTS
+
+
+@lru_cache(maxsize=None)
+def _unity_root(m: int) -> tuple[int, int]:
+    """(p, w): the least prime p = 1 (mod m) and a primitive m-th root of
+    unity w modulo p."""
+    p = m + 1
+    while any(p % e == 0 for e in range(2, isqrt(p) + 1)):
+        p += m
+    for g in range(1, p):
+        w = pow(g, (p - 1) // m, p)
+        # of order exactly m: w**k != 1 for every proper divisor k of m
+        if all(pow(w, k, p) != 1 for k in range(1, m) if m % k == 0):
+            return p, w
+    raise ArithmeticError("no primitive root of unity")  # unreachable: GF(p)* is cyclic
+
+
+def _cyclotomic_split(f) -> tuple[tuple, list[tuple[tuple, int, int]]]:
+    """(cofactor, [(Phi_m, k, m), ...]) with f = cofactor * prod Phi_m**k and
+    no Phi_m dividing the cofactor, for a primitive f with lc > 0 (module
+    docstring)."""
     out = []
-    for m in range(1, 121):
-        if ip.totient(m) > ip.degree(f):
+    d = ip.degree(f)
+    phi = _totients(2 * d * d + 2)
+    m = 0
+    while m < 2 * d * d + 2:
+        m += 1
+        if phi[m] > d:
             continue
-        phi = ip.cyclotomic(m)
-        q, r = _divmod_monic(f, phi)
-        if not r:
-            out.append(phi)
-            f = q
-    if ip.degree(f) >= 1:
-        out.extend(_zassenhaus(f))
-    return out
+        p, w = _unity_root(m)
+        k = 0
+        while True:
+            v = 0
+            for c in reversed(f):
+                v = (v * w + c) % p
+            if v:
+                break
+            q, r = _divmod_monic(f, ip.cyclotomic(m))
+            if r:
+                break
+            f, k = q, k + 1
+        if k:
+            out.append((ip.cyclotomic(m), k, m))
+            d = ip.degree(f)
+    return f, out
 
 
-def factor_int_poly(f) -> tuple[int, list[tuple[tuple, int]]]:
+def factor_int_poly(f, indexed: bool = False) -> tuple[int, list[tuple]]:
     """Factor an integer polynomial into content and irreducible parts.
 
     Returns (c, [(g, k), ...]) with f = c * prod g**k, each g irreducible
     over Q, primitive with positive leading coefficient, sorted by degree
-    then coefficients.
+    then coefficients.  With indexed, each entry is (g, k, m), where m is
+    the n with g = Phi_n, or None when g is not cyclotomic.
     """
     f = ip.trim(f)
     if ip.is_zero(f):
         raise ValueError("cannot factor the zero polynomial")
     c, pp = ip.primitive(f)
-    result: dict[tuple, int] = {}
-    for part, mult in ip.squarefree_decomposition(pp):
-        for g in _factor_squarefree(part):
-            result[tuple(g)] = result.get(tuple(g), 0) + mult
-    factors = sorted(result.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return c, [(g, k) for g, k in factors]
+    rest, factors = _cyclotomic_split(pp)
+    for part, mult in ip.squarefree_decomposition(rest):
+        factors.extend((g, mult, None) for g in _zassenhaus(part))
+    factors.sort(key=lambda gkm: (len(gkm[0]), gkm[0]))
+    return c, factors if indexed else [(g, k) for g, k, _ in factors]
 
 
 def factor_rational_poly(f) -> tuple[Fraction, list[tuple[tuple, int]]]:

@@ -87,9 +87,9 @@ that each bareiss and add result is zero exactly where it was when
 recorded.  A replay that passes every check has made _eliminate's ring
 calls, so it returns _eliminate's PivotTrace; at the first mismatch
 (entries that cancel at that sample only, as in T(3,16) at z = 0) the
-sample goes through _eliminate and the plan is kept.  A block with fewer
-than _PLAN_MIN_SAMPLES samples makes no plan, and no plan outlives the
-call.
+sample goes through _eliminate and the plan is kept, unless that is the
+second fallback in a row.  A block with fewer than _PLAN_MIN_SAMPLES
+samples makes no plan, and no plan outlives the call.
 
 Each function eliminates exactly the matrix it is given.  Callers pass the
 connected blocks of a Seifert matrix (SeifertMatrix.blocks) one at a time
@@ -500,6 +500,10 @@ def _put(row: dict, m, x, s, zero) -> None:
 # 0.6, on random 2-12 blocks and torus blocks alike, so 2 samples lose and 3
 # gain some 5 %; a fresh process also compiles knotsig.plan first (~1.7 ms).
 _PLAN_MIN_SAMPLES = 4
+# A plan is dropped after this many fallbacks in a row: where the block's
+# entries keep cancelling, a replay that stops part way only adds to the
+# _eliminate run after it.
+_PLAN_MAX_MISSES = 2
 
 
 def signatures_at_samples(V, samples) -> list[int]:
@@ -509,8 +513,10 @@ def signatures_at_samples(V, samples) -> list[int]:
 
     With at least _PLAN_MIN_SAMPLES samples, the first is eliminated over a
     plan.Recorder and every later one replays its plan, or goes through
-    _eliminate where the replay finds another zero pattern.  The plan
-    lives only for this call.
+    _eliminate where the replay finds another zero pattern.  After
+    _PLAN_MAX_MISSES such fallbacks in a row the plan is dropped and the
+    remaining samples go through _eliminate.  The plan lives only for this
+    call.
 
     Raises SingularSampleError when the matrix is singular at a sample (z
     hit a root of a symmetric factor).
@@ -520,15 +526,20 @@ def signatures_at_samples(V, samples) -> list[int]:
     planned = len(samples) >= _PLAN_MIN_SAMPLES
     if planned:
         from .plan import record, replay
-    out, plan = [], None
+    out, plan, misses = [], None, 0
     for z in samples:
         order = IntPairOrder(z)
-        trace = None if plan is None else replay(plan, order)
+        trace = None
+        if plan is not None:
+            trace = replay(plan, order)
+            misses = 0 if trace is not None else misses + 1
+            if misses == _PLAN_MAX_MISSES:
+                plan = None
+        elif planned:
+            trace, plan = record(V, order)
+            planned = False
         if trace is None:
-            if plan is None and planned:
-                trace, plan = record(V, order)
-            else:
-                trace = _eliminate(order.hermitian_rows(V), order)
+            trace = _eliminate(order.hermitian_rows(V), order)
         pos, neg, null = _trace_signs(trace, order)
         if null:
             raise SingularSampleError(f"sample z = {z} is a root of the Alexander polynomial")

@@ -33,7 +33,7 @@ blocks still take the rule above.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import cos, gcd, pi
 
 from . import intpoly as ip
 from .errors import KnotsigError
@@ -49,8 +49,9 @@ class UnitRoot(Record):
 
     x_factor is the irreducible self-reciprocal factor of the Alexander
     polynomial it comes from; trace its trace polynomial (irreducible over
-    Q); root isolates z = 2*cos(2*pi*t) in (-2, 2).  For cyclotomic factors
-    the angle is exactly rational and exact_t is set.
+    Q); root isolates z = 2*cos(2*pi*t) in (-2, 2).  For x_factor = Phi_n,
+    cyclotomic is n, carried from the modular screen of factor_int_poly, and
+    the angle t = k/n is exact and set as exact_t.
     """
 
     __slots__ = ("x_factor", "trace", "root", "cyclotomic", "exact_t")
@@ -137,16 +138,6 @@ class SignatureFunction(Record):
                        bp.nonbalanced) for bp in self.breakpoints))
 
 
-def _cyclotomic_index(f) -> int | None:
-    d = ip.degree(f)
-    # deg Phi_n = totient(n) >= sqrt(n/2), so n <= 2 d^2 + 2 covers every
-    # candidate index; only the Phi_n of degree d are built
-    for n in range(1, 2 * d * d + 3):
-        if ip.totient(n) == d and ip.cyclotomic(n) == tuple(f):
-            return n
-    return None
-
-
 def breakpoint_candidates(delta: tuple) -> list[BreakpointFactor]:
     """The irreducible self-reciprocal factors of delta with circle roots.
 
@@ -157,22 +148,25 @@ def breakpoint_candidates(delta: tuple) -> list[BreakpointFactor]:
     if ip.is_zero(delta):
         raise ValueError("zero Alexander polynomial")
     _, prim = ip.primitive(delta)
-    _, factors = factor_int_poly(prim)
+    _, factors = factor_int_poly(prim, indexed=True)
     out = []
-    for f, mult in factors:
+    for f, mult, n in factors:
         if tuple(f) != tuple(reversed(f)) or ip.degree(f) % 2 != 0 or ip.degree(f) == 0:
             continue
         q = ip.to_trace_poly(f)
-        roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
+        if n is None:
+            roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
+            exact_ts: list[Fraction | None] = [None] * len(roots)
+        else:
+            # the roots of q are 2 cos(2 pi k/n), k < n/2 prime to n
+            ks = [k for k in range(1, (n + 1) // 2) if gcd(k, n) == 1]
+            roots = isolate_real_roots(q, Fraction(-2), Fraction(2),
+                                       [2 * cos(2 * pi * k / n) for k in ks])
+            assert len(ks) == len(roots)
+            exact_ts = [Fraction(k, n) for k in ks]
         if not roots:
             continue
         roots = list(reversed(roots))  # decreasing z = increasing t
-        n = _cyclotomic_index(f)
-        exact_ts: list[Fraction | None] = [None] * len(roots)
-        if n is not None:
-            ks = [k for k in range(1, (n + 1) // 2) if gcd(k, n) == 1 and 2 * k < n]
-            assert len(ks) == len(roots)
-            exact_ts = [Fraction(k, n) for k in sorted(ks)]
         unit_roots = tuple(
             UnitRoot(x_factor=tuple(f), trace=q, root=r, cyclotomic=n, exact_t=t)
             for r, t in zip(roots, exact_ts))

@@ -7,6 +7,7 @@ change.  Intervals only ever shrink; the represented number never changes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -149,17 +150,47 @@ class RealRoot:
         return f"RealRoot([{self._lo}, {self._hi}])"
 
 
-def isolate_real_roots(q, lo: Fraction, hi: Fraction) -> list[RealRoot]:
+def _bisect_by_guesses(q, lo: Fraction, hi: Fraction, guesses) -> list[RealRoot] | None:
+    """isolate_real_roots' bisection with the float guesses in place of the
+    Sturm counts, or None where a check fails (isolate_real_roots)."""
+    leaves = []
+
+    def rec(x: Fraction, y: Fraction, zs: list, depth: int) -> None:
+        # zs: the guesses in (x, y]; past 64 halvings they are equal floats
+        if len(zs) == 1:
+            leaves.append(RealRoot(q, x, y))  # checks the sign change
+        elif zs:
+            m = (x + y) / 2
+            if sign_at(q, m) == 0 or depth == 64:
+                raise ValueError("a bisection point is a root, or guesses coincide")
+            k = bisect_right(zs, float(m))
+            rec(x, m, zs[:k], depth + 1)
+            rec(m, y, zs[k:], depth + 1)
+
+    try:
+        rec(lo, hi, sorted(guesses), 0)
+    except ValueError:
+        return None
+    return leaves if len(leaves) == ip.degree(q) else None
+
+
+def isolate_real_roots(q, lo: Fraction, hi: Fraction, guesses=None) -> list[RealRoot]:
     """Isolating intervals for all roots of squarefree q in the open (lo, hi).
 
     The returned RealRoots are pairwise disjoint, sorted increasing, strictly
     inside (lo, hi), and jointly exhaustive (Sturm-certified counts).
+
+    guesses, if given, are floats proposed as all deg q roots of q, every
+    one in (lo, hi), such as the trace roots 2 cos(2 pi k/n) of Phi_n.  They
+    take the place of the Sturm counts in the same bisection, and each step
+    is checked exactly: every bisection point has a nonzero sign, every leaf
+    a sign change, and there are deg q leaves.  Then each leaf holds exactly
+    one root and q has no other, so the counts are Sturm's and so are the
+    intervals.  Any failed check falls back to Sturm.
     """
     q = ip.primitive(q)[1]
     if ip.degree(q) < 0:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if not is_squarefree(q):
-        raise SquarefreeError("root isolation requires a squarefree polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     def solve(poly, a: Fraction, b: Fraction) -> list[RealRoot]:
         # roots strictly inside (a, b); poly may vanish at the endpoints
@@ -186,7 +217,11 @@ def isolate_real_roots(q, lo: Fraction, hi: Fraction) -> list[RealRoot]:
 
         return rec(a, b, _variations(chain, a), _variations(chain, b))
 
-    roots = solve(q, lo, hi)
+    roots = None if guesses is None else _bisect_by_guesses(q, lo, hi, guesses)
+    if roots is None:
+        if not is_squarefree(q):
+            raise SquarefreeError("root isolation requires a squarefree polynomial")
+        roots = solve(q, lo, hi)
     for r in roots:
         r.refine_strictly_inside(lo, hi)
     for a, b in zip(roots, roots[1:]):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import kronecker_has_factor
 from knotsig import intpoly as ip
-from knotsig.factor import factor_int_poly, factor_rational_poly, is_irreducible
+from knotsig.factor import (_cyclotomic_split, _zassenhaus, factor_int_poly,
+                            factor_rational_poly, is_irreducible)
 
 
 def reassemble(c, factors):
@@ -125,6 +126,32 @@ def test_big_cyclotomic_beyond_trial_range():
     assert ip.degree(f) == 126
     _, factors = factor_int_poly(ip.mul(f, (1, 1)))
     assert (tuple(f), 1) in factors
+
+
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)  # irreducible, not cyclotomic
+
+
+@pytest.mark.parametrize("cyclotomics", [{122: 1}, {134: 1, 402: 1}, {121: 2}])
+def test_screen_splits_cyclotomics_past_120(cyclotomics):
+    # Phi_122 is the first factor of a torus knot's Delta past the old
+    # trial-division range (T(2,61)); Phi_134 Phi_402 Phi_6 is T(2,201)'s
+    f = LEHMER
+    for m, k in cyclotomics.items():
+        for _ in range(k):
+            f = ip.mul(f, ip.cyclotomic(m))
+    rest, split = _cyclotomic_split(f)
+    assert {m: k for _g, k, m in split} == cyclotomics
+    assert all(g == ip.cyclotomic(m) for g, _k, m in split)
+    back = rest
+    for g, k, _m in split:
+        for _ in range(k):
+            back = ip.mul(back, g)
+    assert back == f
+    assert rest == LEHMER and _zassenhaus(rest) == [LEHMER]
+    _, factors = factor_int_poly(f, indexed=True)
+    assert factors == sorted([(ip.cyclotomic(m), k, m) for m, k in cyclotomics.items()]
+                             + [(LEHMER, 1, None)], key=lambda gkm: (len(gkm[0]), gkm[0]))
+    assert factor_int_poly(f)[1] == [(g, k) for g, k, _m in factors]
 
 
 def test_swinnerton_dyer_recombination():

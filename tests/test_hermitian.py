@@ -570,6 +570,26 @@ def test_fallback_gives_reference_signature(monkeypatch, expr, z):
         assert (sig, null) == (pos - neg, 0), w
 
 
+def test_plan_dropped_after_two_fallbacks_in_a_row(monkeypatch):
+    # every sample of the congruent one-block T(3,4) # T(3,4) cancels its
+    # own way: its 2nd and 3rd samples fall back, so the 4th is not replayed
+    (B, samples), = plateau_blocks(mixed_sum("T(3,4) # T(3,4)")[1])
+    assert len(samples) == 4
+    replays = []
+
+    def spy(plan, order):
+        replays.append(out := replay(plan, order))
+        return out
+
+    monkeypatch.setattr(plan_module, "replay", spy)
+    got = signatures_at_samples(B, samples)
+    assert replays == [None, None]
+    for w, sig in zip(samples, got):
+        order = IntPairOrder(w)
+        pos, neg, null = _trace_signs(reference_eliminate(order.hermitian_rows(B), order), order)
+        assert (sig, null) == (pos - neg, 0), w
+
+
 def test_few_samples_build_no_plan(monkeypatch):
     # one sample (no circle roots), and up to three: a plan would not repay
     # its recording

@@ -10,8 +10,9 @@ from knotsig.hermitian import signatures_at_roots
 from knotsig.knot_table import lookup
 from knotsig.seifert import (SeifertMatrix, alexander_polynomial, block_alexander_polynomials,
                              connected_blocks)
-from knotsig.signature import (_cyclotomic_index, _repeated_blocks, breakpoint_candidates,
-                               nonbalanced_at_root, signature_at_sample, step_function)
+from knotsig.factor import factor_int_poly
+from knotsig.signature import (_repeated_blocks, breakpoint_candidates, nonbalanced_at_root,
+                               signature_at_sample, step_function)
 
 
 def test_breakpoints_of_cinquefoil():
@@ -121,7 +122,12 @@ def _cyclotomic_index_brute(f):
     (1, -1, 0, 1, -1, 1, 0, -1, 1),
 ])
 def test_cyclotomic_index_scans_only_matching_degrees(f):
-    assert _cyclotomic_index(f) == _cyclotomic_index_brute(f)
+    # the index each factor carries out of the modular screen, which tests
+    # only the Phi_m of degree <= deg f, is the brute-force one
+    _, factors = factor_int_poly(f, indexed=True)
+    assert [m for g, _k, m in factors] == [_cyclotomic_index_brute(g) for g, _k, _m in factors]
+    carried = factors[0][2] if [(g, k) for g, k, _m in factors] == [(tuple(f), 1)] else None
+    assert carried == _cyclotomic_index_brute(f)
 
 
 def _int_tuple(t) -> bool:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import cos, gcd, pi
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from conftest import eval_at
 from knotsig import intpoly as ip
 from knotsig import sturm
 from knotsig.errors import SquarefreeError
-from knotsig.sturm import (RealRoot, count_roots_open, isolate_real_roots,
-                           sign_at, sturm_chain)
+from knotsig.sturm import (RealRoot, _bisect_by_guesses, count_roots_open,
+                           isolate_real_roots, sign_at, sturm_chain)
 
 
 def test_golden_pair():
@@ -151,3 +152,47 @@ def test_integer_sign_at_matches_fraction_horner():
         zeros += v == 0
     assert zeros >= 100
     assert sign_at((5, -3), 2) == -1  # an int point
+
+
+def _angles(n: int) -> list[float]:
+    # the roots 2 cos(2 pi k/n) of the trace polynomial of Phi_n
+    return [2 * cos(2 * pi * k / n) for k in range(1, (n + 1) // 2) if gcd(k, n) == 1]
+
+
+def _intervals(roots) -> list:
+    return [(r.lo, r.hi) for r in roots]
+
+
+def test_cyclotomic_angles_give_sturm_intervals():
+    # the guided bisection certifies every Phi_n, n <= 150, without Sturm
+    two = Fraction(2)
+    for n in range(3, 151):
+        q = ip.to_trace_poly(ip.cyclotomic(n))
+        assert _bisect_by_guesses(q, -two, two, _angles(n)) is not None, n
+        assert _intervals(isolate_real_roots(q, -two, two, _angles(n))) == \
+            _intervals(isolate_real_roots(q, -two, two)), n
+
+
+@pytest.mark.parametrize("n,guesses,certified", [
+    (7, _angles(7)[:1], False),                      # too few: one leaf on (-2, 2)
+    (31, _angles(31)[:5] + _angles(31)[7:], False),  # two roots missing
+    (31, _angles(31) + [1.5], False),                # one too many
+    (30, [-g for g in _angles(30)], False),          # mirrored: two roots in a leaf
+    (45, _angles(90), False),                        # another polynomial's roots
+    (45, _angles(45)[:1] * 12, False),               # all equal
+    (30, [g + 0.02 for g in _angles(30)], True),     # every angle off, none past a midpoint
+    (12, [0.0, 1.7], True),                          # a midpoint and a near miss
+    (5, [-3.0, 3.0], True),                          # outside (-2, 2), on the right sides
+])
+def test_wrong_guesses_still_give_sturm_intervals(n, guesses, certified):
+    # a wrong proposal either fails a check or still isolates every root
+    two = Fraction(2)
+    q = ip.to_trace_poly(ip.cyclotomic(n))
+    assert (_bisect_by_guesses(q, -two, two, guesses) is not None) == certified
+    assert _intervals(isolate_real_roots(q, -two, two, guesses)) == \
+        _intervals(isolate_real_roots(q, -two, two))
+
+
+def test_guesses_do_not_skip_the_squarefree_check():
+    with pytest.raises(SquarefreeError):
+        isolate_real_roots(ip.mul((1, 1), (1, 1)), Fraction(-3), Fraction(3), [-1.0, -1.0])
