@@ -77,7 +77,7 @@ The plateau samples of one block nearly always share their pattern of
 nonzeros, and with it their pivot order and ring calls: the kernel branches
 only on whether a bareiss or add result is zero (a product, rescale or
 conjugate of nonzero elements is nonzero, Z[what] being a domain).  So
-signatures_at_samples eliminates the first sample of a block over
+a block's sampler eliminates the first sample it is given over
 plan.Recorder, an IntPairOrder whose elements carry the slot they were
 written to, and which writes each ring call as one op (opcode and slots)
 of a plan: symbolic analysis once, numeric factorisation per sample
@@ -88,8 +88,8 @@ recorded.  A replay that passes every check has made _eliminate's ring
 calls, so it returns _eliminate's PivotTrace; at the first mismatch
 (entries that cancel at that sample only, as in T(3,16) at z = 0) the
 sample goes through _eliminate and the plan is kept, unless that is the
-second fallback in a row.  A block with fewer than _PLAN_MIN_SAMPLES
-samples makes no plan, and no plan outlives the call.
+second fallback in a row.  A block with fewer than _PLAN_MIN_ROOTS
+breakpoints of its own makes no plan, and no plan outlives its sampler.
 
 Each function eliminates exactly the matrix it is given.  Callers pass the
 connected blocks of a Seifert matrix (SeifertMatrix.blocks) one at a time
@@ -495,39 +495,44 @@ def _put(row: dict, m, x, s, zero) -> None:
         row[m] = (s, x)
 
 
-# A block makes a plan only from this many samples on.  In-process,
+# A block makes a plan only from this many breakpoints of its own on.  Its
+# walk (signature._walk) evaluates at most one sample more than that, and
+# often fewer, so the rule reads the roots, not the samples.  In-process,
 # recording costs about 1.7 eliminations of the sample and a replay about
-# 0.6, on random 2-12 blocks and torus blocks alike, so 2 samples lose and 3
-# gain some 5 %; a fresh process also compiles knotsig.plan first (~1.7 ms).
-_PLAN_MIN_SAMPLES = 4
+# 0.6, and a fresh process also compiles knotsig.plan first (~1.7 ms).
+_PLAN_MIN_ROOTS = 3
 # A plan is dropped after this many fallbacks in a row: where the block's
 # entries keep cancelling, a replay that stops part way only adds to the
 # _eliminate run after it.
 _PLAN_MAX_MISSES = 2
 
 
-def signatures_at_samples(V, samples) -> list[int]:
-    """Exact signatures of (1-omega)V + (1-conj(omega))V^T at the unit-circle
-    points with omega + conj(omega) = z, one per z in samples, each rational
-    in (-2, 2) and off the roots of the Alexander polynomial.
+def sampler(V, roots: int):
+    """The function z -> exact signature of (1-omega)V + (1-conj(omega))V^T
+    at the unit-circle point with omega + conj(omega) = z, for z rational in
+    (-2, 2) and off the roots of the Alexander polynomial; roots is the
+    number of breakpoints of V's own (circle roots of its Alexander
+    polynomial) that the caller walks across.
 
-    With at least _PLAN_MIN_SAMPLES samples, the first is eliminated over a
-    plan.Recorder and every later one replays its plan, or goes through
-    _eliminate where the replay finds another zero pattern.  After
-    _PLAN_MAX_MISSES such fallbacks in a row the plan is dropped and the
-    remaining samples go through _eliminate.  The plan lives only for this
-    call.
+    With roots >= _PLAN_MIN_ROOTS, the first sample it is called at is
+    eliminated over a plan.Recorder and every later one replays its plan,
+    or goes through _eliminate where the replay finds another zero
+    pattern.  After _PLAN_MAX_MISSES such fallbacks in a row the plan is
+    dropped and later samples go through _eliminate.  The plan lives as
+    long as the function.
 
-    Raises SingularSampleError when the matrix is singular at a sample (z
-    hit a root of a symmetric factor).
+    The function raises SingularSampleError when the matrix is singular at
+    its sample (z hit a root of a symmetric factor).
     """
     if len(V) == 0:
-        return [0] * len(samples)
-    planned = len(samples) >= _PLAN_MIN_SAMPLES
+        return lambda z: 0
+    planned = roots >= _PLAN_MIN_ROOTS
     if planned:
         from .plan import record, replay
-    out, plan, misses = [], None, 0
-    for z in samples:
+    plan, misses = None, 0
+
+    def signature_at(z) -> int:
+        nonlocal planned, plan, misses
         order = IntPairOrder(z)
         trace = None
         if plan is not None:
@@ -545,8 +550,16 @@ def signatures_at_samples(V, samples) -> list[int]:
             raise SingularSampleError(f"sample z = {z} is a root of the Alexander polynomial")
         sig = pos - neg
         assert sig % 2 == 0, "signature at a nonsingular point must be even"
-        out.append(sig)
-    return out
+        return sig
+
+    return signature_at
+
+
+def signatures_at_samples(V, samples) -> list[int]:
+    """The sampler's signatures at every z in samples, in order: the
+    plateau samples of a walk across len(samples) - 1 roots."""
+    at = sampler(V, len(samples) - 1)
+    return [at(z) for z in samples]
 
 
 def signature_at_sample(V, z: Fraction) -> int:

@@ -30,8 +30,6 @@ current one.
 
 from __future__ import annotations
 
-import heapq
-
 from .bounds import signed_bounds_of, unknotting_bound_of
 from .errors import ParityError, SearchBoundError
 from .record import Record
@@ -178,32 +176,26 @@ def minimal_moves(start: LatticeState, margin: int = 6) -> MovesResult:
         cur -= grid.steps[k]
     witness.reverse()
 
-    def lex_min() -> tuple:
-        # minimize (total, number of '-' moves) lexicographically
-        best: dict[int, tuple] = {source: (0, 0)}
-        heap = [((0, 0), source)]
-        while heap:
-            cost, s = heapq.heappop(heap)
-            if cost > best[s]:
-                continue
-            for name, step in zip(_MOVE_NAMES, grid.steps):
+    # the least number of '-' moves over the shortest paths: a DP over the
+    # sweep's levels, each state from its predecessors one level closer
+    minus = [name.endswith("-") for name in _MOVE_NAMES]
+    fewest = {source: 0}
+    for d in range(1, total + 1):
+        ahead = {}
+        for s, n in fewest.items():
+            for is_minus, step in zip(minus, grid.steps):
                 t = s + step
-                if grid.blank[t] < 0:
-                    continue
-                nc = (cost[0] + 1, cost[1] + (1 if name.endswith("-") else 0))
-                if nc < best.get(t, (_UNSEEN, 0)):
-                    best[t] = nc
-                    heapq.heappush(heap, (nc, t))
-        tot, n = best[target]
-        assert tot == total
-        return (n, tot - n)
+                if dist[t] == d and ahead.get(t, _UNSEEN) > n + is_minus:
+                    ahead[t] = n + is_minus
+        fewest = ahead
+    n = fewest[target]
 
     return MovesResult(
         total=total,
         witness=tuple(witness),
         min_negative_to_positive=_sweep(grid, source, "-")[0][target],
         min_positive_to_negative=_sweep(grid, source, "+")[0][target],
-        lex_split=lex_min(),
+        lex_split=(n, total - n),
     )
 
 

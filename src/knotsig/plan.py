@@ -9,9 +9,9 @@ exact-division and real-pivot asserts, and checks every bareiss and add
 result against the zero pattern recorded; at the first mismatch it
 returns None, and the caller eliminates that sample with the kernel.
 
-hermitian.signatures_at_samples imports this module only for a block with
-enough samples to repay a plan, so validating a Seifert matrix, or a
-knot whose blocks have few samples, never compiles it.
+hermitian.sampler imports this module only for a block with enough
+breakpoints of its own to repay a plan, so validating a Seifert matrix, or
+a knot whose blocks have few breakpoints, never compiles it.
 """
 
 from __future__ import annotations

@@ -28,16 +28,31 @@ add over blocks.  Where f repeats inside a block (Phi_6^2 in 8_20) that
 block's value is not determined by its plateaus, and it is computed by
 exact congruence diagonalization over the number field of f; the other
 blocks still take the rule above.
+
+The same branches bound each block's jumps.  Across w0 a branch that
+vanishes to order k changes its sign only when k is odd, and the block's
+signature moves by 2 for each branch that does, so its jump
+J_B(w0) = sigma_B(w0+) - sigma_B(w0-) has |J_B(w0)| <= 2*ord_{w0} Delta_B.
+Between two samples the block's value therefore moves by at most M, the sum
+of 2*ord Delta_B over the roots between them, and it moves by exactly M
+only if every one of those jumps is 2*ord Delta_B with one sign: the values
+in between are forced.  So each block's plateau values come from a
+bisection of its walk (_walk): its first and last samples are eliminated,
+an interval whose two ends differ by M is filled, and any other interval
+is split at the sample that halves M most evenly.  An interval without
+roots of Delta_B (M = 0) is filled at once, so a block is never eliminated
+at the roots of another.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import cos, gcd, pi
 
 from . import intpoly as ip
-from .errors import KnotsigError
-from .hermitian import signature_at_root, signatures_at_roots, signatures_at_samples
+from .errors import DivisibilityError, KnotsigError
+from .hermitian import sampler, signature_at_root, signatures_at_roots
 from .factor import factor_int_poly
 from .record import Record
 from .seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
@@ -182,7 +197,7 @@ def signature_at_sample(V: SeifertMatrix, z: Fraction) -> int:
     breakpoint factors; hitting a root raises SingularSampleError.
     """
     z = Fraction(z)
-    return sum(signatures_at_samples(B, [z])[0] for B in V.blocks)
+    return sum(sampler(B, 0)(z) for B in V.blocks)
 
 
 def nonbalanced_at_root(V: SeifertMatrix, r: UnitRoot) -> int:
@@ -203,26 +218,78 @@ def _separate_all(roots: list[UnitRoot]) -> None:
             return
 
 
-def _repeated_blocks(blocks, factors) -> list[tuple[BreakpointFactor, list[int]]]:
-    """[(factor, indices of the blocks it repeats in), ...] for the factors
-    whose square divides one of the block polynomials
-    (block_alexander_polynomials); every other factor is simple in each
-    block.
+def _plateau_points(factors) -> tuple[list[UnitRoot], list[Fraction]]:
+    """(roots, samples): the circle roots of the breakpoint factors,
+    separated and ordered by increasing t, and the plateau samples, one
+    rational z before, between and after them (z = 0 without roots)."""
+    roots = [ur for bf in factors for ur in bf.roots]
+    _separate_all(roots)
+    roots.sort(key=lambda u: u.root.lo, reverse=True)  # decreasing z = increasing t
+    if not roots:
+        return roots, [Fraction(0)]
+    samples = [(roots[0].root.hi + 2) / 2]
+    samples += [(a.root.lo + b.root.hi) / 2 for a, b in zip(roots, roots[1:])]
+    samples.append((roots[-1].root.lo - 2) / 2)
+    return roots, samples
 
-    A factor of total multiplicity 1 is simple in every block, and with one
-    block the total multiplicity is the block's, so the block polynomials
-    are only divided for a repeated factor of a matrix with several blocks.
+
+def _block_multiplicities(blocks, factors) -> dict[tuple, list[int]]:
+    """{x_factor: [its multiplicity in each block polynomial], ...} for the
+    breakpoint factors, blocks as block_alexander_polynomials gives them.
+
+    With one block these are the factors' multiplicities in Delta.
+    Otherwise each distinct block polynomial is divided by the factor for
+    as long as the division is exact.
     """
-    repeated = [bf for bf in factors if bf.multiplicity >= 2]
     if len(blocks) == 1:
-        return [(bf, [0]) for bf in repeated]
-    out = []
-    for bf in repeated:
-        square = ip.mul(bf.x_factor, bf.x_factor)
-        hit = [b for b, p in enumerate(blocks) if ip.is_zero(ip.pseudo_rem(p, square))]
-        if hit:
-            out.append((bf, hit))
+        return {bf.x_factor: [bf.multiplicity] for bf in factors}
+    out = {}
+    for bf in factors:
+        of: dict[tuple, int] = {}
+        for p in blocks:
+            if p not in of:
+                q, m = p, 0
+                try:
+                    while True:
+                        q = ip.div_exact(q, bf.x_factor)
+                        m += 1
+                except DivisibilityError:
+                    of[p] = m
+        out[bf.x_factor] = [of[p] for p in blocks]
     return out
+
+
+def _walk(B, samples: list, weights: list) -> list[int]:
+    """The signatures of the block B at every sample, by bisecting its walk
+    (module docstring).  weights[k] is 2*ord Delta_B at the root between
+    samples k and k + 1; only the samples that the jump bound leaves open
+    are eliminated, in the order the bisection reaches them.
+
+    Raises AssertionError where two evaluated samples differ by more than
+    the bound allows.
+    """
+    at = sampler(B, len(weights) - weights.count(0))
+    last = len(samples) - 1
+    values = [at(samples[0])] + [None] * last
+    if last:
+        values[last] = at(samples[last])
+    todo = [(0, last)]
+    while todo:
+        i, j = todo.pop()
+        bound, step = sum(weights[i:j]), values[j] - values[i]
+        if abs(step) > bound:
+            raise AssertionError("a block's signature moved past its jump bound")
+        if abs(step) == bound:
+            sign = 1 if step > 0 else -1
+            for k in range(i + 1, j):
+                values[k] = values[k - 1] + sign * weights[k - 1]
+        elif j - i > 1:
+            # the sample k that splits the bound most evenly
+            below = list(accumulate(weights[i:j - 1]))
+            k = i + 1 + min(range(j - i - 1), key=lambda n: abs(2 * below[n] - bound))
+            values[k] = at(samples[k])
+            todo += [(k, j), (i, k)]
+    return values
 
 
 def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> SignatureFunction:
@@ -238,22 +305,12 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
     blocks = block_alexander_polynomials(V)
     delta = alexander_polynomial(V, blocks)
     factors = breakpoint_candidates(delta)
-    roots = [ur for bf in factors for ur in bf.roots]
+    roots, samples = _plateau_points(factors)
+    mults = _block_multiplicities(blocks, factors)
     mult_of = {bf.x_factor: bf.multiplicity for bf in factors}
-    _separate_all(roots)
-    roots.sort(key=lambda u: u.root.lo, reverse=True)  # decreasing z = increasing t
-
-    samples: list[Fraction] = []
-    if roots:
-        samples.append((roots[0].root.hi + 2) / 2)
-        for a, b in zip(roots, roots[1:]):
-            samples.append((a.root.lo + b.root.hi) / 2)
-        samples.append((roots[-1].root.lo - 2) / 2)
-    else:
-        samples.append(Fraction(0))
-
-    per_block = [signatures_at_samples(B, samples) for B in V.blocks]
-    plateaus = tuple(sum(values[i] for values in per_block) for i in range(len(samples)))
+    per_block = [_walk(B, samples, [2 * mults[ur.x_factor][b] for ur in roots])
+                 for b, B in enumerate(V.blocks)]
+    plateaus = tuple(map(sum, zip(*per_block))) if per_block else (0,) * len(samples)
     if plateaus[0] != 0:
         raise AssertionError("signature near omega = 1 must vanish")
     for p in plateaus:
@@ -263,7 +320,10 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
     nb_of: dict[UnitRoot, int] = {}
     if include_nonbalanced:
         at = {ur: i for i, ur in enumerate(roots)}
-        for bf, repeating in _repeated_blocks(blocks, factors):
+        for bf in factors:
+            repeating = [b for b, m in enumerate(mults[bf.x_factor]) if m >= 2]
+            if not repeating:
+                continue
             q, rs = bf.roots[0].trace, [ur.root for ur in bf.roots]
             kernel = {b: signatures_at_roots(V.blocks[b], q, rs) for b in repeating}
             for k, ur in enumerate(bf.roots):

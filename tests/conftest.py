@@ -681,24 +681,83 @@ def _reference_put(row: dict, m, x, zero) -> None:
 
 
 def plateau_blocks(V) -> list:
-    """[(block, samples), ...]: the blocks step_function(V) eliminates at its
-    plateau samples, each with the list of z it passes for that block."""
-    from knotsig import signature
+    """[(block, samples), ...]: every block of V with every plateau sample
+    of step_function(V), from the signature helper that makes them (the
+    walk eliminates only some of them)."""
+    from knotsig.seifert import alexander_polynomial
+    from knotsig.signature import _plateau_points, breakpoint_candidates
 
-    calls, raw = [], signature.signatures_at_samples
-
-    def recorded(B, samples):
-        calls.append((B, list(samples)))
-        return raw(B, samples)
-
-    signature.signatures_at_samples = recorded
-    try:
-        signature.step_function(V, include_nonbalanced=False)
-    finally:
-        signature.signatures_at_samples = raw
-    return calls
+    samples = _plateau_points(breakpoint_candidates(alexander_polynomial(V)))[1]
+    return [(B, samples) for B in V.blocks]
 
 
 def plateau_samples(V) -> list:
-    """[(block, z), ...]: the plateau samples step_function(V) eliminates."""
+    """[(block, z), ...]: every plateau sample of step_function(V), with
+    every block."""
     return [(B, z) for B, samples in plateau_blocks(V) for z in samples]
+
+
+def walked_blocks(V) -> list:
+    """[(block, samples, weights, values), ...]: each _walk step_function(V)
+    makes, with the plateau values it returns."""
+    from knotsig import signature
+
+    calls, raw = [], signature._walk
+
+    def recorded(B, samples, weights):
+        values = raw(B, samples, weights)
+        calls.append((B, samples, weights, values))
+        return values
+
+    signature._walk = recorded
+    try:
+        signature.step_function(V, include_nonbalanced=False)
+    finally:
+        signature._walk = raw
+    return calls
+
+
+def all_sample_values(B, samples) -> list[int]:
+    """Test-only reference for the walk: the block's signature at every
+    sample, each from its own _eliminate."""
+    from knotsig.hermitian import IntPairOrder, _eliminate, _trace_signs
+
+    out = []
+    for z in samples:
+        order = IntPairOrder(z)
+        pos, neg, null = _trace_signs(_eliminate(order.hermitian_rows(B), order), order)
+        assert null == 0, (B, z)
+        out.append(pos - neg)
+    return out
+
+
+def assert_walks_match_all_samples(V) -> None:
+    """Each block's walked plateau values equal its signatures at every
+    plateau sample, and the walk got every sample plateau_blocks lists."""
+    walks = walked_blocks(V)
+    assert [(B, samples) for B, samples, _w, _v in walks] == plateau_blocks(V)
+    for B, samples, _weights, values in walks:
+        assert values == all_sample_values(B, samples), (B, samples)
+
+
+def count_evaluations(V) -> int:
+    """The block-samples step_function(V) eliminates, plateaus only."""
+    from knotsig import signature
+
+    count, raw = [0], signature.sampler
+
+    def counted(B, roots):
+        at = raw(B, roots)
+
+        def signature_at(z):
+            count[0] += 1
+            return at(z)
+
+        return signature_at
+
+    signature.sampler = counted
+    try:
+        signature.step_function(V, include_nonbalanced=False)
+    finally:
+        signature.sampler = raw
+    return count[0]

@@ -591,14 +591,15 @@ def test_plan_dropped_after_two_fallbacks_in_a_row(monkeypatch):
 
 
 def test_few_samples_build_no_plan(monkeypatch):
-    # one sample (no circle roots), and up to three: a plan would not repay
-    # its recording
+    # a block plans from three breakpoints of its own on: a list of n
+    # samples walks across n - 1 roots, and step_function counts each
+    # block's own roots, whatever the other blocks add
     from knotsig.signature import step_function
 
     made = []
 
     def spy(V, order):
-        made.append(order)
+        made.append(len(V))
         return record(V, order)
 
     monkeypatch.setattr(plan_module, "record", spy)
@@ -608,10 +609,13 @@ def test_few_samples_build_no_plan(monkeypatch):
     step_function(lookup("4_1"))  # no circle roots: one sample
     assert signatures_at_samples(B, [Fraction(0), Fraction(-19, 10), Fraction(19, 10)]) == \
         [-2, -4, 0]
+    step_function(resolve("T(2,5) # 3_1"))  # 2 and 1 own roots of 3
     assert made == []
     assert signatures_at_samples(B, [Fraction(0), Fraction(-19, 10), Fraction(19, 10),
                                      Fraction(1, 2)]) == [-2, -4, 0, -2]
-    assert len(made) == 1
+    assert made == [4]
+    step_function(resolve("T(2,7) # 3_1"))  # 3 and 1 own roots of 4
+    assert made == [4, 6]
 
 
 @pytest.mark.parametrize("samples", [

@@ -1,18 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from conftest import MIXED_SUMS, mixed_sum, random_seifert_matrices
+from conftest import (MIXED_SUMS, assert_walks_match_all_samples, count_evaluations, congruent,
+                      mixed_sum, plateau_blocks, random_seifert_matrices, walked_blocks)
 
-from knotsig import intpoly as ip, seifert
+from knotsig import intpoly as ip, seifert, signature
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
 from knotsig.hermitian import signatures_at_roots
-from knotsig.knot_table import lookup
+from knotsig.knot_table import knot_names, lookup
 from knotsig.seifert import (SeifertMatrix, alexander_polynomial, block_alexander_polynomials,
                              connected_blocks)
 from knotsig.factor import factor_int_poly
-from knotsig.signature import (_repeated_blocks, breakpoint_candidates, nonbalanced_at_root,
-                               signature_at_sample, step_function)
+from knotsig.signature import (breakpoint_candidates, nonbalanced_at_root, signature_at_sample,
+                               step_function)
 
 
 def test_breakpoints_of_cinquefoil():
@@ -165,9 +166,14 @@ def test_kernel_is_the_oracle_of_the_simple_root_rule(corpus):
     cases += [(f"S+U #{k}", V, step_function(V))
               for k, V in enumerate(random_seifert_matrices(60, seed=6061))]
     simple, repeated = 0, {}
+    tables = {label: signature._block_multiplicities(
+        block_alexander_polynomials(V),
+        [signature.BreakpointFactor(f, m, ()) for f, m, _bps in sf.factor_groups()])
+        for label, V, sf in cases}
     for label, V, sf in cases:
         for factor, _mult, bps in sf.factor_groups():
             mults = _block_multiplicities(V, factor)
+            assert tables[label][factor] == mults, (label, factor)
             got = signatures_at_roots(V.rows, bps[0].root.trace, [bp.root.root for bp in bps])
             if max(mults) <= 1:
                 assert got == [(bp.balanced2 // 2, sum(mults)) for bp in bps], (label, factor)
@@ -193,7 +199,9 @@ def test_summary_is_invariant_under_congruence(expr):
         # Phi_10^2: a degree-2 trace polynomial, eliminated over ScaledOrder
         factors = breakpoint_candidates(alexander_polynomial(W))
         assert [len(bf.roots[0].trace) - 1 for bf in factors] == [2]
-        assert _repeated_blocks(block_alexander_polynomials(W), factors) == [(factors[0], [0])]
+        table = signature._block_multiplicities
+        assert table(block_alexander_polynomials(W), factors) == {factors[0].x_factor: [2]}
+        assert table(block_alexander_polynomials(V), factors) == {factors[0].x_factor: [1, 1]}
 
 
 def test_repeated_factor_eliminates_only_its_blocks(monkeypatch):
@@ -214,6 +222,9 @@ def test_repeated_factor_eliminates_only_its_blocks(monkeypatch):
     _V, W = mixed_sum("2*T(2,5)")
     V = connected_sum(W, resolve("T(2,5)"), lookup("3_1"))
     assert [len(B) for B in V.blocks] == [8, 4, 2]
+    factors = breakpoint_candidates(alexander_polynomial(V))
+    assert signature._block_multiplicities(block_alexander_polynomials(V), factors) == {
+        ip.cyclotomic(6): [0, 0, 1], ip.cyclotomic(10): [2, 1, 0]}
     monkeypatch.setattr(hermitian.ScaledOrder, "__init__", counted)
     sf = step_function(V)
     assert made == [(-1, -1, 1)]
@@ -238,3 +249,76 @@ def test_block_polynomials_once_per_step_function(monkeypatch):
     assert [len(b) for b in connected_blocks(V.rows)] == [4, 4] and V.blocks[0] == V.blocks[1]
     assert calls == [4]
     assert [m for _f, m, _bps in sf.factor_groups()] == [2]
+
+
+# ---- plateau values by bisecting each block's walk
+
+def test_walks_match_all_samples_on_table():
+    for name in knot_names():
+        assert_walks_match_all_samples(lookup(name))
+
+
+@pytest.mark.parametrize("expr", MIXED_SUMS)
+def test_walks_match_all_samples_on_congruent_sums(expr):
+    # in a one-block copy each root weighs twice its factor's multiplicity
+    # in Delta, so a sum K # K forces jumps of 4 and 2*8_20 of 8
+    V, W = mixed_sum(expr)
+    for U in (V, W, congruent(W, seed=7)):
+        assert_walks_match_all_samples(U)
+    (_B, _z, weights, _v), = walked_blocks(W)
+    assert weights == [2 * bp.multiplicity for bp in step_function(V).breakpoints]
+
+
+def test_walks_match_all_samples_on_random_matrices():
+    for V in random_seifert_matrices(60, seed=20):
+        assert_walks_match_all_samples(V)
+
+
+@pytest.mark.parametrize("expr,count", [
+    ("T(2,31)", 2), ("T(3,10) # -T(2,15) # -T(5,6)", 13), ("T(5,11)", 9), ("T(3,16)", 7)])
+def test_walk_eliminates_only_open_samples(expr, count):
+    # T(2,31) goes 0, -2, ..., -30: its two ends force every value between.
+    # The benchmark's torus_plateaus knots take 31 block-samples in all,
+    # against 89 for every block at every sample.
+    assert count_evaluations(resolve(expr)) == count
+
+
+def test_sum_blocks_are_sampled_only_next_to_their_own_roots(monkeypatch):
+    # each block of the sum walks across the roots of the other two without
+    # an elimination: past its two ends, every sample it eliminates borders
+    # a root of its own
+    V = resolve("T(3,10) # -T(2,15) # -T(5,6)")
+    (_B, samples), *_ = plateau_blocks(V)
+    asked, raw = [], signature.sampler
+
+    def spy(B, roots):
+        at, mine = raw(B, roots), []
+        asked.append(mine)
+
+        def signature_at(z):
+            mine.append(samples.index(z))
+            return at(z)
+
+        return signature_at
+
+    monkeypatch.setattr(signature, "sampler", spy)
+    walks = walked_blocks(V)
+    assert len(walks) == len(asked) == 3
+    for (_B, _z, weights, _values), ks in zip(walks, asked):
+        assert 0 in weights
+        assert ks[:2] == [0, len(samples) - 1]
+        assert all(weights[k - 1] or weights[k] for k in ks[2:]), (weights, ks)
+
+
+def test_jump_past_the_bound_raises(monkeypatch):
+    # doubled values put the ends of T(2,5)'s walk 8 apart across two
+    # simple roots, where the bound is 4
+    raw = signature.sampler
+
+    def doubled(B, roots):
+        at = raw(B, roots)
+        return lambda z: 2 * at(z)
+
+    monkeypatch.setattr(signature, "sampler", doubled)
+    with pytest.raises(AssertionError, match="jump bound"):
+        step_function(resolve("T(2,5)"))

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import assert_walks_match_all_samples
 
 from knotsig.expressions import resolve
 from knotsig.hermitian import signatures_at_roots
@@ -67,8 +68,11 @@ def test_small_torus_list():
 
 @pytest.mark.parametrize("p,q", SMALL_TORUS)
 def test_plateaus_match_litherland(p, q):
-    # plateaus and non-balanced values from one step_function call
-    sf = step_function(resolve(f"T({p},{q})"))
+    # plateaus and non-balanced values from one step_function call, and the
+    # walk's values at every plateau sample
+    V = resolve(f"T({p},{q})")
+    sf = step_function(V)
+    assert_walks_match_all_samples(V)
     angles = singular_angles(p, q)
     ts = [bp.root.exact_t for bp in sf.breakpoints]
     assert ts == sorted(angles)
