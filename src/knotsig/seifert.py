@@ -177,14 +177,13 @@ def block_alexander_polynomials(V: SeifertMatrix) -> list[tuple]:
     return [polys[B] for B in V.blocks]
 
 
-def alexander_polynomial(V: SeifertMatrix, blocks=None) -> tuple:
+def alexander_polynomial(V: SeifertMatrix) -> tuple:
     """det(V - x V^T), normalized symmetric with value 1 at x = 1 (see
-    normalize_alexander): the product of the block polynomials, computed
-    here unless the caller has them from block_alexander_polynomials(V) and
-    passes them as blocks.  The tuple d holds the coefficients of
-    x^low .. x^-low in ascending order, low = -(len(d) - 1) // 2."""
+    normalize_alexander): the product of the block polynomials.  The tuple d
+    holds the coefficients of x^low .. x^-low in ascending order,
+    low = -(len(d) - 1) // 2."""
     total = (1,)
-    for p in block_alexander_polynomials(V) if blocks is None else blocks:
+    for p in block_alexander_polynomials(V):
         total = ip.mul(total, p)
     return normalize_alexander(total)
 

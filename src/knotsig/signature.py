@@ -42,20 +42,26 @@ an interval whose two ends differ by M is filled, and any other interval
 is split at the sample that halves M most evenly.  An interval without
 roots of Delta_B (M = 0) is filled at once, so a block is never eliminated
 at the roots of another.
+
+Connected sums are block sums: Delta = prod Delta_B^c over the distinct
+blocks B of V, each of count c.  Each distinct block is factored, walked and
+eliminated once, and its multiplicities and values count c times, so the
+product Delta is never formed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import cos, gcd, pi
 
 from . import intpoly as ip
-from .errors import DivisibilityError, KnotsigError
+from .errors import KnotsigError
 from .hermitian import sampler, signature_at_root, signatures_at_roots
 from .factor import factor_int_poly
 from .record import Record
-from .seifert import SeifertMatrix, alexander_polynomial, block_alexander_polynomials
+from .seifert import SeifertMatrix, block_alexander_polynomials
 from .sturm import RealRoot, isolate_real_roots
 
 
@@ -160,13 +166,17 @@ def breakpoint_candidates(delta: tuple) -> list[BreakpointFactor]:
     affects which roots appear (a factor of even multiplicity still yields
     breakpoints, where the jump may well be 0).
     """
-    if ip.is_zero(delta):
-        raise ValueError("zero Alexander polynomial")
-    _, prim = ip.primitive(delta)
-    _, factors = factor_int_poly(prim, indexed=True)
+    return _breakpoint_factors(factor_int_poly(delta, indexed=True)[1])
+
+
+def _breakpoint_factors(factors) -> list[BreakpointFactor]:
+    """BreakpointFactors, sorted by degree then coefficients, for the distinct
+    (f, multiplicity, n) of factor_int_poly(..., indexed=True) whose f is
+    self-reciprocal with circle roots; each f's roots are isolated once."""
     out = []
     for f, mult, n in factors:
-        if tuple(f) != tuple(reversed(f)) or ip.degree(f) % 2 != 0 or ip.degree(f) == 0:
+        f = tuple(f)
+        if f != f[::-1] or ip.degree(f) % 2 != 0 or ip.degree(f) == 0:
             continue
         q = ip.to_trace_poly(f)
         if n is None:
@@ -181,11 +191,9 @@ def breakpoint_candidates(delta: tuple) -> list[BreakpointFactor]:
             exact_ts = [Fraction(k, n) for k in ks]
         if not roots:
             continue
-        roots = list(reversed(roots))  # decreasing z = increasing t
-        unit_roots = tuple(
-            UnitRoot(x_factor=tuple(f), trace=q, root=r, cyclotomic=n, exact_t=t)
-            for r, t in zip(roots, exact_ts))
-        out.append(BreakpointFactor(tuple(f), mult, unit_roots))
+        unit_roots = tuple(UnitRoot(x_factor=f, trace=q, root=r, cyclotomic=n, exact_t=t)
+                           for r, t in zip(reversed(roots), exact_ts))  # increasing t
+        out.append(BreakpointFactor(f, mult, unit_roots))
     out.sort(key=lambda bf: (len(bf.x_factor), bf.x_factor))
     return out
 
@@ -233,30 +241,20 @@ def _plateau_points(factors) -> tuple[list[UnitRoot], list[Fraction]]:
     return roots, samples
 
 
-def _block_multiplicities(blocks, factors) -> dict[tuple, list[int]]:
-    """{x_factor: [its multiplicity in each block polynomial], ...} for the
-    breakpoint factors, blocks as block_alexander_polynomials gives them.
-
-    With one block these are the factors' multiplicities in Delta.
-    Otherwise each distinct block polynomial is divided by the factor for
-    as long as the division is exact.
-    """
-    if len(blocks) == 1:
-        return {bf.x_factor: [bf.multiplicity] for bf in factors}
-    out = {}
-    for bf in factors:
-        of: dict[tuple, int] = {}
-        for p in blocks:
-            if p not in of:
-                q, m = p, 0
-                try:
-                    while True:
-                        q = ip.div_exact(q, bf.x_factor)
-                        m += 1
-                except DivisibilityError:
-                    of[p] = m
-        out[bf.x_factor] = [of[p] for p in blocks]
-    return out
+def _block_factors(V: SeifertMatrix) -> tuple[Counter, dict, list[BreakpointFactor]]:
+    """(counts, mults, factors): the count c_B of each distinct block B of V,
+    {B: {f: ord_f Delta_B}} from one factorization of each Delta_B, and the
+    breakpoint factors of Delta = prod Delta_B^c_B, of order sum c_B ord_f."""
+    counts = Counter(V.blocks)
+    polys = dict(zip(V.blocks, block_alexander_polynomials(V)))
+    mults, total, index = {}, Counter(), {}
+    for B, c in counts.items():
+        _, factors = factor_int_poly(polys[B], indexed=True)
+        mults[B] = {f: m for f, m, _n in factors}
+        for f, m, n in factors:
+            total[f] += c * m
+            index[f] = n
+    return counts, mults, _breakpoint_factors((f, k, index[f]) for f, k in total.items())
 
 
 def _walk(B, samples: list, weights: list) -> list[int]:
@@ -295,22 +293,21 @@ def _walk(B, samples: list, weights: list) -> list[int]:
 def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> SignatureFunction:
     """The full signature step function of the knot with Seifert matrix V.
 
-    The non-balanced value at a root of a factor that is simple in every
-    connected block is its balanced value (module docstring).  For a factor
-    repeated inside some block, each such block takes one elimination, read
-    at each of the factor's roots; every other block, where the factor is
-    simple or absent, adds the average of its own two plateau values next to
-    the root (Rellich, block by block), and the blocks' values add up.
+    Delta = prod Delta_B^c over the distinct blocks B of V, each of count c;
+    each is factored, walked and eliminated once and counts c times.  The
+    non-balanced value at a root of a factor simple in every block is its
+    balanced value (module docstring).  A block where the factor repeats
+    takes one elimination, read at each of the factor's roots; every other
+    block adds the average of its two plateau values next to the root
+    (Rellich, block by block), and the blocks' values add up.
     """
-    blocks = block_alexander_polynomials(V)
-    delta = alexander_polynomial(V, blocks)
-    factors = breakpoint_candidates(delta)
+    counts, mults, factors = _block_factors(V)
     roots, samples = _plateau_points(factors)
-    mults = _block_multiplicities(blocks, factors)
     mult_of = {bf.x_factor: bf.multiplicity for bf in factors}
-    per_block = [_walk(B, samples, [2 * mults[ur.x_factor][b] for ur in roots])
-                 for b, B in enumerate(V.blocks)]
-    plateaus = tuple(map(sum, zip(*per_block))) if per_block else (0,) * len(samples)
+    walks = {B: _walk(B, samples, [2 * m.get(ur.x_factor, 0) for ur in roots])
+             for B, m in mults.items()}
+    plateaus = tuple(sum(c * w[i] for c, w in zip(counts.values(), walks.values()))
+                     for i in range(len(samples)))
     if plateaus[0] != 0:
         raise AssertionError("signature near omega = 1 must vanish")
     for p in plateaus:
@@ -321,15 +318,16 @@ def step_function(V: SeifertMatrix, include_nonbalanced: bool = True) -> Signatu
     if include_nonbalanced:
         at = {ur: i for i, ur in enumerate(roots)}
         for bf in factors:
-            repeating = [b for b, m in enumerate(mults[bf.x_factor]) if m >= 2]
+            repeating = [B for B, m in mults.items() if m.get(bf.x_factor, 0) >= 2]
             if not repeating:
                 continue
             q, rs = bf.roots[0].trace, [ur.root for ur in bf.roots]
-            kernel = {b: signatures_at_roots(V.blocks[b], q, rs) for b in repeating}
+            kernel = {B: signatures_at_roots(B, q, rs) for B in repeating}
             for k, ur in enumerate(bf.roots):
                 i = at[ur]
-                nb_of[ur] = sum(kernel[b][k][0] if b in kernel else (values[i] + values[i + 1]) // 2
-                                for b, values in enumerate(per_block))
+                nb_of[ur] = sum(c * (kernel[B][k][0] if B in kernel
+                                     else (walks[B][i] + walks[B][i + 1]) // 2)
+                                for B, c in counts.items())
 
     bps = []
     for i, ur in enumerate(roots):

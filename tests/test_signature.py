@@ -157,6 +157,13 @@ def _block_multiplicities(V, f) -> list[int]:
     return out
 
 
+def _factor_table(V) -> dict:
+    """{x_factor: [its multiplicity in each block of V]} for the breakpoint
+    factors, read from step_function's table of the distinct blocks."""
+    _counts, mults, factors = signature._block_factors(V)
+    return {bf.x_factor: [mults[B].get(bf.x_factor, 0) for B in V.blocks] for bf in factors}
+
+
 def test_kernel_is_the_oracle_of_the_simple_root_rule(corpus):
     # the elimination at every breakpoint of the corpus and of random S + U
     # matrices: where the factor is simple in every block it gives the
@@ -166,14 +173,13 @@ def test_kernel_is_the_oracle_of_the_simple_root_rule(corpus):
     cases += [(f"S+U #{k}", V, step_function(V))
               for k, V in enumerate(random_seifert_matrices(60, seed=6061))]
     simple, repeated = 0, {}
-    tables = {label: signature._block_multiplicities(
-        block_alexander_polynomials(V),
-        [signature.BreakpointFactor(f, m, ()) for f, m, _bps in sf.factor_groups()])
-        for label, V, sf in cases}
+    tables = {label: _factor_table(V) for label, V, _sf in cases}
     for label, V, sf in cases:
-        for factor, _mult, bps in sf.factor_groups():
+        assert list(tables[label]) == [f for f, _m, _bps in sf.factor_groups()], label
+        for factor, mult, bps in sf.factor_groups():
             mults = _block_multiplicities(V, factor)
             assert tables[label][factor] == mults, (label, factor)
+            assert mult == sum(mults), (label, factor)
             got = signatures_at_roots(V.rows, bps[0].root.trace, [bp.root.root for bp in bps])
             if max(mults) <= 1:
                 assert got == [(bp.balanced2 // 2, sum(mults)) for bp in bps], (label, factor)
@@ -199,9 +205,8 @@ def test_summary_is_invariant_under_congruence(expr):
         # Phi_10^2: a degree-2 trace polynomial, eliminated over ScaledOrder
         factors = breakpoint_candidates(alexander_polynomial(W))
         assert [len(bf.roots[0].trace) - 1 for bf in factors] == [2]
-        table = signature._block_multiplicities
-        assert table(block_alexander_polynomials(W), factors) == {factors[0].x_factor: [2]}
-        assert table(block_alexander_polynomials(V), factors) == {factors[0].x_factor: [1, 1]}
+        assert _factor_table(W) == {factors[0].x_factor: [2]}
+        assert _factor_table(V) == {factors[0].x_factor: [1, 1]}
 
 
 def test_repeated_factor_eliminates_only_its_blocks(monkeypatch):
@@ -222,9 +227,7 @@ def test_repeated_factor_eliminates_only_its_blocks(monkeypatch):
     _V, W = mixed_sum("2*T(2,5)")
     V = connected_sum(W, resolve("T(2,5)"), lookup("3_1"))
     assert [len(B) for B in V.blocks] == [8, 4, 2]
-    factors = breakpoint_candidates(alexander_polynomial(V))
-    assert signature._block_multiplicities(block_alexander_polynomials(V), factors) == {
-        ip.cyclotomic(6): [0, 0, 1], ip.cyclotomic(10): [2, 1, 0]}
+    assert _factor_table(V) == {ip.cyclotomic(6): [0, 0, 1], ip.cyclotomic(10): [2, 1, 0]}
     monkeypatch.setattr(hermitian.ScaledOrder, "__init__", counted)
     sf = step_function(V)
     assert made == [(-1, -1, 1)]
@@ -234,8 +237,7 @@ def test_repeated_factor_eliminates_only_its_blocks(monkeypatch):
 
 def test_block_polynomials_once_per_step_function(monkeypatch):
     # Phi_10^2 of 2*T(2,5) is split over two equal blocks: their polynomial
-    # is computed once, and the repeated-factor test divides the block
-    # polynomials that gave Delta, not new ones
+    # is computed once, and factored once for the one distinct block
     calls = []
     det_poly = seifert._det_poly
 
@@ -249,6 +251,76 @@ def test_block_polynomials_once_per_step_function(monkeypatch):
     assert [len(b) for b in connected_blocks(V.rows)] == [4, 4] and V.blocks[0] == V.blocks[1]
     assert calls == [4]
     assert [m for _f, m, _bps in sf.factor_groups()] == [2]
+
+
+# ---- repeated blocks: each distinct block once, weighted by its count
+
+def _times(summary, k):
+    plateaus, bps = summary
+    return (tuple(k * p for p in plateaus),
+            tuple((f, k * m, k * jump, k * b2, k * nb) for f, m, jump, b2, nb in bps))
+
+
+@pytest.mark.parametrize("k", [2, 3, 50])
+@pytest.mark.parametrize("knot", ["3_1", "8_20", "T(2,5)", "T(3,4)"])
+def test_copies_scale_the_summary(knot, k):
+    # every plateau, jump, balanced and non-balanced value and multiplicity
+    # of k*K is k times K's
+    assert step_function(resolve(f"{k}*{knot}")).summary() == \
+        _times(step_function(resolve(knot)).summary(), k)
+
+
+def test_copies_factor_and_walk_one_block(monkeypatch):
+    # 200 copies of the trefoil block: one factorization of its Delta_B and
+    # one walk, which eliminates the two end samples around the root of Phi_6
+    calls = []
+
+    def counted(f, indexed=False):
+        calls.append(f)
+        return factor_int_poly(f, indexed)
+
+    monkeypatch.setattr(signature, "factor_int_poly", counted)
+    V = resolve("200*3_1")
+    assert count_evaluations(V) == 2
+    assert calls == [block_alexander_polynomials(V)[0]]
+    assert [B for B, _z, _w, _v in walked_blocks(V)] == [V.blocks[0]]
+
+
+def test_copies_eliminate_a_repeated_factor_once(monkeypatch):
+    # Phi_6^2 repeats inside each of the 30 equal 8_20 blocks: one
+    # elimination over its number field, counted 30 times
+    calls = []
+
+    def counted(B, q, roots):
+        calls.append(B)
+        return signatures_at_roots(B, q, roots)
+
+    monkeypatch.setattr(signature, "signatures_at_roots", counted)
+    sf = step_function(resolve("30*8_20"))
+    assert calls == [lookup("8_20").blocks[0]]
+    assert [(bp.multiplicity, bp.nonbalanced) for bp in sf.breakpoints] == [(60, 30)]
+
+
+def test_repeated_factor_in_two_distinct_blocks(monkeypatch):
+    # Phi_6^2 repeats inside the 8_20 block and inside the one-block copy W
+    # of 2*3_1: each distinct block is eliminated once, and each adds its
+    # own kernel value, 1 for 8_20 and -2 for W
+    from knotsig.seifert import connected_sum
+
+    calls = []
+
+    def counted(B, q, roots):
+        calls.append(B)
+        return signatures_at_roots(B, q, roots)
+
+    _V, W = mixed_sum("2*3_1")
+    K = lookup("8_20")
+    V = connected_sum(K, W, K)
+    monkeypatch.setattr(signature, "signatures_at_roots", counted)
+    sf = step_function(V)
+    assert calls == [K.blocks[0], W.blocks[0]]
+    assert sf.summary() == step_function(resolve("2*8_20 # 2*3_1")).summary()
+    assert [bp.nonbalanced for bp in sf.breakpoints] == [0]
 
 
 # ---- plateau values by bisecting each block's walk
