@@ -1,30 +1,37 @@
 """Seifert matrices: validation, mirror, connected sum, Alexander polynomial.
 
 A Seifert matrix is a square integer matrix V of even size with
-det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  It is split once, on
-construction, into connected blocks on the union of the supports of V and
-V^T (connected sums are block sums).  det(V - V^T) and the Alexander
-polynomial det(V - x V^T) are products over the blocks, each distinct block
-polynomial computed exactly as a characteristic polynomial and a Taylor
-shift modulo one proven prime just above twice a Hadamard bound, by a
-Krylov pass on vectors packed one per int (see _det_poly).
+det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  A matrix given whole
+(table, JSON file, braid) is split once, on construction, into connected
+blocks on the union of the supports of V and V^T, and each distinct block is
+checked once.  Connected sums are block sums, so a sum takes its blocks from
+its checked summands and a mirror -V^T has the blocks -B^T: neither is
+checked again, and its padded rows are built only when first read.
+det(V - V^T) and the Alexander polynomial det(V - x V^T) are products over
+the blocks, each distinct block polynomial computed exactly as a
+characteristic polynomial and a Taylor shift modulo one proven prime just
+above twice a Hadamard bound, by a Krylov pass on vectors packed one per
+int (see _det_poly).
 """
 
 from __future__ import annotations
 
 from math import isqrt, prod
-from operator import index, mul
+from operator import index
 
-from . import intpoly as ip
 from .errors import ParityError, SeifertInvariantError, SymmetryError
-from .hermitian import symmetric_signature
 
 
 class SeifertMatrix:
     """Immutable integer Seifert matrix; blocks holds the matrices (tuples of
-    rows) of its connected blocks, in the order of connected_blocks."""
+    rows) of its connected blocks, in the order of connected_blocks.
 
-    __slots__ = ("rows", "blocks")
+    SeifertMatrix(rows) checks its input.  connected_sum and mirror build
+    their results from checked parts (_sum, mirror) without checking again,
+    and a sum builds its padded rows on first read.
+    """
+
+    __slots__ = ("_rows", "_parts", "blocks", "size")
 
     def __init__(self, rows):
         rows = tuple(tuple(map(_entry, row)) for row in rows)
@@ -35,12 +42,29 @@ class SeifertMatrix:
             raise SeifertInvariantError(f"size {n} is odd; Seifert matrices have even size")
         blocks = tuple(tuple(tuple(rows[i][j] for j in block) for i in block)
                        for block in connected_blocks(rows))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "blocks", blocks)
-        d = prod(_int_det([[B[i][j] - B[j][i] for j in range(len(B))] for i in range(len(B))])
-                 for B in blocks)
+        self._set(rows, None, blocks, n)
+        # one determinant per distinct block: equal blocks have equal ones
+        dets = {B: _int_det([[B[i][j] - B[j][i] for j in range(len(B))]
+                             for i in range(len(B))])
+                for B in dict.fromkeys(blocks)}
+        d = prod(dets[B] for B in blocks)
         if d != 1:
             raise SeifertInvariantError(f"det(V - V^T) = {d}, expected 1")
+
+    def _set(self, rows, parts, blocks, size) -> "SeifertMatrix":
+        object.__setattr__(self, "_rows", rows)  # None for a sum until first read
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "size", size)
+        return self
+
+    @classmethod
+    def _sum(cls, parts) -> "SeifertMatrix":
+        """The block sum of checked matrices, in order, not checked again:
+        its blocks are theirs, concatenated."""
+        parts = tuple(parts)
+        return object.__new__(cls)._set(None, parts, tuple(B for a in parts for B in a.blocks),
+                                        sum(a.size for a in parts))
 
     def __setattr__(self, *a):
         raise AttributeError("SeifertMatrix is immutable")
@@ -53,8 +77,18 @@ class SeifertMatrix:
         return cls(())
 
     @property
-    def size(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        """The n x n rows; a sum pads its parts' rows on first read."""
+        rows = self._rows
+        if rows is None:
+            n, rows, left = self.size, [], 0
+            for a in self._parts:
+                right = n - left - a.size
+                rows += [(0,) * left + r + (0,) * right for r in a.rows]
+                left += a.size
+            rows = tuple(rows)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
     def genus(self) -> int:
@@ -70,8 +104,18 @@ class SeifertMatrix:
         return f"SeifertMatrix({[list(r) for r in self.rows]})"
 
     def mirror(self) -> "SeifertMatrix":
-        """-V^T, a Seifert matrix of the mirror image."""
-        return SeifertMatrix(tuple(tuple(-c for c in col) for col in zip(*self.rows)))
+        """-V^T, a Seifert matrix of the mirror image: the sum of the parts'
+        mirrors, or with the blocks -B^T; det(B - B^T) is unchanged."""
+        if self._parts is not None:
+            mirrors = {id(a): a for a in self._parts}  # k equal parts mirror once
+            mirrors = {k: a.mirror() for k, a in mirrors.items()}
+            return SeifertMatrix._sum(mirrors[id(a)] for a in self._parts)
+        return object.__new__(SeifertMatrix)._set(
+            _neg_transpose(self._rows), None, tuple(map(_neg_transpose, self.blocks)), self.size)
+
+
+def _neg_transpose(rows) -> tuple:
+    return tuple(tuple(-c for c in col) for col in zip(*rows))
 
 
 def _entry(c) -> int:
@@ -105,13 +149,7 @@ def connected_blocks(V) -> list[list[int]]:
 def connected_sum(*summands: SeifertMatrix) -> SeifertMatrix:
     """Block sum of the summands in order; realizes the connected sum of the
     underlying knots (of none, the unknot)."""
-    n = sum(a.size for a in summands)
-    rows, left = [], 0
-    for a in summands:
-        right = n - left - a.size
-        rows += [(0,) * left + r + (0,) * right for r in a.rows]
-        left += a.size
-    return SeifertMatrix(rows)
+    return SeifertMatrix._sum(summands)
 
 
 def mirror(a: SeifertMatrix) -> SeifertMatrix:
@@ -182,6 +220,8 @@ def alexander_polynomial(V: SeifertMatrix) -> tuple:
     normalize_alexander): the product of the block polynomials.  The tuple d
     holds the coefficients of x^low .. x^-low in ascending order,
     low = -(len(d) - 1) // 2."""
+    from . import intpoly as ip  # polynomials only: validation needs no intpoly
+
     total = (1,)
     for p in block_alexander_polynomials(V):
         total = ip.mul(total, p)
@@ -195,6 +235,8 @@ def normalize_alexander(p) -> tuple:
     the result is palindromic of even degree 2m with p(1) = 1, which pins
     the representative uniquely, and stands for x^-m times that tuple.
     """
+    from . import intpoly as ip  # polynomials only: validation needs no intpoly
+
     p = ip.trim(p)
     k = 0
     while k < len(p) and p[k] == 0:
@@ -245,6 +287,8 @@ def _det_poly(M) -> tuple:
     above 2 H costs less than the several word-size passes and the CRT
     that would reach the same modulus.
     """
+    from . import intpoly as ip  # polynomials only: validation needs no intpoly
+
     n = len(M)
     bound = 1
     for j in range(n):
@@ -316,6 +360,8 @@ def _prime(m: int) -> int:
 def murasugi_signature(V: SeifertMatrix) -> int:
     """The classical signature sigma(-1): the signature of V + V^T, summed
     over the blocks."""
+    from .hermitian import symmetric_signature  # signatures only, not validation
+
     total = 0
     for B in V.blocks:
         pos, neg, null = symmetric_signature([[B[i][j] + B[j][i] for j in range(len(B))]

@@ -184,6 +184,23 @@ def test_report_fields():
     assert rep.gordian == rep.u2 == 0
 
 
+def test_reports_on_sums_build_no_rows(monkeypatch):
+    from knotsig import bounds
+
+    seen = []
+    real = bounds.report_for_matrix
+
+    def spy(V, *args, **kwargs):
+        seen.append(V)
+        return real(V, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "report_for_matrix", spy)
+    assert bound_report("300*3_1").u2 == 300
+    gordian_report("3_1 # 5_1", "10_132")
+    assert [V.size for V in seen] == [600, 10]
+    assert [V._rows for V in seen] == [None, None]
+
+
 def test_u_factor_consistency():
     rep = bound_report("2*3_1 # -5_1 # -8_2 # 10_132 # -11n6", include_nonbalanced=False)
     assert rep.u2 == 4

@@ -62,11 +62,26 @@ def test_oracle_check_loads_only_the_lattice_search():
     assert {"knotsig.oracle", "knotsig.bounds"} <= loaded
 
 
+# what neither resolving nor validating runs: the signature stack, the
+# polynomial and block-polynomial code, plans and exact rationals
+UNUSED_BY_VALIDATION = ("knotsig.hermitian", "knotsig.sturm", "knotsig.intpoly",
+                        "knotsig.gfmat", "knotsig.plan", "fractions", "decimal")
+
+
 def test_validation_does_not_load_plans():
     # resolving and validating a matrix compiles no plan code, nor does a
     # knot with three plateau samples; one with four loads it
     loaded = loaded_after('import knotsig\nknotsig.resolve("T(5,11)")')
-    assert "knotsig.hermitian" in loaded and "knotsig.plan" not in loaded
+    assert "knotsig.hermitian" not in loaded and "knotsig.plan" not in loaded
+    assert sorted(m for m in loaded if m.startswith("knotsig")) == [
+        "knotsig", "knotsig.braids", "knotsig.errors", "knotsig.expressions",
+        "knotsig.record", "knotsig.seifert"]
+    for name in (*UNUSED_BY_VALIDATION, "numbers"):
+        assert name not in loaded, name
+    loaded = loaded_after('import json, knotsig\n'
+                          'knotsig.SeifertMatrix(json.loads("[[-1, 1], [0, -1]]"))')
+    for name in UNUSED_BY_VALIDATION:
+        assert name not in loaded, name
     loaded = loaded_after('import knotsig\nknotsig.step_function(knotsig.resolve("T(2,5)"))')
     assert "knotsig.plan" not in loaded
     loaded = loaded_after('import knotsig\nknotsig.step_function(knotsig.resolve("T(2,7)"))')

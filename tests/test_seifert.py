@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (MIXED_SUMS, _interpolate_int, is_proven_prime, mixed_sum,
-                      random_seifert_matrices)
+                      random_expressions, random_seifert_matrices)
 from knotsig import gfmat, intpoly as ip, seifert
 from knotsig.errors import KnotsigError, ParityError, SeifertInvariantError, SymmetryError
 from knotsig.expressions import resolve
@@ -79,6 +79,72 @@ def test_connected_sum_is_variadic():
     assert resolve("3_1 # -4_1 + 5_1") == resolve("3_1 - 4_1 # (5_1)") == connected_sum(a, b, c)
     assert connected_sum() == SeifertMatrix.empty()
     assert connected_sum(a) == a
+
+
+def _block_diagonal(*blocks) -> list:
+    """The rows of the block sum of square matrices, in order."""
+    n, rows, left = sum(map(len, blocks)), [], 0
+    for B in blocks:
+        rows += [[0] * left + list(r) + [0] * (n - left - len(B)) for r in B]
+        left += len(B)
+    return rows
+
+
+def test_each_distinct_block_is_checked_once(monkeypatch):
+    trefoil, figure_eight = lookup("3_1").rows, lookup("4_1").rows
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return _int_det(M)
+
+    monkeypatch.setattr(seifert, "_int_det", counted)
+    V = SeifertMatrix(_block_diagonal(trefoil, figure_eight, trefoil, trefoil))
+    assert V.blocks == (trefoil, figure_eight, trefoil, trefoil)
+    assert len(calls) == 2  # one for the three trefoil blocks, one for 4_1
+    calls.clear()
+    SeifertMatrix(_block_diagonal(trefoil, trefoil, trefoil))
+    assert len(calls) == 1
+
+
+def test_a_bad_block_beside_repeated_good_ones_fails():
+    # det(B - B^T) = 4 for B = [[0, 2], [0, 0]]; the product counts each copy
+    trefoil, bad = lookup("3_1").rows, ((0, 2), (0, 0))
+    with pytest.raises(SeifertInvariantError, match=re.escape("det(V - V^T) = 4, expected 1")):
+        SeifertMatrix(_block_diagonal(trefoil, trefoil, bad, trefoil))
+    with pytest.raises(SeifertInvariantError, match=re.escape("det(V - V^T) = 16, expected 1")):
+        SeifertMatrix(_block_diagonal(bad, trefoil, bad))
+
+
+def _composed() -> list:
+    """(label, matrix) built by lookups, sums, multiples and mirrors: the
+    table, MIXED_SUMS and 90 random expressions, and the mirror of each."""
+    out = [(name, lookup(name)) for name in knot_names()]
+    out += [(e, resolve(e)) for e in (*MIXED_SUMS, *random_expressions(90))]
+    return out + [(f"-({label})", V.mirror()) for label, V in out]
+
+
+def test_sums_and_mirrors_equal_the_matrix_checked_whole():
+    import pickle
+
+    for label, W in _composed():
+        V = SeifertMatrix(W.rows)
+        assert (W.rows, W.blocks, W.size) == (V.rows, V.blocks, V.size), label
+        assert W == V and V == W and hash(W) == hash(V) and repr(W) == repr(V), label
+        P = pickle.loads(pickle.dumps(W))
+        assert P == W and P.blocks == W.blocks and P.size == W.size, label
+        M = W.mirror().mirror()
+        assert M == W and M.blocks == W.blocks, label
+
+
+def test_sums_build_their_rows_on_first_read():
+    a, b = lookup("3_1"), lookup("4_1").mirror()
+    V = connected_sum(a, b, a)
+    assert V._rows is None and V.size == 6 and V.blocks == (a.rows, b.rows, a.rows)
+    assert V.rows == tuple(map(tuple, _block_diagonal(a.rows, b.rows, a.rows)))
+    assert V.rows is V.rows
+    W = resolve("2000*3_1").mirror()
+    assert W._rows is None and W.size == 4000 and set(W.blocks) == {lookup("3_1").mirror().rows}
 
 
 def test_multiple_splits_into_its_blocks():

@@ -261,7 +261,7 @@ def _times(summary, k):
             tuple((f, k * m, k * jump, k * b2, k * nb) for f, m, jump, b2, nb in bps))
 
 
-@pytest.mark.parametrize("k", [2, 3, 50])
+@pytest.mark.parametrize("k", [2, 3, 50, 10000])
 @pytest.mark.parametrize("knot", ["3_1", "8_20", "T(2,5)", "T(3,4)"])
 def test_copies_scale_the_summary(knot, k):
     # every plateau, jump, balanced and non-balanced value and multiplicity
