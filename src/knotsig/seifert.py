@@ -3,8 +3,8 @@
 A Seifert matrix is a square integer matrix V of even size with
 det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  A matrix given whole
 (table, JSON file, braid) is split once, on construction, into connected
-blocks on the union of the supports of V and V^T, and each distinct block is
-checked once.  Connected sums are block sums, so a sum takes its blocks from
+blocks on the union of the supports of V and V^T, and each block is
+checked.  Connected sums are block sums, so a sum takes its blocks from
 its checked summands and a mirror -V^T has the blocks -B^T: neither is
 checked again, and its padded rows are built only when first read.
 det(V - V^T) and the Alexander polynomial det(V - x V^T) are products over
@@ -27,8 +27,8 @@ class SeifertMatrix:
     rows) of its connected blocks, in the order of connected_blocks.
 
     SeifertMatrix(rows) checks its input.  connected_sum and mirror build
-    their results from checked parts (_sum, mirror) without checking again,
-    and a sum builds its padded rows on first read.
+    their results from checked parts without checking again, and a sum
+    builds its padded rows on first read.
     """
 
     __slots__ = ("_rows", "_parts", "blocks", "size")
@@ -43,11 +43,8 @@ class SeifertMatrix:
         blocks = tuple(tuple(tuple(rows[i][j] for j in block) for i in block)
                        for block in connected_blocks(rows))
         self._set(rows, None, blocks, n)
-        # one determinant per distinct block: equal blocks have equal ones
-        dets = {B: _int_det([[B[i][j] - B[j][i] for j in range(len(B))]
-                             for i in range(len(B))])
-                for B in dict.fromkeys(blocks)}
-        d = prod(dets[B] for B in blocks)
+        d = prod(_int_det([[B[i][j] - B[j][i] for j in range(len(B))] for i in range(len(B))])
+                 for B in blocks)
         if d != 1:
             raise SeifertInvariantError(f"det(V - V^T) = {d}, expected 1")
 
@@ -57,14 +54,6 @@ class SeifertMatrix:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "size", size)
         return self
-
-    @classmethod
-    def _sum(cls, parts) -> "SeifertMatrix":
-        """The block sum of checked matrices, in order, not checked again:
-        its blocks are theirs, concatenated."""
-        parts = tuple(parts)
-        return object.__new__(cls)._set(None, parts, tuple(B for a in parts for B in a.blocks),
-                                        sum(a.size for a in parts))
 
     def __setattr__(self, *a):
         raise AttributeError("SeifertMatrix is immutable")
@@ -107,9 +96,7 @@ class SeifertMatrix:
         """-V^T, a Seifert matrix of the mirror image: the sum of the parts'
         mirrors, or with the blocks -B^T; det(B - B^T) is unchanged."""
         if self._parts is not None:
-            mirrors = {id(a): a for a in self._parts}  # k equal parts mirror once
-            mirrors = {k: a.mirror() for k, a in mirrors.items()}
-            return SeifertMatrix._sum(mirrors[id(a)] for a in self._parts)
+            return connected_sum(*(a.mirror() for a in self._parts))
         return object.__new__(SeifertMatrix)._set(
             _neg_transpose(self._rows), None, tuple(map(_neg_transpose, self.blocks)), self.size)
 
@@ -148,8 +135,11 @@ def connected_blocks(V) -> list[list[int]]:
 
 def connected_sum(*summands: SeifertMatrix) -> SeifertMatrix:
     """Block sum of the summands in order; realizes the connected sum of the
-    underlying knots (of none, the unknot)."""
-    return SeifertMatrix._sum(summands)
+    underlying knots (of none, the unknot).  The summands are checked, so the
+    sum is not checked again: its blocks are theirs, concatenated."""
+    return object.__new__(SeifertMatrix)._set(None, summands,
+                                              tuple(B for a in summands for B in a.blocks),
+                                              sum(a.size for a in summands))
 
 
 def mirror(a: SeifertMatrix) -> SeifertMatrix:

@@ -90,23 +90,6 @@ def _block_diagonal(*blocks) -> list:
     return rows
 
 
-def test_each_distinct_block_is_checked_once(monkeypatch):
-    trefoil, figure_eight = lookup("3_1").rows, lookup("4_1").rows
-    calls = []
-
-    def counted(M):
-        calls.append(M)
-        return _int_det(M)
-
-    monkeypatch.setattr(seifert, "_int_det", counted)
-    V = SeifertMatrix(_block_diagonal(trefoil, figure_eight, trefoil, trefoil))
-    assert V.blocks == (trefoil, figure_eight, trefoil, trefoil)
-    assert len(calls) == 2  # one for the three trefoil blocks, one for 4_1
-    calls.clear()
-    SeifertMatrix(_block_diagonal(trefoil, trefoil, trefoil))
-    assert len(calls) == 1
-
-
 def test_a_bad_block_beside_repeated_good_ones_fails():
     # det(B - B^T) = 4 for B = [[0, 2], [0, 0]]; the product counts each copy
     trefoil, bad = lookup("3_1").rows, ((0, 2), (0, 0))
