@@ -9,11 +9,16 @@ the closed braid: one disc per strand, one band per letter.  A homology
 basis is given by loops through consecutive bands on the same generator
 index; their linking numbers depend only on the signs of the two bands, on
 the sign of a shared band, and on how loops on adjacent indices interleave
-in time.  The sign convention makes the closure of sigma_1^3 the trefoil
-with signature -2.
+in time.  So a loop links only its neighbours on its own index and at
+most two loops on each adjacent index: the matrix is built as its O(g)
+nonzeros, one dict per row, which SeifertMatrix checks without dense
+rows.  The sign convention makes the closure of sigma_1^3 the trefoil with
+signature -2.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .errors import BraidError
 from .record import Record
@@ -69,44 +74,44 @@ def torus_braid(p: int, q: int) -> BraidWord:
 
 
 def seifert_from_braid(b: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of the band surface of the braid closure.
+    """Seifert matrix of the band surface of the braid closure, built from
+    its nonzeros.
 
     Raises BraidError when the closure has more than one component.
     """
     if not b.closure_is_knot():
         raise BraidError("braid closure is not a knot (permutation is not a full cycle)")
 
-    occurrences: dict[int, list[tuple[int, int]]] = {}
+    times: dict[int, list[int]] = {}  # generator index -> the times of its bands
     for t, s in enumerate(b.letters):
-        occurrences.setdefault(abs(s) - 1, []).append((t, 1 if s > 0 else -1))
+        times.setdefault(abs(s) - 1, []).append(t)
+    # loop j on index i runs through the bands at times[i][j] and
+    # times[i][j + 1]; loops are numbered by index, then by j
+    first, g = {}, 0
+    for i in sorted(times):
+        first[i] = g
+        g += len(times[i]) - 1
 
-    # loop (i, j): through bands j and j+1 on generator index i
-    gens = []
-    for i in sorted(occurrences):
-        occ = occurrences[i]
-        for j in range(len(occ) - 1):
-            (t1, e1), (t2, e2) = occ[j], occ[j + 1]
-            gens.append((i, t1, t2, e1, e2))
-
-    g = len(gens)
-    V = [[0] * g for _ in range(g)]
-    for a, (i, t1, t2, e1, e2) in enumerate(gens):
-        if e1 == e2:
-            V[a][a] = -e1  # two positive bands give a -1 framing
-    for a, (ia, t1a, t2a, _e1a, e2a) in enumerate(gens):
-        for c, (ic, t1c, t2c, _e1c, _e2c) in enumerate(gens):
-            if a == c:
-                continue
-            if ia == ic and t2a == t1c:
-                # consecutive loops sharing the middle band
-                if e2a > 0:
-                    V[c][a] = 1
+    V: list[dict] = [{} for _ in range(g)]
+    for i, T in times.items():
+        U = times.get(i + 1, ())
+        for j in range(len(T) - 1):
+            a, t1, t2 = first[i] + j, T[j], T[j + 1]
+            e1, e2 = b.letters[t1] > 0, b.letters[t2] > 0
+            if e1 == e2:
+                V[a][a] = -1 if e1 else 1  # two positive bands give a -1 framing
+            if j + 2 < len(T):
+                # the next loop on index i shares the band at t2
+                if e2:
+                    V[a + 1][a] = 1
                 else:
-                    V[a][c] = -1
-            elif ic == ia + 1:
-                # adjacent indices: only temporally interleaved loops link
-                if t1c < t1a < t2c < t2a:
-                    V[c][a] = 1
-                elif t1a < t1c < t2a < t2c:
-                    V[c][a] = -1
+                    V[a][a + 1] = -1
+            # adjacent indices: only temporally interleaved loops link, at
+            # most two loops c on index i + 1, the ones around t1 and t2
+            m = bisect(U, t1) - 1  # U[m] < t1 < U[m + 1]
+            if 0 <= m < len(U) - 1 and U[m + 1] < t2:
+                V[first[i + 1] + m][a] = 1
+            m = bisect(U, t2) - 1  # U[m] < t2 < U[m + 1]
+            if 0 <= m < len(U) - 1 and U[m] > t1:
+                V[first[i + 1] + m][a] = -1
     return SeifertMatrix(V)

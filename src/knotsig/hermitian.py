@@ -105,7 +105,7 @@ from itertools import compress
 from math import gcd
 
 from . import intpoly as ip
-from .errors import SingularSampleError
+from .errors import SeifertInvariantError, SingularSampleError
 from .sturm import RealRoot
 
 Pair = tuple  # (a, b): two int-coefficient tuples, ascending powers of zhat
@@ -602,3 +602,16 @@ def symmetric_signature(M) -> tuple[int, int, int]:
     """
     rows = {i: {j: (0, (c, 0)) for j, c in enumerate(row) if c} for i, row in enumerate(M)}
     return signature_triple(rows, IntPairOrder(Fraction(0)))
+
+
+def murasugi_signature(V) -> int:
+    """The classical signature sigma(-1): the signature of V + V^T, summed
+    over the blocks."""
+    total = 0
+    for B in V.blocks:
+        pos, neg, null = symmetric_signature([[B[i][j] + B[j][i] for j in range(len(B))]
+                                              for i in range(len(B))])
+        if null:
+            raise SeifertInvariantError("V + V^T is singular; not a knot Seifert matrix")
+        total += pos - neg
+    return total

@@ -2,55 +2,74 @@
 
 A Seifert matrix is a square integer matrix V of even size with
 det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  A matrix given whole
-(table, JSON file, braid) is split once, on construction, into connected
-blocks on the union of the supports of V and V^T, and each block is
-checked.  Connected sums are block sums, so a sum takes its blocks from
-its checked summands and a mirror -V^T has the blocks -B^T: neither is
-checked again, and its padded rows are built only when first read.
-det(V - V^T) and the Alexander polynomial det(V - x V^T) are products over
-the blocks, each distinct block polynomial computed exactly as a
-characteristic polynomial and a Taylor shift modulo one proven prime just
-above twice a Hadamard bound, by a Krylov pass on vectors packed one per
-int (see _det_poly).
+(table, JSON file, braid) is kept as its nonzeros, one dict {column: entry}
+per row, and checked once, on construction, at a cost in the nonzeros and
+the fill: its connected blocks on the union of the supports of V and V^T
+come from adjacency lists, and det(V - V^T) is the product over the blocks
+of a sparse Bareiss elimination in reverse Cuthill-McKee order (_int_det).
+Connected sums are block sums, so a sum takes its blocks from its checked
+summands and a mirror -V^T has the nonzeros and blocks of the transpose,
+negated: neither is checked again.  Dense rows are built only when first
+read.
+
+det(V - x V^T) is the product of the block polynomials.  They are computed
+in gfmat, which alexander_polynomial imports only when it runs, so neither
+validation nor resolving an expression compiles that code.
 """
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import prod
 from operator import index
 
-from .errors import ParityError, SeifertInvariantError, SymmetryError
+from .errors import SeifertInvariantError
 
 
 class SeifertMatrix:
     """Immutable integer Seifert matrix; blocks holds the matrices (tuples of
     rows) of its connected blocks, in the order of connected_blocks.
 
-    SeifertMatrix(rows) checks its input.  connected_sum and mirror build
-    their results from checked parts without checking again, and a sum
-    builds its padded rows on first read.
+    SeifertMatrix(rows) checks its input.  A row is a sequence of its n
+    entries or a dict {column: entry} of its nonzero ones; either way the
+    matrix is kept as its nonzeros.  connected_sum and mirror build their
+    results from checked parts without checking again, and rows are built
+    on first read.
     """
 
-    __slots__ = ("_rows", "_parts", "blocks", "size")
+    __slots__ = ("_rows", "_nz", "_parts", "blocks", "size")
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(_entry, row)) for row in rows)
+        rows = list(rows)
         n = len(rows)
-        if any(len(r) != n for r in rows):
+        nz, square = [], True
+        for row in rows:
+            if isinstance(row, dict):
+                cols, row = list(row), list(row.values())
+                square = (square and _INT.issuperset(map(type, cols))
+                          and (not cols or min(cols) >= 0 and max(cols) < n))
+            else:
+                row = list(row)
+                cols = range(len(row))
+                square = square and len(row) == n
+            if not _INT.issuperset(map(type, row)):
+                row = list(map(_entry, row))
+            nz.append({j: c for j, c in zip(cols, row) if c})
+        if not square:
             raise SeifertInvariantError("matrix is not square")
         if n % 2 != 0:
             raise SeifertInvariantError(f"size {n} is odd; Seifert matrices have even size")
-        blocks = tuple(tuple(tuple(rows[i][j] for j in block) for i in block)
-                       for block in connected_blocks(rows))
-        self._set(rows, None, blocks, n)
-        d = prod(_int_det([[B[i][j] - B[j][i] for j in range(len(B))] for i in range(len(B))])
-                 for B in blocks)
+        nz = tuple(nz)
+        links = _links(nz)
+        comps = _components(links)
+        self._set(None, nz, None, tuple(_dense(nz, sorted(c)) for c in comps), n)
+        d = prod(_int_det(_skew(nz, links, c)) for c in comps)
         if d != 1:
             raise SeifertInvariantError(f"det(V - V^T) = {d}, expected 1")
 
-    def _set(self, rows, parts, blocks, size) -> "SeifertMatrix":
-        object.__setattr__(self, "_rows", rows)  # None for a sum until first read
-        object.__setattr__(self, "_parts", parts)
+    def _set(self, rows, nz, parts, blocks, size) -> "SeifertMatrix":
+        object.__setattr__(self, "_rows", rows)  # None until first read
+        object.__setattr__(self, "_nz", nz)  # a matrix given whole or mirrored
+        object.__setattr__(self, "_parts", parts)  # a sum
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "size", size)
         return self
@@ -58,8 +77,12 @@ class SeifertMatrix:
     def __setattr__(self, *a):
         raise AttributeError("SeifertMatrix is immutable")
 
-    def __reduce__(self):  # copy and pickle rebuild through the constructor
-        return SeifertMatrix, (self.rows,)
+    def __reduce__(self):
+        """Copy and pickle: a sum by its parts, a matrix given whole by its
+        nonzeros, through the constructor."""
+        if self._parts is not None:
+            return connected_sum, self._parts
+        return SeifertMatrix, (self._nz,)
 
     @classmethod
     def empty(cls) -> "SeifertMatrix":
@@ -67,15 +90,20 @@ class SeifertMatrix:
 
     @property
     def rows(self) -> tuple:
-        """The n x n rows; a sum pads its parts' rows on first read."""
+        """The n x n rows, built on first read: from the nonzeros, or for a
+        sum by padding its parts' rows."""
         rows = self._rows
         if rows is None:
-            n, rows, left = self.size, [], 0
-            for a in self._parts:
-                right = n - left - a.size
-                rows += [(0,) * left + r + (0,) * right for r in a.rows]
-                left += a.size
-            rows = tuple(rows)
+            n = self.size
+            if self._parts is None:
+                rows = _dense(self._nz, range(n))
+            else:
+                rows, left = [], 0
+                for a in self._parts:
+                    right = n - left - a.size
+                    rows += [(0,) * left + r + (0,) * right for r in a.rows]
+                    left += a.size
+                rows = tuple(rows)
             object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -94,11 +122,19 @@ class SeifertMatrix:
 
     def mirror(self) -> "SeifertMatrix":
         """-V^T, a Seifert matrix of the mirror image: the sum of the parts'
-        mirrors, or with the blocks -B^T; det(B - B^T) is unchanged."""
+        mirrors, or with the nonzeros and blocks -B^T; det(B - B^T) is
+        unchanged."""
         if self._parts is not None:
             return connected_sum(*(a.mirror() for a in self._parts))
+        nz = [{} for _ in self._nz]
+        for i, row in enumerate(self._nz):
+            for j, c in row.items():
+                nz[j][i] = -c
         return object.__new__(SeifertMatrix)._set(
-            _neg_transpose(self._rows), None, tuple(map(_neg_transpose, self.blocks)), self.size)
+            None, tuple(nz), None, tuple(map(_neg_transpose, self.blocks)), self.size)
+
+
+_INT = frozenset((int,))
 
 
 def _neg_transpose(rows) -> tuple:
@@ -112,32 +148,77 @@ def _entry(c) -> int:
         raise SeifertInvariantError(f"matrix entry {c!r} is not an integer") from None
 
 
+def _links(nz) -> list[set]:
+    """For each index i, the j with V[i][j] or V[j][i] nonzero."""
+    links = [set(row) for row in nz]
+    for i, row in enumerate(nz):
+        for j in row:
+            links[j].add(i)
+    return links
+
+
+def _components(links) -> list[list[int]]:
+    """The connected components of the graph, in the order of their
+    smallest index, each in reverse Cuthill-McKee order: breadth first from
+    that index, each index's new neighbours by increasing number of links,
+    then reversed.  A band matrix keeps a narrow band in this order, so
+    elimination fills little: T(3, q) has band q - 1 in the braid's order
+    and 2 in this one."""
+    degree = list(map(len, links)).__getitem__
+    seen, comps = [False] * len(links), []
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        seen[start] = True
+        order = [start]
+        for i in order:  # breadth first: order grows while it is read
+            new = sorted([j for j in links[i] if not seen[j]], key=degree)
+            for j in new:
+                seen[j] = True
+            order += new
+        order.reverse()
+        comps.append(order)
+    return comps
+
+
 def connected_blocks(V) -> list[list[int]]:
     """Index sets of the connected components of the union of the supports
-    of V and V^T, each sorted, in the order of their smallest index.
+    of V and V^T, each sorted, in the order of their smallest index.  V is
+    a sequence of rows as SeifertMatrix takes them.
 
     Not the support of V + V^T: V[i][j] = 1 and V[j][i] = -1 cancel there
     but still link i and j in V - x V^T.
     """
-    todo, blocks = set(range(len(V))), []
-    while todo:
-        stack = [min(todo)]
-        comp = set(stack)
-        while stack:
-            i = stack.pop()
-            linked = {j for j in todo - comp if V[i][j] or V[j][i]}
-            comp |= linked
-            stack += linked
-        todo -= comp
-        blocks.append(sorted(comp))
-    return blocks
+    return [sorted(c) for c in _components(_links(
+        [row if isinstance(row, dict) else {j: c for j, c in enumerate(row) if c} for row in V]))]
+
+
+def _dense(nz, comp) -> tuple:
+    """The rows and columns comp of the matrix with nonzeros nz, as tuples;
+    every nonzero of these rows lies in columns comp."""
+    at = {j: k for k, j in enumerate(comp)}
+    out = []
+    for i in comp:
+        row = [0] * len(comp)
+        for j, c in nz[i].items():
+            row[at[j]] = c
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _skew(nz, links, order) -> list[dict]:
+    """The sparse rows of P (V - V^T) P^T, restricted to the indices in
+    order (a union of components) and relabelled by their place in it."""
+    at = {j: k for k, j in enumerate(order)}
+    return [{at[j]: c for j in links[i] if (c := nz[i].get(j, 0) - nz[j].get(i, 0))}
+            for i in order]
 
 
 def connected_sum(*summands: SeifertMatrix) -> SeifertMatrix:
     """Block sum of the summands in order; realizes the connected sum of the
     underlying knots (of none, the unknot).  The summands are checked, so the
     sum is not checked again: its blocks are theirs, concatenated."""
-    return object.__new__(SeifertMatrix)._set(None, summands,
+    return object.__new__(SeifertMatrix)._set(None, None, summands,
                                               tuple(B for a in summands for B in a.blocks),
                                               sum(a.size for a in summands))
 
@@ -155,208 +236,84 @@ def stabilize(a: SeifertMatrix) -> SeifertMatrix:
     return SeifertMatrix(rows)
 
 
-def _int_det(M) -> int:
-    """Exact integer determinant (fraction-free Bareiss): the validation
-    det(V - V^T) = 1, and the tests' reference values for _det_poly.
+def _int_det(rows) -> int:
+    """Exact determinant of the integer matrix with the given sparse rows
+    (dicts {column: entry}, zeros allowed): fraction-free Bareiss on the
+    nonzeros.
 
-    Step k + 1 takes row i to (d_{k+1} * row_i - A[i][k] * row_k) / d_k, so
-    a row whose column-k entry is 0 is only rescaled, by d_{k+1}/d_k.  These
-    factors telescope, so such a row is not touched: it keeps the step t at
-    which it was last updated, and is brought up by d_k/d_t only when it
-    becomes the pivot row (swapped in or not), or when it next meets a
-    pivot, in the one pass (d_{k+1} * row_i - A[i][k] * row_k) / d_t.
+    Step k picks as pivot the least row not yet a pivot with a nonzero in
+    column k, and takes every other row i with one to
+    (d_{k+1} * row_i - A[i][k] * row_k) / d_k, over the union of the two
+    supports (the fill).  A row whose column-k entry is 0 is only rescaled,
+    by d_{k+1}/d_k.  These factors telescope, so such a row is not touched:
+    it keeps the step t at which it was last updated, and is brought up by
+    d_k/d_t only when it becomes the pivot row, or when it next meets a
+    pivot, in the one pass (d_{k+1} * row_i - A[i][k] * row_k) / d_t.  The
+    determinant is d_n times the sign of the permutation taking step k to
+    its pivot row.
     """
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [list(map(int, row)) for row in M]
-    stamp, d, sign = [0] * n, [1], 1
+    n = len(rows)
+    A = list(map(dict, rows))
+    holders = [set() for _ in range(n)]  # column -> the rows not yet pivots with an entry there
+    for i, row in enumerate(A):
+        for j in row:
+            holders[j].add(i)
+    stamp, d, pivots = [0] * n, [1], []
     for k in range(n):
-        if A[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if piv is None:
-                return 0
-            A[k], A[piv] = A[piv], A[k]
-            stamp[k], stamp[piv] = stamp[piv], stamp[k]
-            sign = -sign
-        row_k, t = A[k], stamp[k]
+        col = holders[k]
+        live = [i for i in col if A[i][k]]
+        if not live:
+            return 0
+        piv = min(live)
+        pivots.append(piv)
+        row_k, t = A[piv], stamp[piv]
+        for j in row_k:
+            holders[j].discard(piv)
         if t != k:
             dk, dt = d[k], d[t]
-            row_k[k:] = [x * dk // dt for x in row_k[k:]]
-        dp = row_k[k]
+            row_k = {j: x * dk // dt for j, x in row_k.items()}
+        dp = row_k.pop(k)
         d.append(dp)
-        for i in range(k + 1, n):
+        for i in col:
             row = A[i]
-            a = row[k]
+            a = row.pop(k)
             if a:
+                for j in row_k.keys() - row.keys():  # the fill
+                    holders[j].add(i)
+                    row[j] = 0
                 dt = d[stamp[i]]
-                row[k + 1:] = [(dp * x - a * y) // dt for x, y in zip(row[k + 1:], row_k[k + 1:])]
+                A[i] = {j: (dp * x - a * row_k.get(j, 0)) // dt for j, x in row.items()}
                 stamp[i] = k + 1
+    sign = 1
+    for k in range(n):  # sort the pivots by swaps, each flipping the sign
+        while pivots[k] != k:
+            j = pivots[k]
+            pivots[k], pivots[j] = pivots[j], j
+            sign = -sign
     return sign * d[n]
 
 
-def block_alexander_polynomials(V: SeifertMatrix) -> list[tuple]:
-    """det(B - x B^T) for each block B in V.blocks, unnormalized (see
-    _det_poly), computed once per distinct block."""
-    polys: dict = {}
-    for B in V.blocks:
-        if B not in polys:
-            polys[B] = _det_poly(B)
-    return [polys[B] for B in V.blocks]
-
+# The Alexander polynomial and the classical signature are computed in
+# gfmat and hermitian, imported only when these run: validation and
+# resolving compile neither.
 
 def alexander_polynomial(V: SeifertMatrix) -> tuple:
-    """det(V - x V^T), normalized symmetric with value 1 at x = 1 (see
-    normalize_alexander): the product of the block polynomials.  The tuple d
-    holds the coefficients of x^low .. x^-low in ascending order,
-    low = -(len(d) - 1) // 2."""
-    from . import intpoly as ip  # polynomials only: validation needs no intpoly
+    """det(V - x V^T), normalized (gfmat.alexander_polynomial)."""
+    from . import gfmat
 
-    total = (1,)
-    for p in block_alexander_polynomials(V):
-        total = ip.mul(total, p)
-    return normalize_alexander(total)
+    return gfmat.alexander_polynomial(V)
 
 
 def normalize_alexander(p) -> tuple:
-    """The canonical symmetric representative with value 1 at x = 1.
+    """The canonical symmetric representative of +-x^k p with value 1 at
+    x = 1 (gfmat.normalize_alexander)."""
+    from . import gfmat
 
-    Input may be any unit multiple +-x^k p, as an ascending tuple from x^0;
-    the result is palindromic of even degree 2m with p(1) = 1, which pins
-    the representative uniquely, and stands for x^-m times that tuple.
-    """
-    from . import intpoly as ip  # polynomials only: validation needs no intpoly
-
-    p = ip.trim(p)
-    k = 0
-    while k < len(p) and p[k] == 0:
-        k += 1
-    p = p[k:]  # drop the factor x^k
-    if ip.is_zero(p):
-        raise ValueError("Alexander polynomial cannot be zero")
-    rev = p[::-1]
-    if rev != p and rev != ip.neg(p):
-        raise SymmetryError("not symmetric up to units")
-    if ip.degree(p) % 2 != 0:
-        raise ParityError("Alexander polynomial must have even span")
-    at1 = sum(p)
-    if abs(at1) != 1:
-        raise ValueError(f"p(1) = {at1}, expected a unit (is this det(V - xV^T)?)")
-    return p if at1 > 0 else ip.neg(p)
-
-
-def _det_poly(M) -> tuple:
-    """det(M - x M^T) as an ascending tuple from x^0, trailing zeros
-    trimmed and leading ones kept (det M = 0 gives a leading 0), for a
-    square integer M with det(M - M^T) = 1.
-
-    With D = M - M^T the matrix B = D^-1 M^T has integer entries, and
-    M - x M^T = D (I - (x - 1) B), so det(M - x M^T) = sum_k chi_k (x - 1)^(n-k)
-    where chi = det(lambda I - B) in ascending coefficients: one
-    characteristic polynomial and one Taylor shift.  Both are computed in
-    one pass modulo a single prime p (_det_poly_mod) on vectors packed one
-    per int (gfmat.Slots): solve D B = M^T (gfmat.solve), reduce B^T to
-    Hessenberg form by Krylov (gfmat.hessenberg), read chi off the
-    Hessenberg recurrence (gfmat.charpoly), then substitute y = x - 1.  B^T has the characteristic
-    polynomial of B, since det(lambda I - B^T) is the determinant of the
-    transpose of lambda I - B.  Slots are wide enough that no sum between
-    two reductions carries into the next slot, and a Krylov basis that
-    closes an invariant subspace early restarts at a unit vector, leaving a
-    zero on the subdiagonal of H.  The pass takes O(n^2) big-integer
-    operations (the LU-Krylov characteristic polynomial of Dumas, Pernet
-    and Wan, ISSAC 2005).
-
-    On |x| = 1 every entry of column j of M - x M^T is at most the entry of
-    |M| + |M^T| in absolute value, so by Hadamard |det(M - x M^T)| <= H, the
-    product over j of the ceiling of the 2-norm of column j of |M| + |M^T|,
-    and every coefficient, a mean of the polynomial over the circle, is at
-    most H too.  p is a Proth prime k 2^m + 1 with small k and m the bit
-    length of 2 H (_prime), so p > 2 H: the coefficients lie in [-H, H], an
-    interval shorter than p, and the residue in the symmetric range
-    (-p/2, p/2] is the coefficient itself.  One pass modulo a prime just
-    above 2 H costs less than the several word-size passes and the CRT
-    that would reach the same modulus.
-    """
-    from . import intpoly as ip  # polynomials only: validation needs no intpoly
-
-    n = len(M)
-    bound = 1
-    for j in range(n):
-        s = sum((abs(M[i][j]) + abs(M[j][i])) ** 2 for i in range(n))
-        r = isqrt(s)
-        bound *= r if r * r == s else r + 1
-    p = _prime((2 * bound).bit_length())
-    half = p // 2
-    return ip.trim(c - p if c > half else c for c in _det_poly_mod(M, p))
-
-
-def _det_poly_mod(M, p: int) -> list:
-    """The n + 1 ascending coefficients of det(M - x M^T) mod p (see _det_poly)."""
-    from . import gfmat  # only block polynomials need it, not validation
-
-    n = len(M)
-    S = gfmat.Slots(p, n)
-    det, B = gfmat.solve(M, S)
-    if det != 1:
-        raise SeifertInvariantError("det(M - M^T) is not 1")
-    chi = S.unpack(gfmat.charpoly(gfmat.hessenberg(B, S), S), n + 1)
-    # det(M - x M^T) = g(x - 1) with g(y) = sum_k chi_k y^(n-k): Horner in x - 1
-    out = [0] * (n + 1)
-    for g in chi:  # g is the coefficient of y^(n-k)
-        for j in range(n, 0, -1):
-            out[j] = (out[j - 1] - out[j]) % p
-        out[0] = (g - out[0]) % p
-    return out
-
-
-# the odd primes below 256, a sieve for the candidates of _prime and the
-# bases of its Proth test: Fermat's test to base 2 is exact below 341
-_SMALL_PRIMES = tuple(q for q in range(3, 256, 2) if pow(2, q - 1, q) == 1)
-_PROTH: dict = {}  # m -> _prime(m)
-
-
-def _prime(m: int) -> int:
-    """A prime p = k 2^m + 1 with k odd and k < 2^m, for m >= 2: the one
-    with the least k that a base a < 256 proves prime.
-
-    Proth's theorem (1878): such a p is prime if a^((p-1)/2) = -1 mod p for
-    some a.  For a prime p every quadratic nonresidue a is such a witness,
-    and by Euler's criterion a^((p-1)/2) is 1 or -1 for every 0 < a < p, so
-    any other value proves p composite.  Candidates divisible by a small
-    prime q < 2^m < p are skipped first, and p is cached per m.
-    """
-    p = _PROTH.get(m)
-    if p is not None:
-        return p
-    step = 1 << m
-    # q divides k 2^m + 1 exactly when k = -2^-m mod q
-    sieve = [(q, -pow(step, -1, q) % q) for q in _SMALL_PRIMES if q < step]
-    for k in range(1, step, 2):
-        if any(k % q == r for q, r in sieve):
-            continue
-        p = k * step + 1
-        for a in _SMALL_PRIMES:
-            if a >= p:
-                break
-            x = pow(a, p >> 1, p)
-            if x == p - 1:
-                _PROTH[m] = p
-                return p
-            if x != 1:
-                break
-    raise AssertionError(f"no Proth prime k 2^{m} + 1 with k < 2^{m} found")
+    return gfmat.normalize_alexander(p)
 
 
 def murasugi_signature(V: SeifertMatrix) -> int:
-    """The classical signature sigma(-1): the signature of V + V^T, summed
-    over the blocks."""
-    from .hermitian import symmetric_signature  # signatures only, not validation
+    """The classical signature sigma(-1) (hermitian.murasugi_signature)."""
+    from . import hermitian
 
-    total = 0
-    for B in V.blocks:
-        pos, neg, null = symmetric_signature([[B[i][j] + B[j][i] for j in range(len(B))]
-                                              for i in range(len(B))])
-        if null:
-            raise SeifertInvariantError("V + V^T is singular; not a knot Seifert matrix")
-        total += pos - neg
-    return total
+    return hermitian.murasugi_signature(V)

@@ -58,10 +58,11 @@ from math import cos, gcd, pi
 
 from . import intpoly as ip
 from .errors import KnotsigError
+from .gfmat import block_alexander_polynomials
 from .hermitian import sampler, signature_at_root, signatures_at_roots
 from .factor import factor_int_poly
 from .record import Record
-from .seifert import SeifertMatrix, block_alexander_polynomials
+from .seifert import SeifertMatrix
 from .sturm import RealRoot, isolate_real_roots
 
 

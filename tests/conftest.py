@@ -250,6 +250,110 @@ def _interpolate_int(points, values):
     return tuple(int(c) for c in coeffs)
 
 
+# ---- dense references for the sparse Seifert code: the determinant, the
+# blocks and the braid matrix as they were computed before the library kept
+# a matrix as its nonzeros
+
+def reference_int_det(M) -> int:
+    """Exact integer determinant of dense rows (fraction-free Bareiss).
+
+    Step k + 1 takes row i to (d_{k+1} * row_i - A[i][k] * row_k) / d_k, so
+    a row whose column-k entry is 0 is only rescaled, by d_{k+1}/d_k.  These
+    factors telescope, so such a row is not touched: it keeps the step t at
+    which it was last updated, and is brought up by d_k/d_t only when it
+    becomes the pivot row (swapped in or not), or when it next meets a
+    pivot, in the one pass (d_{k+1} * row_i - A[i][k] * row_k) / d_t.
+    """
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [list(map(int, row)) for row in M]
+    stamp, d, sign = [0] * n, [1], 1
+    for k in range(n):
+        if A[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if piv is None:
+                return 0
+            A[k], A[piv] = A[piv], A[k]
+            stamp[k], stamp[piv] = stamp[piv], stamp[k]
+            sign = -sign
+        row_k, t = A[k], stamp[k]
+        if t != k:
+            dk, dt = d[k], d[t]
+            row_k[k:] = [x * dk // dt for x in row_k[k:]]
+        dp = row_k[k]
+        d.append(dp)
+        for i in range(k + 1, n):
+            row = A[i]
+            a = row[k]
+            if a:
+                dt = d[stamp[i]]
+                row[k + 1:] = [(dp * x - a * y) // dt for x, y in zip(row[k + 1:], row_k[k + 1:])]
+                stamp[i] = k + 1
+    return sign * d[n]
+
+
+def reference_blocks(V) -> tuple:
+    """The block matrices of dense rows V: the components of the union of
+    the supports of V and V^T by set operations over every pair."""
+    todo, blocks = set(range(len(V))), []
+    while todo:
+        stack = [min(todo)]
+        comp = set(stack)
+        while stack:
+            i = stack.pop()
+            linked = {j for j in todo - comp if V[i][j] or V[j][i]}
+            comp |= linked
+            stack += linked
+        todo -= comp
+        blocks.append(sorted(comp))
+    return tuple(tuple(tuple(V[i][j] for j in b) for i in b) for b in blocks)
+
+
+def reference_braid_rows(b) -> list:
+    """The dense Seifert matrix of a knotted braid closure, comparing every
+    pair of its g loops."""
+    occurrences: dict[int, list[tuple[int, int]]] = {}
+    for t, s in enumerate(b.letters):
+        occurrences.setdefault(abs(s) - 1, []).append((t, 1 if s > 0 else -1))
+
+    # loop (i, j): through bands j and j+1 on generator index i
+    gens = []
+    for i in sorted(occurrences):
+        occ = occurrences[i]
+        for j in range(len(occ) - 1):
+            (t1, e1), (t2, e2) = occ[j], occ[j + 1]
+            gens.append((i, t1, t2, e1, e2))
+
+    g = len(gens)
+    V = [[0] * g for _ in range(g)]
+    for a, (i, t1, t2, e1, e2) in enumerate(gens):
+        if e1 == e2:
+            V[a][a] = -e1  # two positive bands give a -1 framing
+    for a, (ia, t1a, t2a, _e1a, e2a) in enumerate(gens):
+        for c, (ic, t1c, t2c, _e1c, _e2c) in enumerate(gens):
+            if a == c:
+                continue
+            if ia == ic and t2a == t1c:
+                # consecutive loops sharing the middle band
+                if e2a > 0:
+                    V[c][a] = 1
+                else:
+                    V[a][c] = -1
+            elif ic == ia + 1:
+                # adjacent indices: only temporally interleaved loops link
+                if t1c < t1a < t2c < t2a:
+                    V[c][a] = 1
+                elif t1a < t1c < t2a < t2c:
+                    V[c][a] = -1
+    return V
+
+
+def nonzeros(rows) -> tuple:
+    """The nonzeros of dense rows, one dict {column: entry} per row."""
+    return tuple({j: c for j, c in enumerate(row) if c} for row in rows)
+
+
 @pytest.fixture(scope="session")
 def table_names():
     return _TABLE_NAMES

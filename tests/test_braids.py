@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -106,3 +107,22 @@ def test_mirror_braid_negates_signature():
 
     for z in (Fraction(1, 7), Fraction(-5, 4)):
         assert signature_at_sample(W.rows, z) == -signature_at_sample(V.rows, z)
+
+
+def test_large_torus_braids_resolve_from_their_nonzeros():
+    # each loop links its neighbours on its own index and at most two
+    # loops on each adjacent index, so the matrix has O(g) nonzeros, and
+    # validation runs on them: no g x g scan, in the braid or the check
+    import time
+
+    from knotsig.expressions import resolve
+
+    for expr, size, most in (("T(2,2001)", 2000, 3), ("T(3,301)", 600, 5)):
+        best = math.inf
+        for _ in range(2):
+            t0 = time.perf_counter()
+            V = resolve(expr)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.3, (expr, best)
+        assert V.size == size and len(V.blocks) == 1, expr
+        assert sum(map(len, V._nz)) <= most * size, expr

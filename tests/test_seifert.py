@@ -1,21 +1,24 @@
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import (MIXED_SUMS, _interpolate_int, is_proven_prime, mixed_sum,
-                      random_expressions, random_seifert_matrices)
+from conftest import (MIXED_SUMS, _interpolate_int, is_proven_prime, mixed_sum, nonzeros,
+                      random_expressions, random_seifert_matrices, reference_blocks,
+                      reference_braid_rows, reference_int_det)
 from knotsig import gfmat, intpoly as ip, seifert
+from knotsig.braids import BraidWord, seifert_from_braid, torus_braid
 from knotsig.errors import KnotsigError, ParityError, SeifertInvariantError, SymmetryError
 from knotsig.expressions import resolve
+from knotsig.gfmat import _det_poly, _det_poly_mod
 from knotsig.hermitian import signature_at_sample
 from knotsig.knot_table import knot_names, lookup
 from knotsig.knotio import read_seifert_file, write_report
-from knotsig.seifert import (SeifertMatrix, _det_poly, _det_poly_mod, _int_det,
-                             alexander_polynomial, connected_blocks, connected_sum, mirror,
-                             murasugi_signature, normalize_alexander, stabilize)
+from knotsig.seifert import (SeifertMatrix, alexander_polynomial, connected_blocks, connected_sum,
+                             mirror, murasugi_signature, normalize_alexander, stabilize)
 from knotsig.signature import step_function
 
 
@@ -52,10 +55,28 @@ def test_blocks_are_the_summands():
 def test_copy_and_pickle_rebuild_the_matrix():
     import copy
     import pickle
+    import time
 
     V = resolve("3_1 # 4_1")
     for W in (copy.copy(V), copy.deepcopy(V), pickle.loads(pickle.dumps(V))):
         assert W == V and W.blocks == V.blocks
+    # a sum reduces to connected_sum of its parts: 1000 copies of one
+    # trefoil pickle as that trefoil, checked once on load, and the sum
+    # comes back without rows
+    V = resolve("1000*3_1")
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        W = pickle.loads(pickle.dumps(V))
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.010
+    assert W._parts is not None and W._rows is None and W.blocks == V.blocks
+    assert W == V and W.size == V.size
+    # a matrix given whole goes through the constructor with its nonzeros
+    T = resolve("T(3,16)")
+    for U in (copy.copy(T), copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
+        assert U._nz == T._nz and U._rows is None
+        assert U == T and U.blocks == T.blocks and hash(U) == hash(T)
 
 
 def test_blocks_link_where_v_plus_vt_cancels():
@@ -64,6 +85,92 @@ def test_blocks_link_where_v_plus_vt_cancels():
     V = SeifertMatrix([[-1, 0, 0, 0], [1, -1, 1, 0], [0, -1, -1, 0], [0, 0, 1, -1]])
     assert V.blocks == (V.rows,)
     assert alexander_polynomial(V) == normalize_alexander(_reference_det_poly(V.rows))
+
+
+# ---- the sparse constructor against the dense references in conftest
+
+def _agreement_cases():
+    """(label, matrix, its dense rows): the table's braids against the
+    pairwise braid reference, every T(p,q) with (p-1)(q-1) <= 80, 60 S+U
+    matrices and the congruent mixed sums."""
+    from knotsig.knot_table import _ENTRIES
+
+    braids = [(e.name, BraidWord(*e.braid)) for e in _ENTRIES if e.braid is not None]
+    braids += [(f"T({p},{q})", torus_braid(p, q)) for p in range(2, 10) for q in range(p + 1, 82)
+               if (p - 1) * (q - 1) <= 80 and math.gcd(p, q) == 1]
+    cases = [(label, seifert_from_braid(b), reference_braid_rows(b)) for label, b in braids]
+    cases += [(f"S+U #{k}", V, V.rows)
+              for k, V in enumerate(random_seifert_matrices(60, seed=20))]
+    cases += [(f"mixed {e}", W, W.rows) for e in MIXED_SUMS for W in mixed_sum(e)[1:]]
+    return cases
+
+
+def _sparse_det(rows, x) -> int:
+    """det(V - x V^T) by seifert._int_det, block by block in the
+    constructor's reverse Cuthill-McKee order."""
+    d = 1
+    for order in seifert._components(seifert._links(nonzeros(rows))):
+        d *= seifert._int_det([{k: c for k, j in enumerate(order)
+                                if (c := rows[i][j] - x * rows[j][i])} for i in order])
+    return d
+
+
+def test_sparse_matrices_agree_with_the_dense_references():
+    seen = 0
+    for label, V, rows in _agreement_cases():
+        n = len(rows)
+        assert V._nz == nonzeros(rows), label
+        assert V.rows == tuple(map(tuple, rows)) and V.size == n, label
+        assert V.blocks == reference_blocks(rows), label
+        W = SeifertMatrix(rows)
+        assert (W._nz, W.rows, W.blocks, W.size) == (V._nz, V.rows, V.blocks, V.size), label
+        links = seifert._links(V._nz)
+        assert math.prod(seifert._int_det(seifert._skew(V._nz, links, c))
+                         for c in seifert._components(links)) == 1, label
+        for x in (-1, 2):
+            dense = [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
+            assert _sparse_det(rows, x) == reference_int_det(dense), (label, x)
+        seen += 1
+    assert seen == 4 + 105 + 60 + 5
+
+
+def test_sparse_det_agrees_on_random_matrices():
+    # sparse, singular and dense integer matrices in any order: the pivot
+    # search, the fill, the stale rows and the sign of the row permutation
+    rng = random.Random(2026)
+    for trial in range(400):
+        n = rng.randint(0, 9)
+        density = rng.choice((0.2, 0.5, 1.0))
+        M = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        assert seifert._int_det(list(nonzeros(M))) == reference_int_det(M), M
+
+
+def test_invalid_input_messages():
+    trefoil, bad = lookup("3_1").rows, ((0, 2), (0, 0))
+    cases = [
+        ([[0]], "size 1 is odd; Seifert matrices have even size"),
+        ([{}], "size 1 is odd; Seifert matrices have even size"),
+        ([[0, 1], [0]], "matrix is not square"),
+        ([[0, 1, 0], [0, 0, 0]], "matrix is not square"),
+        ([{2: 1}, {}], "matrix is not square"),
+        ([{-1: 1}, {}], "matrix is not square"),
+        ([[0.0, 1], [0, 0]], "matrix entry 0.0 is not an integer"),
+        ([[0, 1], [0, 0.5]], "matrix entry 0.5 is not an integer"),
+        ([{1: 1}, {0: 0.0}], "matrix entry 0.0 is not an integer"),
+        ([[0, 1], [1, 0]], "det(V - V^T) = 0, expected 1"),
+        ([{1: 1}, {0: 1}], "det(V - V^T) = 0, expected 1"),
+        (nonzeros(_block_diagonal(trefoil, bad, trefoil)), "det(V - V^T) = 4, expected 1"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(SeifertInvariantError, match=f"^{re.escape(message)}$"):
+            SeifertMatrix(rows)
+
+
+def test_nonzero_rows_and_dense_rows_give_one_matrix():
+    V = SeifertMatrix([{1: 1, 0: 0}, {}])
+    assert V == SeifertMatrix([[0, 1], [0, 0]]) and V._nz == ({1: 1}, {})
+    assert SeifertMatrix(iter([iter([-1, 0]), (1, -1)])) == lookup("3_1")
 
 
 def test_degenerate_block_fails_validation():
@@ -261,7 +368,7 @@ def _reference_det_poly(M) -> tuple:
     """det(M - x M^T) through the Lagrange polynomial of n + 1 Bareiss values."""
     n = len(M)
     pts = list(range(-(n // 2), n - n // 2 + 1))
-    vals = [_int_det([[M[i][j] - x * M[j][i] for j in range(n)] for i in range(n)])
+    vals = [reference_int_det([[M[i][j] - x * M[j][i] for j in range(n)] for i in range(n)])
             for x in pts]
     return _interpolate_int(pts, vals)
 
@@ -315,13 +422,13 @@ def test_det_poly_takes_one_proven_prime(monkeypatch):
     # the symmetric lift is exact; p is proven prime without Miller-Rabin,
     # and the dense blocks reach moduli of five 61-bit primes and more
     used = []
-    det_poly_mod = seifert._det_poly_mod
+    det_poly_mod = gfmat._det_poly_mod
 
     def recorded(M, p):
         used.append(p)
         return det_poly_mod(M, p)
 
-    monkeypatch.setattr(seifert, "_det_poly_mod", recorded)
+    monkeypatch.setattr(gfmat, "_det_poly_mod", recorded)
     widest = 0
     for _label, V in _cases():
         for B in V.blocks:

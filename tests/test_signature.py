@@ -4,13 +4,13 @@ import pytest
 from conftest import (MIXED_SUMS, assert_walks_match_all_samples, count_evaluations, congruent,
                       mixed_sum, plateau_blocks, random_seifert_matrices, walked_blocks)
 
-from knotsig import intpoly as ip, seifert, signature
+from knotsig import gfmat, intpoly as ip, signature
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
 from knotsig.hermitian import signatures_at_roots
 from knotsig.knot_table import knot_names, lookup
-from knotsig.seifert import (SeifertMatrix, alexander_polynomial, block_alexander_polynomials,
-                             connected_blocks)
+from knotsig.gfmat import block_alexander_polynomials
+from knotsig.seifert import SeifertMatrix, alexander_polynomial, connected_blocks
 from knotsig.factor import factor_int_poly
 from knotsig.signature import (breakpoint_candidates, nonbalanced_at_root, signature_at_sample,
                                step_function)
@@ -239,13 +239,13 @@ def test_block_polynomials_once_per_step_function(monkeypatch):
     # Phi_10^2 of 2*T(2,5) is split over two equal blocks: their polynomial
     # is computed once, and factored once for the one distinct block
     calls = []
-    det_poly = seifert._det_poly
+    det_poly = gfmat._det_poly
 
     def counted(M):
         calls.append(len(M))
         return det_poly(M)
 
-    monkeypatch.setattr(seifert, "_det_poly", counted)
+    monkeypatch.setattr(gfmat, "_det_poly", counted)
     V = resolve("2*T(2,5)")
     sf = step_function(V)
     assert [len(b) for b in connected_blocks(V.rows)] == [4, 4] and V.blocks[0] == V.blocks[1]
