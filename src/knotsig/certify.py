@@ -19,6 +19,10 @@ a bisection fallback:
 3. Otherwise certified bisection narrows [0, 1/2].  It is the only route
    near t = 0 and t = 1/2, where sin(2*pi*t) vanishes and Newton's step
    degrades, and it serves any proposal that misses.
+
+A root's interval is read as the ints a <= b over d of sturm.RealRoot: each
+comparison with a certified cosine, truncation of z and sign of a trace
+polynomial at an end is an integer product, and no Fraction is built.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intpoly as ip
-from .sturm import RealRoot, count_roots_open, sign_at
+from .sturm import RealRoot, sign_at
 
 
 def _round_out(lo: int, hi: int, den: int) -> tuple[int, int]:
@@ -148,9 +152,9 @@ def t_interval_of_root(root: RealRoot, digits: int) -> tuple[Fraction, Fraction]
         """+1 if z(t) certifiably lies above the root, -1 below, 0 undecided."""
         zlo, zhi = two_cos_two_pi(t, scale)
         one = 10 ** (scale + 8)
-        if zlo * root.hi.denominator > root.hi.numerator * one:
+        if zlo * root.d > root.b * one:
             return 1
-        if zhi * root.lo.denominator < root.lo.numerator * one:
+        if zhi * root.d < root.a * one:
             return -1
         return 0
 
@@ -193,36 +197,29 @@ def certified_decimal(lo: Fraction, hi: Fraction, digits: int) -> str | None:
         raise ValueError("empty interval")
     scale = 10**digits
     flo = (lo * scale).__floor__()
-    fhi = (hi * scale).__floor__()
-    if flo != fhi:
-        return None
-    neg = flo < 0
-    mag = -flo if neg else flo
-    whole, frac = divmod(mag, scale)
+    return _decimal(flo, digits) if flo == (hi * scale).__floor__() else None
+
+
+def _decimal(n: int, digits: int) -> str:
+    """The decimal string of n / 10**digits."""
+    whole, frac = divmod(abs(n), 10**digits)
     body = f"{whole}.{str(frac).zfill(digits)}" if digits else f"{whole}"
-    return ("-" if neg else "") + body
+    return ("-" if n < 0 else "") + body
 
 
 def decimal_of_root(root: RealRoot, digits: int) -> str:
     """Certified truncation of the z-value of a root to `digits` places."""
-    if root.is_exact:
-        s = certified_decimal(root.lo, root.lo, digits)
-        assert s is not None
-        return s
     if len(root.poly) == 2:
         # a rational root: an interval around a non-dyadic value such as 9/5
         # straddles its own truncation point for ever, so use the value
         return decimal_of_fraction(Fraction(-root.poly[0], root.poly[1]), digits)
     grid = 10**digits
     while True:
-        s = certified_decimal(root.lo, root.hi, digits)
-        if s is not None:
-            return s
-        # the interval straddles a grid point m; the root may be m itself,
-        # since an isolating interval holds exactly one root
-        m = Fraction((root.hi * grid).__floor__(), grid)
-        if root.lo < m and sign_at(root.poly, m) == 0:
-            return decimal_of_fraction(m, digits)
+        fhi = root.b * grid // root.d
+        # where the interval straddles the grid point fhi/grid, the root may
+        # be that point itself, since an isolating interval holds one root
+        if root.a * grid // root.d == fhi or sign_at(root.poly, fhi, grid) == 0:
+            return _decimal(fhi, digits)
         root.refine()
 
 
@@ -231,14 +228,16 @@ def _is_two_cos(root: RealRoot, m: Fraction) -> bool:
     b, for m = a/b in lowest terms: a root of psi_b, the trace polynomial of
     the b-th cyclotomic polynomial.  Phi_1 and Phi_2 have odd degree, and
     psi_b divides the squarefree root.poly only when deg psi_b = phi(b)/2
-    <= deg root.poly."""
+    <= deg root.poly.  Then gcd(root.poly, psi_b) has the root exactly when
+    it changes sign across the interval, whose ends are not roots."""
     b = m.denominator
     if b < 3 or ip.totient(b) > 2 * ip.degree(root.poly):
         return False
     psi = ip.to_trace_poly(ip.cyclotomic(b))
     if root.is_exact:
-        return sign_at(psi, root.lo) == 0
-    return count_roots_open(ip.gcd_int_poly(root.poly, psi), root.lo, root.hi) > 0
+        return sign_at(psi, root.a, root.d) == 0
+    g = ip.gcd_int_poly(root.poly, psi)
+    return sign_at(g, root.a, root.d) * sign_at(g, root.b, root.d) < 0
 
 
 def decimal_of_t(root: RealRoot, digits: int) -> str:
@@ -264,6 +263,4 @@ def decimal_of_t(root: RealRoot, digits: int) -> str:
 
 def decimal_of_fraction(x: Fraction, digits: int) -> str:
     """Exact truncation of a rational to `digits` decimal places."""
-    s = certified_decimal(x, x, digits)
-    assert s is not None
-    return s
+    return _decimal((x * 10**digits).__floor__(), digits)

@@ -190,9 +190,8 @@ class ScaledOrder:
         embedding zhat = l*root, root a root of q; refines root as needed."""
         if ip.is_zero(a):
             return 0
-        l = self.l
         while True:
-            lo, hi = ip.interval_eval(a, l * root.lo, l * root.hi)
+            lo, hi = ip.interval_eval(a, self.l * root.a, self.l * root.b, root.d)
             if lo > 0:
                 return 1
             if hi < 0:

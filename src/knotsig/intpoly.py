@@ -3,17 +3,16 @@
 A polynomial is a tuple of coefficients in ascending order of degree, so
 ``(1, -3, 1)`` is ``1 - 3x + x^2``.  The zero polynomial is the empty tuple.
 Coefficients are ints: every division here is exact in Z[x] or a pseudo-
-remainder, so no rational ever arises.  The two exceptions take rationals
+remainder, so no rational ever arises.  The one exception takes rationals
 on purpose: `rational_primitive`, which clears the denominators of the
-public `factor.factor_rational_poly`, and `interval_eval`, which encloses
-values over a rational interval.
+public `factor.factor_rational_poly`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DivisibilityError, ParityError, SymmetryError
 
@@ -67,16 +66,12 @@ def mul(f: Poly, g: Poly) -> Poly:
 
 
 def scale(f: Poly, c) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in f)
+    return tuple(a * c for a in f) if c else ()
 
 
 def shift(f: Poly, k: int) -> Poly:
     """Multiply by x^k (k >= 0)."""
-    if not f:
-        return ()
-    return (0,) * k + tuple(f)
+    return (0,) * k + tuple(f) if f else ()
 
 
 def derivative(f: Poly) -> Poly:
@@ -124,10 +119,7 @@ def mod_monic(f: Poly, g: Poly) -> Poly:
 
 def content(f: Poly) -> int:
     """Positive gcd of the integer coefficients (0 for the zero polynomial)."""
-    c = 0
-    for a in f:
-        c = gcd(c, a)
-    return c
+    return gcd(*f)
 
 
 def primitive(f: Poly) -> tuple[int, Poly]:
@@ -145,9 +137,7 @@ def rational_primitive(f: Poly) -> tuple[Fraction, Poly]:
     if is_zero(f):
         return Fraction(0), ()
     fracs = [Fraction(c) for c in f]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in fracs))
     ints = tuple(int(c * den) for c in fracs)
     c, pp = primitive(ints)
     return Fraction(c, den), pp
@@ -166,8 +156,6 @@ def gcd_int_poly(f: Poly, g: Poly) -> Poly:
         # primitive pseudo-remainder sequence keeps the coefficients integral
         r = pseudo_rem(f, g)
         f, g = g, primitive(r)[1]
-    if f and f[-1] < 0:
-        f = neg(f)
     return f
 
 
@@ -291,12 +279,14 @@ def totient(n: int) -> int:
     return out
 
 
-def interval_eval(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Rigorous enclosure of f([lo, hi]) by interval Horner over the rationals."""
-    rlo, rhi = Fraction(0), Fraction(0)
+def interval_eval(f: Poly, lo: int, hi: int, d: int = 1) -> tuple[int, int]:
+    """Rigorous enclosure of d**deg f * f([lo/d, hi/d]), d > 0: interval
+    Horner over the rationals scaled by d**deg f, on ints as in sturm.sign_at."""
+    rlo, rhi, dk = 0, 0, 1
     for c in reversed(f):
         cands = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
-        rlo, rhi = min(cands) + c, max(cands) + c
+        rlo, rhi = min(cands) + c * dk, max(cands) + c * dk
+        dk *= d
     return rlo, rhi
 
 

@@ -90,32 +90,33 @@ class SeifertMatrix:
 
     @property
     def rows(self) -> tuple:
-        """The n x n rows, built on first read: from the nonzeros, or for a
-        sum by padding its parts' rows."""
+        """The n x n rows, built from the nonzeros on first read."""
         rows = self._rows
         if rows is None:
-            n = self.size
-            if self._parts is None:
-                rows = _dense(self._nz, range(n))
-            else:
-                rows, left = [], 0
-                for a in self._parts:
-                    right = n - left - a.size
-                    rows += [(0,) * left + r + (0,) * right for r in a.rows]
-                    left += a.size
-                rows = tuple(rows)
+            rows = _dense(self._nonzeros(), range(self.size))
             object.__setattr__(self, "_rows", rows)
         return rows
+
+    def _nonzeros(self) -> tuple:
+        """One dict {column: entry} per row; a sum's come from its parts,
+        their columns moved past the parts before them."""
+        if self._parts is None:
+            return self._nz
+        out, left = [], 0
+        for a in self._parts:
+            out += [{j + left: c for j, c in row.items()} for row in a._nonzeros()]
+            left += a.size
+        return tuple(out)
 
     @property
     def genus(self) -> int:
         return self.size // 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SeifertMatrix) and self.rows == other.rows
+        return isinstance(other, SeifertMatrix) and self._nonzeros() == other._nonzeros()
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(tuple(frozenset(row.items()) for row in self._nonzeros()))
 
     def __repr__(self) -> str:
         return f"SeifertMatrix({[list(r) for r in self.rows]})"

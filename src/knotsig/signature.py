@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import cos, gcd, pi
+from math import cos, gcd, lcm, pi
 
 from . import intpoly as ip
 from .errors import KnotsigError
@@ -181,13 +181,12 @@ def _breakpoint_factors(factors) -> list[BreakpointFactor]:
             continue
         q = ip.to_trace_poly(f)
         if n is None:
-            roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
+            roots = isolate_real_roots(q, -2, 2)
             exact_ts: list[Fraction | None] = [None] * len(roots)
         else:
             # the roots of q are 2 cos(2 pi k/n), k < n/2 prime to n
             ks = [k for k in range(1, (n + 1) // 2) if gcd(k, n) == 1]
-            roots = isolate_real_roots(q, Fraction(-2), Fraction(2),
-                                       [2 * cos(2 * pi * k / n) for k in ks])
+            roots = isolate_real_roots(q, -2, 2, [2 * cos(2 * pi * k / n) for k in ks])
             assert len(ks) == len(roots)
             exact_ts = [Fraction(k, n) for k in ks]
         if not roots:
@@ -215,30 +214,29 @@ def nonbalanced_at_root(V: SeifertMatrix, r: UnitRoot) -> int:
     return sum(signature_at_root(B, r.trace, r.root)[0] for B in V.blocks)
 
 
-def _separate_all(roots: list[UnitRoot]) -> None:
+def _separate_all(roots: list[UnitRoot]) -> list[UnitRoot]:
+    """The roots, their intervals made disjoint, in increasing order; each
+    pass sorts by lo as an int over one lcm of the denominators."""
     while True:
-        order = sorted(roots, key=lambda u: u.root.lo)
+        den = lcm(*(u.root.d for u in roots))
+        order = sorted(roots, key=lambda u: u.root.a * (den // u.root.d))
         clean = True
         for a, b in zip(order, order[1:]):
-            if not (a.root.hi < b.root.lo or b.root.hi < a.root.lo):
+            if not (a.root.below(b.root) or b.root.below(a.root)):
                 a.root.separate_from(b.root)
                 clean = False
         if clean:
-            return
+            return order
 
 
 def _plateau_points(factors) -> tuple[list[UnitRoot], list[Fraction]]:
     """(roots, samples): the circle roots of the breakpoint factors,
     separated and ordered by increasing t, and the plateau samples, one
     rational z before, between and after them (z = 0 without roots)."""
-    roots = [ur for bf in factors for ur in bf.roots]
-    _separate_all(roots)
-    roots.sort(key=lambda u: u.root.lo, reverse=True)  # decreasing z = increasing t
-    if not roots:
-        return roots, [Fraction(0)]
-    samples = [(roots[0].root.hi + 2) / 2]
-    samples += [(a.root.lo + b.root.hi) / 2 for a, b in zip(roots, roots[1:])]
-    samples.append((roots[-1].root.lo - 2) / 2)
+    roots = _separate_all([ur for bf in factors for ur in bf.roots])[::-1]  # increasing t
+    # (a, b, d) of each interval, between the ends z = 2 and z = -2 (z = 0 alone)
+    ends = [(2, 2, 1)] + [(u.root.a, u.root.b, u.root.d) for u in roots] + [(-2, -2, 1)]
+    samples = [Fraction(a * e + y * d, 2 * d * e) for (a, _, d), (_, y, e) in zip(ends, ends[1:])]
     return roots, samples
 
 

@@ -868,3 +868,182 @@ def count_evaluations(V) -> int:
     finally:
         signature.sampler = raw
     return count[0]
+
+
+# ---- the Fraction reference for root isolation: RealRoot, isolate_real_roots
+# and the interval Horner as they were before sturm kept each interval as
+# ints over a common denominator, with every sign by Fraction Horner, and the
+# separation and plateau samples of signature._plateau_points on them ----
+
+def _fraction_sign(f, x: Fraction) -> int:
+    v = eval_at(f, Fraction(x))
+    return (v > 0) - (v < 0)
+
+
+class ReferenceRealRoot:
+    """sturm.RealRoot on Fraction endpoints."""
+
+    def __init__(self, poly, lo: Fraction, hi: Fraction):
+        self.poly = ip.trim(poly)
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError("empty interval")
+        self.sign_lo = _fraction_sign(self.poly, lo)
+        if lo == hi:
+            if self.sign_lo != 0:
+                raise ValueError("claimed exact root does not vanish")
+        elif self.sign_lo * _fraction_sign(self.poly, hi) >= 0:
+            raise ValueError("interval endpoints must straddle a sign change")
+
+    @property
+    def is_exact(self) -> bool:
+        return self.lo == self.hi
+
+    def refine(self) -> None:
+        if self.is_exact:
+            return
+        m = (self.lo + self.hi) / 2
+        sm = _fraction_sign(self.poly, m)
+        if sm == 0:
+            self.lo = self.hi = m
+        elif sm == self.sign_lo:
+            self.lo = m
+        else:
+            self.hi = m
+
+    def refine_below(self, width: Fraction) -> None:
+        while not self.is_exact and self.hi - self.lo >= width:
+            self.refine()
+
+    def separate_from(self, other: "ReferenceRealRoot") -> None:
+        for _ in range(10_000):
+            if self.hi < other.lo or other.hi < self.lo:
+                return
+            if self.is_exact and other.is_exact and self.lo == other.lo:
+                raise ValueError("roots are equal; cannot separate")
+            self.refine()
+            other.refine()
+        raise ArithmeticError("failed to separate roots (equal numbers?)")
+
+    def refine_strictly_inside(self, lo: Fraction, hi: Fraction) -> None:
+        while not (self.is_exact or (lo < self.lo and self.hi < hi)):
+            self.refine()
+        if self.is_exact and not (lo < self.lo < hi):
+            raise ValueError("exact root is not inside the interval")
+
+
+def _reference_bisect_by_guesses(q, lo: Fraction, hi: Fraction, guesses):
+    from bisect import bisect_right
+
+    leaves = []
+
+    def rec(x: Fraction, y: Fraction, zs: list, depth: int) -> None:
+        if len(zs) == 1:
+            leaves.append(ReferenceRealRoot(q, x, y))
+        elif zs:
+            m = (x + y) / 2
+            if _fraction_sign(q, m) == 0 or depth == 64:
+                raise ValueError("a bisection point is a root, or guesses coincide")
+            k = bisect_right(zs, float(m))
+            rec(x, m, zs[:k], depth + 1)
+            rec(m, y, zs[k:], depth + 1)
+
+    try:
+        rec(lo, hi, sorted(guesses), 0)
+    except ValueError:
+        return None
+    return leaves if len(leaves) == ip.degree(q) else None
+
+
+def reference_isolate_real_roots(q, lo: Fraction, hi: Fraction, guesses=None) -> list:
+    """sturm.isolate_real_roots on Fraction endpoints."""
+    from knotsig.sturm import is_squarefree, sturm_chain
+
+    q = ip.primitive(q)[1]
+    lo, hi = Fraction(lo), Fraction(hi)
+
+    def variations(chain, x: Fraction) -> int:
+        signs = [s for s in (_fraction_sign(f, x) for f in chain) if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def deflate(poly, x: Fraction):
+        return ip.primitive(ip.div_exact(poly, (-x.numerator, x.denominator)))[1]
+
+    def solve(poly, a: Fraction, b: Fraction) -> list:
+        sub = poly
+        while _fraction_sign(sub, a) == 0:
+            sub = deflate(sub, a)
+        while _fraction_sign(sub, b) == 0:
+            sub = deflate(sub, b)
+        if ip.degree(sub) < 1:
+            return []
+        chain = sturm_chain(tuple(sub))
+
+        def rec(x: Fraction, y: Fraction, vx: int, vy: int) -> list:
+            n = vx - vy
+            if n == 0:
+                return []
+            if n == 1:
+                return [ReferenceRealRoot(sub, x, y)]
+            m = (x + y) / 2
+            if _fraction_sign(sub, m) == 0:
+                return solve(sub, x, m) + [ReferenceRealRoot(sub, m, m)] + solve(sub, m, y)
+            vm = variations(chain, m)
+            return rec(x, m, vx, vm) + rec(m, y, vm, vy)
+
+        return rec(a, b, variations(chain, a), variations(chain, b))
+
+    roots = None if guesses is None else _reference_bisect_by_guesses(q, lo, hi, guesses)
+    if roots is None:
+        assert is_squarefree(q)
+        roots = solve(q, lo, hi)
+    for r in roots:
+        r.refine_strictly_inside(lo, hi)
+    for a, b in zip(roots, roots[1:]):
+        a.separate_from(b)
+    return roots
+
+
+def reference_interval_eval(f, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """intpoly.interval_eval by interval Horner over the rationals."""
+    rlo, rhi = Fraction(0), Fraction(0)
+    for c in reversed(f):
+        cands = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
+        rlo, rhi = min(cands) + c, max(cands) + c
+    return rlo, rhi
+
+
+def trace_angles(n: int) -> list[float]:
+    """The roots 2 cos(2 pi k/n) of the trace polynomial of Phi_n."""
+    return [2 * math.cos(2 * math.pi * k / n) for k in range(1, (n + 1) // 2)
+            if math.gcd(k, n) == 1]
+
+
+def reference_plateau_points(V) -> tuple[list, list]:
+    """(intervals, samples) that signature._plateau_points gives for V's
+    breakpoint factors, from the reference isolation of each factor's trace
+    polynomial (guided by its angles where it is cyclotomic), separated and
+    sampled in Fraction arithmetic."""
+    from knotsig.signature import _block_factors
+
+    roots = []
+    for bf in _block_factors(V)[2]:
+        ur = bf.roots[0]
+        guesses = None if ur.cyclotomic is None else trace_angles(ur.cyclotomic)
+        roots += reversed(reference_isolate_real_roots(ur.trace, -2, 2, guesses))
+    while True:
+        order = sorted(roots, key=lambda r: r.lo)
+        clean = True
+        for a, b in zip(order, order[1:]):
+            if not (a.hi < b.lo or b.hi < a.lo):
+                a.separate_from(b)
+                clean = False
+        if clean:
+            break
+    roots.sort(key=lambda r: r.lo, reverse=True)
+    if not roots:
+        return [], [Fraction(0)]
+    samples = [(roots[0].hi + 2) / 2]
+    samples += [(a.lo + b.hi) / 2 for a, b in zip(roots, roots[1:])]
+    samples.append((roots[-1].lo - 2) / 2)
+    return [(r.lo, r.hi) for r in roots], samples

@@ -99,6 +99,8 @@ def test_interval_eval_contains_true_values():
         if x > Fraction(3, 4):
             break
         assert lo <= eval_at(f, x) <= hi
+    # ints over a common denominator d: the bounds are d**deg f times those
+    assert ip.interval_eval(f, -2, 3, 4) == (4**3 * lo, 4**3 * hi)
 
 
 def test_mod_monic_matches_divmod():

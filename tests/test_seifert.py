@@ -79,6 +79,27 @@ def test_copy_and_pickle_rebuild_the_matrix():
         assert U == T and U.blocks == T.blocks and hash(U) == hash(T)
 
 
+def test_sums_compare_and_hash_by_their_nonzeros():
+    # == and hash read a sum's nonzeros from its parts and build no rows
+    import pickle
+    import time
+
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        V = resolve("1000*3_1")
+        W = pickle.loads(pickle.dumps(resolve("1000*3_1")))
+        equal = V == W
+        best = min(best, time.perf_counter() - t0)
+    assert equal and best < 0.010
+    assert hash(V) == hash(W) and V._rows is None and W._rows is None
+    # a sum of sums equals the sum of all the parts, and a different order differs
+    a, b = lookup("3_1"), lookup("4_1")
+    assert connected_sum(connected_sum(a, b), a) == connected_sum(a, connected_sum(b, a))
+    assert hash(connected_sum(connected_sum(a, b), a)) == hash(connected_sum(a, b, a))
+    assert connected_sum(a, b) != connected_sum(b, a)
+
+
 def test_blocks_link_where_v_plus_vt_cancels():
     # two trefoil blocks joined only by V[1][2] = 1 and V[2][1] = -1, which
     # cancel in V + V^T but not in V - x V^T: one block, not two

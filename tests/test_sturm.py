@@ -112,7 +112,8 @@ def test_refine_evaluates_once(monkeypatch):
     root = isolate_real_roots((-2, 0, 1), Fraction(0), Fraction(2))[0]
     calls = []
     real_sign_at = sturm.sign_at
-    monkeypatch.setattr(sturm, "sign_at", lambda f, x: calls.append(x) or real_sign_at(f, x))
+    monkeypatch.setattr(sturm, "sign_at",
+                        lambda f, n, d=1: calls.append((n, d)) or real_sign_at(f, n, d))
     for k in range(1, 41):
         root.refine()
         assert len(calls) == k
