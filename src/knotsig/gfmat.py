@@ -5,7 +5,8 @@ block polynomials det(B - x B^T), one per distinct block
 (block_alexander_polynomials).  Each is a characteristic polynomial and a
 Taylor shift modulo one proven prime just above twice a Hadamard bound
 (_det_poly), by linear algebra over F_p on vectors packed one per int
-(Slots, solve, hessenberg, charpoly).
+(Slots, solve, hessenberg, charpoly).  Each block comes in the sparse
+format of SeifertMatrix.blocks and is read through seifert.support.
 
 Validating a Seifert matrix needs none of this: seifert imports this
 module only inside its alexander_polynomial and normalize_alexander
@@ -18,6 +19,7 @@ from math import isqrt
 
 from . import intpoly as ip
 from .errors import ParityError, SeifertInvariantError, SymmetryError
+from .seifert import support
 
 
 class Slots:
@@ -45,10 +47,6 @@ class Slots:
         self.ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * (n + 1), "little")
         self.bias = self.ones * ((1 << w - 1) - p)  # r + bias reaches 2^(w-1) iff r >= p
 
-    def pack(self, vals) -> int:
-        nb = self.nb
-        return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in vals]), "little")
-
     def unpack(self, x: int, k: int) -> list:
         nb = self.nb
         b = x.to_bytes(k * nb, "little")
@@ -66,17 +64,20 @@ class Slots:
 
 
 def solve(M, S: Slots) -> tuple:
-    """(det D, the packed rows of B = D^-1 M^T) mod p for D = M - M^T,
-    rows reduced; (0, None) when D is singular mod p.
+    """(det D, the packed rows of B = D^-1 M^T) mod p for the block M and
+    D = M - M^T, rows reduced; (0, None) when D is singular mod p.
 
     Forward elimination on [D | M^T], then back substitution: the D half
     as sparse rows {column: entry} (banded D stays banded), the M^T half
-    one packed int per row.
+    one packed int per row, both read off seifert.support.
     """
-    n, p = len(M), S.p
-    D = [{j: (M[i][j] - M[j][i]) % p for j in range(n) if M[i][j] != M[j][i]}
-         for i in range(n)]
-    R = [S.pack([M[j][i] % p for j in range(n)]) for i in range(n)]
+    n, p, w = len(M), S.p, S.w
+    D, R = [{} for _ in range(n)], [0] * n
+    for i, j, a, b in support(M):
+        if a != b:
+            D[i][j] = (a - b) % p
+        if b:
+            R[i] += b % p << j * w
     det = 1
     for c in range(n):
         piv = next((i for i in range(c, n) if D[i].get(c)), None)
@@ -249,10 +250,11 @@ def _det_poly(M) -> tuple:
     above 2 H costs less than the several word-size passes and the CRT
     that would reach the same modulus.
     """
-    n = len(M)
+    col = [0] * len(M)  # col[j]: the squared 2-norm of column j of |M| + |M^T|
+    for _i, j, a, b in support(M):
+        col[j] += (abs(a) + abs(b)) ** 2
     bound = 1
-    for j in range(n):
-        s = sum((abs(M[i][j]) + abs(M[j][i])) ** 2 for i in range(n))
+    for s in col:
         r = isqrt(s)
         bound *= r if r * r == s else r + 1
     p = _prime((2 * bound).bit_length())

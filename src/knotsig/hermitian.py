@@ -64,9 +64,8 @@ Systems, 1981), so the work on a banded matrix stays near its band.  The
 candidates sit in a list of (len(row), i), sorted and kept so with bisect,
 over the rows with a nonzero diagonal entry: a step moves only the rows it
 updates, and a repair rebuilds the list.  The rows themselves are built
-from the nonzeros of V and V^T (hermitian_rows), each entry stamped 0, so
-no step of a sample, the set-up included, scans a dense n x n grid of ring
-elements.
+from seifert.support of the block (hermitian_rows), each entry stamped 0,
+so no step of a sample, the set-up included, scans a dense n x n grid.
 
 The ring is per trace polynomial q, and so are the pivot choice, the
 repair and every division; the embedding is per root of q.  So one
@@ -91,9 +90,9 @@ sample goes through _eliminate and the plan is kept, unless that is the
 second fallback in a row.  A block with fewer than _PLAN_MIN_ROOTS
 breakpoints of its own makes no plan, and no plan outlives its sampler.
 
-Each function eliminates exactly the matrix it is given.  Callers pass the
-connected blocks of a Seifert matrix (SeifertMatrix.blocks) one at a time
-and add up the signatures.
+Each function eliminates exactly the block it is given, in the sparse
+format of SeifertMatrix.blocks.  Callers pass the connected blocks of a
+Seifert matrix one at a time and add up the signatures.
 """
 
 from __future__ import annotations
@@ -101,11 +100,11 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 
 from . import intpoly as ip
 from .errors import SeifertInvariantError, SingularSampleError
+from .seifert import support
 from .sturm import RealRoot
 
 Pair = tuple  # (a, b): two int-coefficient tuples, ascending powers of zhat
@@ -239,17 +238,9 @@ class ScaledOrder:
             g = -g
         return (ip.trim(v // g for v in x), det // g)
 
-    def hermitian_rows(self, V) -> dict:
-        """l * [(1-omega)V + (1-conj(omega))V^T] over the order, as sparse
-        rows of entries stamped 0 (see _support and _eliminate).
-
-        The positive rescale by l leaves the signature unchanged.
-        """
-        l = self.l
-        rows = {i: {} for i in range(len(V))}
-        for i, j, a, b in _support(V):
-            rows[i][j] = (0, (self.reduce(ip.trim((l * (a + b), -b))), ip.trim((b - a,))))
-        return rows
+    def entry(self, a: int, b: int) -> Pair:
+        """The entry of hermitian_rows where B[i][j] = a and B[j][i] = b."""
+        return (self.reduce(ip.trim((self.l * (a + b), -b))), ip.trim((b - a,)))
 
 
 class IntPairOrder:
@@ -319,34 +310,30 @@ class IntPairOrder:
         assert not (r_re or r_im), "inexact Bareiss division"
         return (re, im)
 
-    def hermitian_rows(self, V) -> dict:
-        """l * [(1-omega)V + (1-conj(omega))V^T] over the order, as sparse
-        rows of entries stamped 0 (see _support and _eliminate)."""
-        l, zhat = self.l, self.zhat
-        rows = {i: {} for i in range(len(V))}
-        for i, j, a, b in _support(V):
-            rows[i][j] = (0, (l * (a + b) - zhat * b, b - a))
-        return rows
+    def entry(self, a: int, b: int):
+        """The entry of hermitian_rows where B[i][j] = a and B[j][i] = b."""
+        return (self.l * (a + b) - self.zhat * b, b - a)
 
 
 Ring = ScaledOrder | IntPairOrder
 
 
-def _support(V):
-    """(i, j, V[i][j], V[j][i]) once for each position (i, j) in the union
-    of the supports of V and V^T.
+def hermitian_rows(B, order) -> dict:
+    """l * [(1-omega)B + (1-conj(omega))B^T] over the order, for the block
+    B, as sparse rows {i: {j: (0, entry)}} of its nonzero entries stamped 0
+    (see _eliminate): order.entry(a, b) at each (i, j, a, b) of
+    seifert.support(B).
 
-    The hermitian matrix of either ring is nonzero exactly there: its
-    entry at (i, j) has the part V[j][i] - V[i][j] at what, and where that
-    vanishes, the part (2 l - zhat) V[i][j] with |zhat| < 2 l.
+    The entry at (i, j) is l(a + b) - b zhat + (b - a) what.  It is nonzero
+    exactly on that support: its part at what is b - a, and where that
+    vanishes, the rest is (2 l - zhat) a with |zhat| < 2 l.  The positive
+    rescale by l leaves the signature unchanged.
     """
-    cols = range(len(V))
-    for i, row in enumerate(V):
-        for j in compress(cols, row):
-            b = V[j][i]
-            yield i, j, row[j], b
-            if not b:
-                yield j, i, 0, row[j]
+    rows = {i: {} for i in range(len(B))}
+    entry = order.entry
+    for i, j, a, b in support(B):
+        rows[i][j] = (0, entry(a, b))
+    return rows
 
 
 PivotTrace = namedtuple("PivotTrace", "pivots null")
@@ -543,7 +530,7 @@ def sampler(V, roots: int):
             trace, plan = record(V, order)
             planned = False
         if trace is None:
-            trace = _eliminate(order.hermitian_rows(V), order)
+            trace = _eliminate(hermitian_rows(V, order), order)
         pos, neg, null = _trace_signs(trace, order)
         if null:
             raise SingularSampleError(f"sample z = {z} is a root of the Alexander polynomial")
@@ -580,7 +567,7 @@ def signatures_at_roots(V, q, roots) -> list[tuple[int, int]]:
         return []
     q = ip.trim(q)
     order = IntPairOrder(Fraction(-q[0], q[1])) if ip.degree(q) == 1 else ScaledOrder(q)
-    trace = _eliminate(order.hermitian_rows(V), order)
+    trace = _eliminate(hermitian_rows(V, order), order)
     return [(pos - neg, null)
             for pos, neg, null in (_trace_signs(trace, order, root) for root in roots)]
 
@@ -590,8 +577,10 @@ def signature_at_root(V, q, root: RealRoot) -> tuple[int, int]:
     return signatures_at_roots(V, q, [root])[0]
 
 
-def symmetric_signature(M) -> tuple[int, int, int]:
-    """(positive, negative, nullity) of an integer symmetric matrix.
+def symmetric_signature(B) -> tuple[int, int, int]:
+    """(positive, negative, nullity) of the integer symmetric matrix
+    B + B^T for a block B; for a symmetric B these are B's own, as 2B has
+    the signature of B.
 
     The kernel above over the int-pair ring, with every entry c as (c, 0).
     Elements with b = 0 are closed under add, mul, conj and bareiss, and
@@ -599,7 +588,10 @@ def symmetric_signature(M) -> tuple[int, int, int]:
     the z chosen is irrelevant.  Used for the Murasugi signature at
     omega = -1 and for validating the knot table.
     """
-    rows = {i: {j: (0, (c, 0)) for j, c in enumerate(row) if c} for i, row in enumerate(M)}
+    rows = {i: {} for i in range(len(B))}
+    for i, j, a, b in support(B):
+        if a + b:
+            rows[i][j] = (0, (a + b, 0))
     return signature_triple(rows, IntPairOrder(Fraction(0)))
 
 
@@ -608,8 +600,7 @@ def murasugi_signature(V) -> int:
     over the blocks."""
     total = 0
     for B in V.blocks:
-        pos, neg, null = symmetric_signature([[B[i][j] + B[j][i] for j in range(len(B))]
-                                              for i in range(len(B))])
+        pos, neg, null = symmetric_signature(B)
         if null:
             raise SeifertInvariantError("V + V^T is singular; not a knot Seifert matrix")
         total += pos - neg

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .hermitian import IntPairOrder, PivotTrace, _eliminate, _support
+from .hermitian import IntPairOrder, PivotTrace, _eliminate, hermitian_rows
 
 # Slots 0 and 1 of a plan hold the constants one and zero; opcodes of its ops
 _ONE, _ZERO = 0, 1
@@ -56,15 +56,12 @@ class Recorder:
         self.ops.append((code, slot) + args)
         return v + (slot,)
 
-    def hermitian_rows(self, V) -> dict:
-        l, zhat = self.order.l, self.order.zhat
-        rows = {i: {} for i in range(len(V))}
-        for i, j, a, b in _support(V):
-            rows[i][j] = (0, (l * (a + b) - zhat * b, b - a, self.slots))
-            self.slots += 1
-            self.loads.append((a + b, b))
-            self.im.append(b - a)
-        return rows
+    def entry(self, a, b):
+        """The entry of hermitian_rows, written to the next slot as a load."""
+        self.loads.append((a + b, b))
+        self.im.append(b - a)
+        self.slots += 1
+        return self.order.entry(a, b) + (self.slots - 1,)
 
     def plan(self, trace: PivotTrace) -> Plan:
         im = self.im + [0] * (self.slots - len(self.im))
@@ -185,9 +182,9 @@ def replay(plan: Plan, order: IntPairOrder) -> PivotTrace | None:
     return PivotTrace(tuple(re[s] for s in plan.pivots), plan.null)
 
 
-def record(V, order: IntPairOrder) -> tuple[PivotTrace, Plan]:
-    """_eliminate of V at the order's sample, over a Recorder: its
-    PivotTrace, and the Plan that replays it at other samples."""
+def record(B, order: IntPairOrder) -> tuple[PivotTrace, Plan]:
+    """_eliminate of the block B at the order's sample, over a Recorder:
+    its PivotTrace, and the Plan that replays it at other samples."""
     rec = Recorder(order)
-    trace = _eliminate(rec.hermitian_rows(V), rec)
+    trace = _eliminate(hermitian_rows(B, rec), rec)
     return PivotTrace(tuple(p[0] for p in trace.pivots), trace.null), rec.plan(trace)

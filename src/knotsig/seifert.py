@@ -1,16 +1,18 @@
 """Seifert matrices: validation, mirror, connected sum, Alexander polynomial.
 
 A Seifert matrix is a square integer matrix V of even size with
-det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  A matrix given whole
-(table, JSON file, braid) is kept as its nonzeros, one dict {column: entry}
-per row, and checked once, on construction, at a cost in the nonzeros and
-the fill: its connected blocks on the union of the supports of V and V^T
-come from adjacency lists, and det(V - V^T) is the product over the blocks
-of a sparse Bareiss elimination in reverse Cuthill-McKee order (_int_det).
-Connected sums are block sums, so a sum takes its blocks from its checked
-summands and a mirror -V^T has the nonzeros and blocks of the transpose,
-negated: neither is checked again.  Dense rows are built only when first
-read.
+det(V - V^T) = 1; the empty 0x0 matrix is the unknot.  It is kept as two
+things: its connected blocks (the components of the union of the supports
+of V and V^T, by smallest index), each as sparse rows, per row the
+(column, entry) pairs sorted by column in the block's own indices; and the
+ascending index set of each block.  Equal matrices give equal pairs.
+Every kernel reads a block through support; none builds a dense block.
+
+A matrix given whole (table, JSON file, braid) is split into its blocks
+over adjacency lists and checked in the nonzeros and the fill: det(V - V^T)
+is the product over the blocks of a sparse Bareiss elimination in reverse
+Cuthill-McKee order (_int_det).  Sums and mirrors are built from checked
+blocks and not checked again; unpickling checks each distinct block once.
 
 det(V - x V^T) is the product of the block polynomials.  They are computed
 in gfmat, which alexander_polynomial imports only when it runs, so neither
@@ -26,17 +28,11 @@ from .errors import SeifertInvariantError
 
 
 class SeifertMatrix:
-    """Immutable integer Seifert matrix; blocks holds the matrices (tuples of
-    rows) of its connected blocks, in the order of connected_blocks.
+    """Immutable integer Seifert matrix, kept as blocks and indices (module
+    docstring).  SeifertMatrix(rows) checks its input: a row is a sequence
+    of its n entries or a dict {column: entry} of its nonzero ones."""
 
-    SeifertMatrix(rows) checks its input.  A row is a sequence of its n
-    entries or a dict {column: entry} of its nonzero ones; either way the
-    matrix is kept as its nonzeros.  connected_sum and mirror build their
-    results from checked parts without checking again, and rows are built
-    on first read.
-    """
-
-    __slots__ = ("_rows", "_nz", "_parts", "blocks", "size")
+    __slots__ = ("blocks", "indices")
 
     def __init__(self, rows):
         rows = list(rows)
@@ -58,88 +54,77 @@ class SeifertMatrix:
             raise SeifertInvariantError("matrix is not square")
         if n % 2 != 0:
             raise SeifertInvariantError(f"size {n} is odd; Seifert matrices have even size")
-        nz = tuple(nz)
         links = _links(nz)
         comps = _components(links)
-        self._set(None, nz, None, tuple(_dense(nz, sorted(c)) for c in comps), n)
         d = prod(_int_det(_skew(nz, links, c)) for c in comps)
         if d != 1:
             raise SeifertInvariantError(f"det(V - V^T) = {d}, expected 1")
+        blocks, indices = [], []
+        for comp in comps:
+            comp.sort()
+            at = {j: k for k, j in enumerate(comp)}
+            blocks.append(tuple(tuple(sorted([(at[j], c) for j, c in nz[i].items()]))
+                                for i in comp))
+            indices.append(tuple(comp))
+        self._set(tuple(blocks), tuple(indices))
 
-    def _set(self, rows, nz, parts, blocks, size) -> "SeifertMatrix":
-        object.__setattr__(self, "_rows", rows)  # None until first read
-        object.__setattr__(self, "_nz", nz)  # a matrix given whole or mirrored
-        object.__setattr__(self, "_parts", parts)  # a sum
+    def _set(self, blocks, indices) -> "SeifertMatrix":
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "indices", indices)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("SeifertMatrix is immutable")
 
     def __reduce__(self):
-        """Copy and pickle: a sum by its parts, a matrix given whole by its
-        nonzeros, through the constructor."""
-        if self._parts is not None:
-            return connected_sum, self._parts
-        return SeifertMatrix, (self._nz,)
+        """Copy and pickle by (blocks, indices), checked again on load."""
+        return _checked, (self.blocks, self.indices)
 
     @classmethod
     def empty(cls) -> "SeifertMatrix":
         return cls(())
 
     @property
-    def rows(self) -> tuple:
-        """The n x n rows, built from the nonzeros on first read."""
-        rows = self._rows
-        if rows is None:
-            rows = _dense(self._nonzeros(), range(self.size))
-            object.__setattr__(self, "_rows", rows)
-        return rows
-
-    def _nonzeros(self) -> tuple:
-        """One dict {column: entry} per row; a sum's come from its parts,
-        their columns moved past the parts before them."""
-        if self._parts is None:
-            return self._nz
-        out, left = [], 0
-        for a in self._parts:
-            out += [{j + left: c for j, c in row.items()} for row in a._nonzeros()]
-            left += a.size
-        return tuple(out)
+    def size(self) -> int:
+        return sum(map(len, self.indices))
 
     @property
     def genus(self) -> int:
         return self.size // 2
 
+    @property
+    def rows(self) -> tuple:
+        """The n x n rows, built from the blocks on each read."""
+        n = self.size
+        return tuple(tuple(map(row.get, range(n), [0] * n)) for row in self._nonzeros())
+
+    def _nonzeros(self) -> list:
+        """One dict {column: entry} per row, in the matrix's own indices."""
+        nz = [None] * self.size
+        for B, I in zip(self.blocks, self.indices):
+            for i, row in zip(I, B):
+                nz[i] = {I[j]: c for j, c in row}
+        return nz
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, SeifertMatrix) and self._nonzeros() == other._nonzeros()
+        return (isinstance(other, SeifertMatrix) and self.blocks == other.blocks
+                and self.indices == other.indices)
 
     def __hash__(self):
-        return hash(tuple(frozenset(row.items()) for row in self._nonzeros()))
+        return hash((self.blocks, self.indices))
 
     def __repr__(self) -> str:
-        return f"SeifertMatrix({[list(r) for r in self.rows]})"
+        """The constructor call on the nonzeros, one dict per row."""
+        return f"SeifertMatrix({self._nonzeros()})"
 
     def mirror(self) -> "SeifertMatrix":
-        """-V^T, a Seifert matrix of the mirror image: the sum of the parts'
-        mirrors, or with the nonzeros and blocks -B^T; det(B - B^T) is
-        unchanged."""
-        if self._parts is not None:
-            return connected_sum(*(a.mirror() for a in self._parts))
-        nz = [{} for _ in self._nz]
-        for i, row in enumerate(self._nz):
-            for j, c in row.items():
-                nz[j][i] = -c
-        return object.__new__(SeifertMatrix)._set(
-            None, tuple(nz), None, tuple(map(_neg_transpose, self.blocks)), self.size)
+        """-V^T, a Seifert matrix of the mirror image: the blocks -B^T on the
+        same index sets; det(B - B^T) is unchanged."""
+        return object.__new__(SeifertMatrix)._set(tuple(map(_mirror_block, self.blocks)),
+                                                  self.indices)
 
 
 _INT = frozenset((int,))
-
-
-def _neg_transpose(rows) -> tuple:
-    return tuple(tuple(-c for c in col) for col in zip(*rows))
 
 
 def _entry(c) -> int:
@@ -149,8 +134,39 @@ def _entry(c) -> int:
         raise SeifertInvariantError(f"matrix entry {c!r} is not an integer") from None
 
 
+def _mirror_block(B) -> tuple:
+    """-B^T in the block format: row j holds (i, -B[i][j]), by increasing i."""
+    cols = [[] for _ in B]
+    for i, row in enumerate(B):
+        for j, c in row:
+            cols[j].append((i, -c))
+    return tuple(map(tuple, cols))
+
+
+def support(B):
+    """(i, j, B[i][j], B[j][i]) once for each position (i, j) in the union
+    of the supports of the block B and B^T: the nonzeros of B row by row,
+    each followed by its transposed position where B is zero there."""
+    nz = [dict(row) for row in B]
+    for i, row in enumerate(B):
+        for j, a in row:
+            b = nz[j].get(i, 0)
+            yield i, j, a, b
+            if not b:
+                yield j, i, 0, a
+
+
+def _checked(blocks, indices) -> SeifertMatrix:
+    """The matrix with these blocks and index sets, once the constructor
+    has checked each distinct block on its own rows."""
+    for B in dict.fromkeys(blocks):
+        SeifertMatrix(map(dict, B))
+    return object.__new__(SeifertMatrix)._set(blocks, indices)
+
+
 def _links(nz) -> list[set]:
-    """For each index i, the j with V[i][j] or V[j][i] nonzero."""
+    """For each index i, the j with V[i][j] or V[j][i] nonzero: linked in
+    V - x V^T even where V[i][j] = -V[j][i] cancels in V + V^T."""
     links = [set(row) for row in nz]
     for i, row in enumerate(nz):
         for j in row:
@@ -182,31 +198,6 @@ def _components(links) -> list[list[int]]:
     return comps
 
 
-def connected_blocks(V) -> list[list[int]]:
-    """Index sets of the connected components of the union of the supports
-    of V and V^T, each sorted, in the order of their smallest index.  V is
-    a sequence of rows as SeifertMatrix takes them.
-
-    Not the support of V + V^T: V[i][j] = 1 and V[j][i] = -1 cancel there
-    but still link i and j in V - x V^T.
-    """
-    return [sorted(c) for c in _components(_links(
-        [row if isinstance(row, dict) else {j: c for j, c in enumerate(row) if c} for row in V]))]
-
-
-def _dense(nz, comp) -> tuple:
-    """The rows and columns comp of the matrix with nonzeros nz, as tuples;
-    every nonzero of these rows lies in columns comp."""
-    at = {j: k for k, j in enumerate(comp)}
-    out = []
-    for i in comp:
-        row = [0] * len(comp)
-        for j, c in nz[i].items():
-            row[at[j]] = c
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _skew(nz, links, order) -> list[dict]:
     """The sparse rows of P (V - V^T) P^T, restricted to the indices in
     order (a union of components) and relabelled by their place in it."""
@@ -218,10 +209,15 @@ def _skew(nz, links, order) -> list[dict]:
 def connected_sum(*summands: SeifertMatrix) -> SeifertMatrix:
     """Block sum of the summands in order; realizes the connected sum of the
     underlying knots (of none, the unknot).  The summands are checked, so the
-    sum is not checked again: its blocks are theirs, concatenated."""
-    return object.__new__(SeifertMatrix)._set(None, None, summands,
-                                              tuple(B for a in summands for B in a.blocks),
-                                              sum(a.size for a in summands))
+    sum is not checked again: its blocks are theirs, concatenated, and their
+    index sets are moved past the summands before them."""
+    blocks, indices, left = [], [], 0
+    for a in summands:
+        blocks += a.blocks
+        for I in a.indices:
+            indices.append(tuple(map(left.__add__, I)))
+        left += a.size
+    return object.__new__(SeifertMatrix)._set(tuple(blocks), tuple(indices))
 
 
 def mirror(a: SeifertMatrix) -> SeifertMatrix:
@@ -230,11 +226,7 @@ def mirror(a: SeifertMatrix) -> SeifertMatrix:
 
 def stabilize(a: SeifertMatrix) -> SeifertMatrix:
     """Add a trivial hyperbolic 2x2 block (used to test stability invariance)."""
-    n = a.size
-    rows = [list(r) + [0, 0] for r in a.rows]
-    rows.append([0] * n + [0, 1])
-    rows.append([0] * n + [0, 0])
-    return SeifertMatrix(rows)
+    return connected_sum(a, SeifertMatrix([[0, 1], [0, 0]]))
 
 
 def _int_det(rows) -> int:

@@ -21,6 +21,8 @@ from math import gcd, lcm
 from . import intpoly as ip
 from .errors import SquarefreeError
 
+_HALVINGS = 10_000  # the most separate_from or refine_strictly_inside makes
+
 
 def sign_at(f, n, d: int = 1) -> int:
     """Sign of f(n/d) for ints n and d > 0, in any terms, or of f(n) for a
@@ -133,8 +135,13 @@ class RealRoot:
             self.a, self.b = 2 * self.a, m
 
     def refine_below(self, width: Fraction) -> None:
-        n, w = width.numerator, width.denominator
-        while self.a != self.b and (self.b - self.a) * w >= n * self.d:
+        """Halve until the interval is exact or narrower than width > 0.
+        Each halving halves the width, so that takes k halvings, k the bit
+        length of floor(width() / width), known before the first."""
+        if width <= 0:
+            raise ValueError(f"width {width} is not positive")
+        for _ in range(((self.b - self.a) * width.denominator
+                        // (width.numerator * self.d)).bit_length()):
             self.refine()
 
     def below(self, other: "RealRoot") -> bool:
@@ -143,7 +150,7 @@ class RealRoot:
 
     def separate_from(self, other: "RealRoot") -> None:
         """Shrink both intervals until they are disjoint (distinct numbers)."""
-        for _ in range(10_000):
+        for _ in range(_HALVINGS):
             if self.below(other) or other.below(self):
                 return
             if self.is_exact and other.is_exact:
@@ -153,12 +160,16 @@ class RealRoot:
         raise ArithmeticError("failed to separate roots (equal numbers?)")
 
     def refine_strictly_inside(self, lo: Fraction, hi: Fraction) -> None:
-        """Shrink until the interval sits strictly inside (lo, hi)."""
+        """Shrink until the interval sits strictly inside (lo, hi);
+        ArithmeticError after _HALVINGS halvings (the root is not inside)."""
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        while not (ln * self.d < self.a * ld and self.b * hd < hn * self.d):
+        for _ in range(_HALVINGS):
+            if ln * self.d < self.a * ld and self.b * hd < hn * self.d:
+                return
             if self.is_exact:
                 raise ValueError("exact root is not inside the interval")
             self.refine()
+        raise ArithmeticError(f"root not inside ({lo}, {hi}) after {_HALVINGS} halvings")
 
     def __repr__(self) -> str:
         if self.is_exact:

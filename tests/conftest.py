@@ -354,6 +354,13 @@ def nonzeros(rows) -> tuple:
     return tuple({j: c for j, c in enumerate(row) if c} for row in rows)
 
 
+def sparse(rows) -> tuple:
+    """Dense rows in the block format of SeifertMatrix.blocks, as the
+    kernels read a block: per row, the (column, entry) pairs of its
+    nonzeros by increasing column."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
+
+
 @pytest.fixture(scope="session")
 def table_names():
     return _TABLE_NAMES
@@ -824,12 +831,12 @@ def walked_blocks(V) -> list:
 def all_sample_values(B, samples) -> list[int]:
     """Test-only reference for the walk: the block's signature at every
     sample, each from its own _eliminate."""
-    from knotsig.hermitian import IntPairOrder, _eliminate, _trace_signs
+    from knotsig.hermitian import IntPairOrder, _eliminate, _trace_signs, hermitian_rows
 
     out = []
     for z in samples:
         order = IntPairOrder(z)
-        pos, neg, null = _trace_signs(_eliminate(order.hermitian_rows(B), order), order)
+        pos, neg, null = _trace_signs(_eliminate(hermitian_rows(B, order), order), order)
         assert null == 0, (B, z)
         out.append(pos - neg)
     return out

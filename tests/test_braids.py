@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import sparse
 
 from knotsig.braids import BraidWord, seifert_from_braid, torus_braid
 from knotsig.errors import BraidError
@@ -106,7 +107,7 @@ def test_mirror_braid_negates_signature():
     from knotsig.hermitian import signature_at_sample
 
     for z in (Fraction(1, 7), Fraction(-5, 4)):
-        assert signature_at_sample(W.rows, z) == -signature_at_sample(V.rows, z)
+        assert signature_at_sample(sparse(W.rows), z) == -signature_at_sample(sparse(V.rows), z)
 
 
 def test_large_torus_braids_resolve_from_their_nonzeros():
@@ -125,4 +126,22 @@ def test_large_torus_braids_resolve_from_their_nonzeros():
             best = min(best, time.perf_counter() - t0)
         assert best < 0.3, (expr, best)
         assert V.size == size and len(V.blocks) == 1, expr
-        assert sum(map(len, V._nz)) <= most * size, expr
+        assert sum(len(row) for B in V.blocks for row in B) <= most * size, expr
+
+
+def test_large_torus_resolves_in_little_memory():
+    # T(2,2001) is one 2000 x 2000 block with about 4000 nonzeros: resolving
+    # it allocates in the nonzeros, never a dense block of 4 * 10^6 entries
+    import tracemalloc
+
+    from knotsig.expressions import resolve
+
+    resolve("T(2,2001)")  # the modules it loads are not counted
+    tracemalloc.start()
+    try:
+        V = resolve("T(2,2001)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.size == 2000 and len(V.blocks) == 1
+    assert peak < 8 * 10**6, peak

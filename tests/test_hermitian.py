@@ -5,44 +5,44 @@ import pytest
 
 from conftest import (MIXED_SUMS, float_signature, float_signature_at_angle, mixed_sum,
                       plateau_blocks, plateau_samples, random_sample_points,
-                      random_seifert_matrices, reference_eliminate)
+                      random_seifert_matrices, reference_eliminate, sparse)
 from knotsig import intpoly as ip
 from knotsig.errors import SingularSampleError
 from knotsig.expressions import resolve
 from knotsig import plan as plan_module
 from knotsig.hermitian import (IntPairOrder, ScaledOrder, _eliminate, _trace_signs,
-                               signature_at_root, signature_at_sample, signature_triple,
-                               signatures_at_roots, signatures_at_samples, symmetric_signature)
+                               hermitian_rows, signature_at_root, signature_at_sample,
+                               signature_triple, signatures_at_roots, signatures_at_samples,
+                               symmetric_signature)
 from knotsig.plan import record, replay
 from knotsig.knot_table import knot_names, lookup
-from knotsig.seifert import (SeifertMatrix, alexander_polynomial, connected_blocks,
-                             connected_sum)
+from knotsig.seifert import SeifertMatrix, alexander_polynomial, connected_sum
 from knotsig.sturm import RealRoot, isolate_real_roots
 
 
 def test_trefoil_near_minus_one():
     V = lookup("3_1").rows
-    assert signature_at_sample(V, Fraction(-199, 100)) == -2
+    assert signature_at_sample(sparse(V), Fraction(-199, 100)) == -2
 
 
 def test_cinquefoil_plateaus():
     # z = 0 is t = 1/4, on the middle plateau between the phi_10 breakpoints;
     # past the second breakpoint the value reaches -4
     V = lookup("5_1").rows
-    assert signature_at_sample(V, Fraction(0)) == -2
-    assert signature_at_sample(V, Fraction(-19, 10)) == -4
+    assert signature_at_sample(sparse(V), Fraction(0)) == -2
+    assert signature_at_sample(sparse(V), Fraction(-19, 10)) == -4
 
 
 def test_vanishes_near_one():
     for name in ("3_1", "5_1", "8_2", "10_132"):
         V = lookup(name).rows
-        assert signature_at_sample(V, Fraction(199, 100)) == 0
+        assert signature_at_sample(sparse(V), Fraction(199, 100)) == 0
 
 
 def test_singular_sample_raises():
     V = lookup("3_1").rows
     with pytest.raises(SingularSampleError):
-        signature_at_sample(V, Fraction(1))  # z = 1 is the phi_6 trace root
+        signature_at_sample(sparse(V), Fraction(1))  # z = 1 is the phi_6 trace root
 
 
 def test_empty_matrix():
@@ -54,7 +54,7 @@ def test_matches_float_oracle_on_table():
         V = lookup(name).rows
         for z in random_sample_points(25, seed=hash(name) % (2**31)):
             try:
-                exact = signature_at_sample(V, z)
+                exact = signature_at_sample(sparse(V), z)
             except SingularSampleError:
                 continue
             assert exact == float_signature(V, float(z)), (name, z)
@@ -64,7 +64,7 @@ def _check_symmetric_signature(M):
     import numpy as np
 
     n = len(M)
-    pos, neg, null = symmetric_signature(M)
+    pos, neg, null = symmetric_signature(sparse(M))
     assert pos + neg + null == n
     eigs = np.linalg.eigvalsh(np.array(M, dtype=float))
     fpos = int((eigs > 1e-9).sum())
@@ -95,16 +95,16 @@ def test_symmetric_signature_cross_check():
 
 
 def test_zero_matrix_is_all_nullity():
-    assert symmetric_signature([[0, 0], [0, 0]]) == (0, 0, 2)
+    assert symmetric_signature(sparse([[0, 0], [0, 0]])) == (0, 0, 2)
     # hyperbolic plane: signature 0, no nullity
-    assert symmetric_signature([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert symmetric_signature(sparse([[0, 1], [1, 0]])) == (1, 1, 0)
 
 
 def test_nonbalanced_slice_example():
     # 8_20 at the sixth root of unity: the singular matrix has signature 1
     V = lookup("8_20").rows
     root = isolate_real_roots((-1, 1), Fraction(-2), Fraction(2))[0]
-    s, null = signature_at_root(V, (-1, 1), root)
+    s, null = signature_at_root(sparse(V), (-1, 1), root)
     assert s == 1
     assert null >= 1
 
@@ -112,7 +112,7 @@ def test_nonbalanced_slice_example():
 def test_nonbalanced_cancels_for_mirror_sum():
     V = resolve("3_1 # -3_1").rows
     root = isolate_real_roots((-1, 1), Fraction(-2), Fraction(2))[0]
-    s, null = signature_at_root(V, (-1, 1), root)
+    s, null = signature_at_root(sparse(V), (-1, 1), root)
     assert s == 0
     assert null == 2
 
@@ -122,9 +122,9 @@ def test_nonsingular_point_signature_matches_sample():
     # phi_10 trace), the honest signature equals the step-function value
     V = lookup("5_1").rows
     root = isolate_real_roots((-1, 1), Fraction(-2), Fraction(2))[0]  # t = 1/6
-    s, null = signature_at_root(V, (-1, 1), root)
+    s, null = signature_at_root(sparse(V), (-1, 1), root)
     assert null == 0
-    assert s == signature_at_sample(V, Fraction(1))
+    assert s == signature_at_sample(sparse(V), Fraction(1))
 
 
 def test_signature_at_algebraic_root_vs_float():
@@ -136,15 +136,14 @@ def test_signature_at_algebraic_root_vs_float():
     assert len(roots) == 2
     for r in roots:
         r.refine_below(Fraction(1, 10**9))
-        s, null = signature_at_root(V, (3, 0, -3, 1), r)
+        s, null = signature_at_root(sparse(V), (3, 0, -3, 1), r)
         t = math.acos(float(r.mid) / 2) / (2 * math.pi)
         fs, fnull = float_signature_at_angle(V, t)
         assert (s, null) == (fs, fnull)
 
 
 def test_blocks():
-    V = resolve("3_1 # 4_1").rows
-    assert connected_blocks(V) == [[0, 1], [2, 3]]
+    assert resolve("3_1 # 4_1").indices == ((0, 1), (2, 3))
 
 
 def test_random_braid_closures_vs_float():
@@ -162,7 +161,7 @@ def test_random_braid_closures_vs_float():
         V = seifert_from_braid(b).rows
         for z in random_sample_points(6, seed=997 * produced + 5):
             try:
-                exact = signature_at_sample(V, z)
+                exact = signature_at_sample(sparse(V), z)
             except SingularSampleError:
                 continue
             approx = float_signature(V, float(z))
@@ -196,7 +195,7 @@ def test_randomized_breakpoint_signatures_vs_float():
         roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
         for r in roots:
             r.refine_below(Fraction(1, 10**9))
-            s, null = signature_at_root(V.rows, q, r)
+            s, null = signature_at_root(sparse(V.rows), q, r)
             t = math.acos(float(r.mid) / 2) / (2 * math.pi)
             fs, fnull = float_signature_at_angle(V.rows, t)
             assert (s, null) == (fs, fnull), (qname, float(r.mid))
@@ -232,10 +231,10 @@ def test_signatures_at_roots_follow_root_order():
     V = resolve("8_2 # -5_1").rows
     q = (3, 0, -3, 1)
     roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
-    one_by_one = [signature_at_root(V, q, r) for r in roots]
-    assert signatures_at_roots(V, q, roots) == one_by_one
-    assert signatures_at_roots(V, q, roots[::-1]) == one_by_one[::-1]
-    assert signatures_at_roots(V, q, []) == []
+    one_by_one = [signature_at_root(sparse(V), q, r) for r in roots]
+    assert signatures_at_roots(sparse(V), q, roots) == one_by_one
+    assert signatures_at_roots(sparse(V), q, roots[::-1]) == one_by_one[::-1]
+    assert signatures_at_roots(sparse(V), q, []) == []
     assert signatures_at_roots([], q, roots) == [(0, 0), (0, 0)]
 
 
@@ -277,12 +276,12 @@ def test_repair_after_pivots_signs_per_root():
     q = (-2, 0, 1)
     roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
     order, points = _logged(ScaledOrder(q))
-    trace = _eliminate(order.hermitian_rows(V), order)
-    assert trace == reference_eliminate(order.hermitian_rows(V), ScaledOrder(q))
+    trace = _eliminate(hermitian_rows(sparse(V), order), order)
+    assert trace == reference_eliminate(hermitian_rows(sparse(V), order), ScaledOrder(q))
     assert trace.pivots[:2] == ((-2, 1), (4, -3)) and points == [2]
     assert len(trace.pivots) == 5 and trace.null == 0
     assert [order.real_sign(trace.pivots[1], r) for r in roots] == [1, -1]
-    got = signatures_at_roots(V, q, roots)
+    got = signatures_at_roots(sparse(V), q, roots)
     assert got == [(-3, 0), (-1, 0)]
     for r, sig in zip(roots, got):
         r.refine_below(Fraction(1, 10**9))
@@ -303,7 +302,7 @@ def test_one_scaled_order_per_call(monkeypatch):
     monkeypatch.setattr(ScaledOrder, "__init__", counted)
     q = (-2, 0, 1)
     roots = isolate_real_roots(q, Fraction(-2), Fraction(2))
-    assert signatures_at_roots(RESTART_V, q, roots) == [(-3, 0), (-1, 0)]
+    assert signatures_at_roots(sparse(RESTART_V), q, roots) == [(-3, 0), (-1, 0)]
     assert made == [q]
 
 
@@ -335,7 +334,7 @@ def test_int_pair_ring_matches_eigenvalues():
         den = rng.randint(1, 40)
         z = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
         order = IntPairOrder(z)
-        got = signature_triple(order.hermitian_rows(V), order)
+        got = signature_triple(hermitian_rows(sparse(V), order), order)
         assert sum(got) == n
         want = _float_triple(V, z)
         if want is not None:
@@ -353,14 +352,15 @@ def test_int_pair_ring_at_a_rational_root():
     q = (-9, 5)
     root = RealRoot.exact(q, Fraction(9, 5))
     t = math.acos(0.9) / (2 * math.pi)
-    assert signatures_at_roots(V, q, [root]) == [(1, 1)] == [float_signature_at_angle(V, t)]
+    assert signatures_at_roots(sparse(V), q, [root]) == [(1, 1)] == [float_signature_at_angle(V, t)]
     with pytest.raises(SingularSampleError):
-        signature_at_sample(V, Fraction(9, 5))
+        signature_at_sample(sparse(V), Fraction(9, 5))
     # summands nonsingular there add their signatures: 0 for the trefoil
     # (before its breakpoint z = 1), -2 for T(2,15) (past its first, t = 1/30)
     for other, want in (("3_1", (1, 1)), ("T(2,15)", (-1, 1))):
         VW = connected_sum(SeifertMatrix(V), resolve(other)).rows
-        assert signatures_at_roots(VW, q, [root]) == [want] == [float_signature_at_angle(VW, t)]
+        assert signatures_at_roots(sparse(VW), q, [root]) == [want] == \
+            [float_signature_at_angle(VW, t)]
 
 
 @pytest.mark.parametrize("z", [Fraction(-1, 2), Fraction(3, 2)])
@@ -370,8 +370,9 @@ def test_int_pair_ring_repairs_after_pivots(z):
     # elimination repairs it in place; the last pivot before the repair is
     # positive at z = -1/2 and negative at z = 3/2
     order, points = _logged(IntPairOrder(z))
-    trace = _eliminate(order.hermitian_rows(RESTART_V), order)
-    assert trace == reference_eliminate(order.hermitian_rows(RESTART_V), IntPairOrder(z))
+    B = sparse(RESTART_V)
+    trace = _eliminate(hermitian_rows(B, order), order)
+    assert trace == reference_eliminate(hermitian_rows(B, order), IntPairOrder(z))
     assert points == [2] and len(trace.pivots) == 5
     assert order.real_sign(trace.pivots[1]) == (1 if z < 1 else -1)
     assert _trace_signs(trace, order) == _float_triple(RESTART_V, z)
@@ -424,7 +425,7 @@ def test_repair_fuzz():
         assert trace == reference, M
         got = _trace_signs(trace, order)
         eigs = np.linalg.eigvalsh(np.array(M, dtype=float))
-        assert got == symmetric_signature(M) == (
+        assert got == symmetric_signature(sparse(M)) == (
             int((eigs > 1e-9).sum()), int((eigs < -1e-9).sum()),
             int((abs(eigs) <= 1e-9).sum())), M
         tally("symmetric", trace, points, order.real_sign)
@@ -435,8 +436,9 @@ def test_repair_fuzz():
         den = rng.randint(1, 12)
         z = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
         order, points = _logged(IntPairOrder(z))
-        trace = _eliminate(order.hermitian_rows(V), order)
-        assert trace == reference_eliminate(order.hermitian_rows(V), IntPairOrder(z)), (V, z)
+        B = sparse(V)
+        trace = _eliminate(hermitian_rows(B, order), order)
+        assert trace == reference_eliminate(hermitian_rows(B, order), IntPairOrder(z)), (V, z)
         pos, neg, null = _trace_signs(trace, order)
         t = math.acos(float(z) / 2) / (2 * math.pi)
         assert (pos - neg, null) == float_signature_at_angle(V, t), (V, z)
@@ -452,8 +454,9 @@ def test_repair_fuzz():
         V = _sparse_matrix(rng, n)
         q = rng.choice(traces)
         order, points = _logged(ScaledOrder(q))
-        trace = _eliminate(order.hermitian_rows(V), order)
-        assert trace == reference_eliminate(order.hermitian_rows(V), ScaledOrder(q)), (V, q)
+        B = sparse(V)
+        trace = _eliminate(hermitian_rows(B, order), order)
+        assert trace == reference_eliminate(hermitian_rows(B, order), ScaledOrder(q)), (V, q)
         for r in roots[q]:
             pos, neg, null = _trace_signs(trace, order, r)
             t = math.acos(float(r.mid) / 2) / (2 * math.pi)
@@ -468,8 +471,8 @@ def _assert_reference_at_samples(V):
     plateau sample of V."""
     for B, z in plateau_samples(V):
         order = IntPairOrder(z)
-        assert _eliminate(order.hermitian_rows(B), order) == \
-            reference_eliminate(order.hermitian_rows(B), IntPairOrder(z)), (B, z)
+        assert _eliminate(hermitian_rows(B, order), order) == \
+            reference_eliminate(hermitian_rows(B, order), IntPairOrder(z)), (B, z)
 
 
 def _trace_ring(q):
@@ -490,8 +493,8 @@ def test_traces_match_reference_on_table():
             q = bf.roots[0].trace
             for B in V.blocks:
                 order = _trace_ring(q)
-                assert _eliminate(order.hermitian_rows(B), order) == \
-                    reference_eliminate(order.hermitian_rows(B), _trace_ring(q)), (name, q)
+                assert _eliminate(hermitian_rows(B, order), order) == \
+                    reference_eliminate(hermitian_rows(B, order), _trace_ring(q)), (name, q)
 
 
 @pytest.mark.parametrize("expr", ["T(3,10) # -T(2,15) # -T(5,6)", "T(5,11)", "T(2,31)",
@@ -513,7 +516,7 @@ def _replays_at_samples(V) -> list:
     for B, samples in plateau_blocks(V):
         first = IntPairOrder(samples[0])
         trace, plan = record(B, IntPairOrder(samples[0]))
-        assert trace == _eliminate(first.hermitian_rows(B), first), (B, samples[0])
+        assert trace == _eliminate(hermitian_rows(B, first), first), (B, samples[0])
         for z in samples[1:]:
             order = IntPairOrder(z)
             got = replay(plan, order)
@@ -521,7 +524,7 @@ def _replays_at_samples(V) -> list:
             if got is None:
                 fell_back.append((B, z))
             else:
-                assert got == _eliminate(order.hermitian_rows(B), order), (B, z)
+                assert got == _eliminate(hermitian_rows(B, order), order), (B, z)
     return fell_back
 
 
@@ -566,7 +569,7 @@ def test_fallback_gives_reference_signature(monkeypatch, expr, z):
     assert [w for w, out in replays.items() if out is None] == [z]
     for w, sig in zip(samples, got):
         order = IntPairOrder(w)
-        pos, neg, null = _trace_signs(reference_eliminate(order.hermitian_rows(B), order), order)
+        pos, neg, null = _trace_signs(reference_eliminate(hermitian_rows(B, order), order), order)
         assert (sig, null) == (pos - neg, 0), w
 
 
@@ -586,7 +589,7 @@ def test_plan_dropped_after_two_fallbacks_in_a_row(monkeypatch):
     assert replays == [None, None]
     for w, sig in zip(samples, got):
         order = IntPairOrder(w)
-        pos, neg, null = _trace_signs(reference_eliminate(order.hermitian_rows(B), order), order)
+        pos, neg, null = _trace_signs(reference_eliminate(hermitian_rows(B, order), order), order)
         assert (sig, null) == (pos - neg, 0), w
 
 
@@ -603,7 +606,7 @@ def test_few_samples_build_no_plan(monkeypatch):
         return record(V, order)
 
     monkeypatch.setattr(plan_module, "record", spy)
-    B = lookup("5_1").rows
+    B = sparse(lookup("5_1").rows)
     assert signatures_at_samples(B, [Fraction(0)]) == [-2]
     assert signature_at_sample(B, Fraction(-19, 10)) == -4
     step_function(lookup("4_1"))  # no circle roots: one sample
@@ -624,7 +627,7 @@ def test_few_samples_build_no_plan(monkeypatch):
 def test_singular_sample_raises_with_a_plan(samples):
     # z = 1 is the phi_6 trace root of the trefoil, whether recorded or replayed
     with pytest.raises(SingularSampleError):
-        signatures_at_samples(lookup("3_1").rows, samples)
+        signatures_at_samples(sparse(lookup("3_1").rows), samples)
 
 
 def test_replay_fuzz():
@@ -634,7 +637,7 @@ def test_replay_fuzz():
     rng = random.Random(21)
     counts = {"replayed": 0, "after a repair": 0, "fell back": 0}
     for _ in range(600):
-        V = _sparse_matrix(rng, rng.randint(2, 9))
+        V = sparse(_sparse_matrix(rng, rng.randint(2, 9)))
         samples = []
         for _ in range(3):
             den = rng.randint(1, 12)
@@ -647,7 +650,7 @@ def test_replay_fuzz():
             if got is None:
                 counts["fell back"] += 1
                 continue
-            assert got == _eliminate(order.hermitian_rows(V), order), (V, z)
+            assert got == _eliminate(hermitian_rows(V, order), order), (V, z)
             counts["replayed"] += 1
             counts["after a repair"] += any(op[0] == plan_module._ADD for op in plan.ops)
     # seed 21 counts 1090 replays, 369 of them after a repair, and 110 fallbacks

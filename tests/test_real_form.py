@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 from conftest import (MIXED_SUMS, _TABLE_NAMES, check_real_form_plateaus, mixed_sum,
-                      plateau_s_points, random_seifert_matrices, real_form_signature)
+                      plateau_s_points, random_seifert_matrices, real_form_signature, sparse)
 
-from knotsig.hermitian import IntPairOrder, signature_triple
+from knotsig.hermitian import IntPairOrder, hermitian_rows, signature_triple
 from knotsig.knot_table import lookup
 from knotsig.signature import step_function
 
@@ -56,7 +56,7 @@ def test_sparse_forms_with_zero_diagonals():
               for j in range(n)] for i in range(n)]
         s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         order = IntPairOrder(2 * (s * s - 1) / (s * s + 1))
-        pos, neg, null = signature_triple(order.hermitian_rows(V), order)
+        pos, neg, null = signature_triple(hermitian_rows(sparse(V), order), order)
         assert real_form_signature(V, s) == (2 * (pos - neg), 2 * null), (V, s)
         singular += null > 0
     assert singular >= 30, singular

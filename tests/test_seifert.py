@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (MIXED_SUMS, _interpolate_int, is_proven_prime, mixed_sum, nonzeros,
                       random_expressions, random_seifert_matrices, reference_blocks,
-                      reference_braid_rows, reference_int_det)
+                      reference_braid_rows, reference_int_det, sparse)
 from knotsig import gfmat, intpoly as ip, seifert
 from knotsig.braids import BraidWord, seifert_from_braid, torus_braid
 from knotsig.errors import KnotsigError, ParityError, SeifertInvariantError, SymmetryError
@@ -17,8 +17,8 @@ from knotsig.gfmat import _det_poly, _det_poly_mod
 from knotsig.hermitian import signature_at_sample
 from knotsig.knot_table import knot_names, lookup
 from knotsig.knotio import read_seifert_file, write_report
-from knotsig.seifert import (SeifertMatrix, alexander_polynomial, connected_blocks, connected_sum,
-                             mirror, murasugi_signature, normalize_alexander, stabilize)
+from knotsig.seifert import (SeifertMatrix, alexander_polynomial, connected_sum, mirror,
+                             murasugi_signature, normalize_alexander, stabilize)
 from knotsig.signature import step_function
 
 
@@ -49,7 +49,7 @@ def test_connected_sum_with_empty():
 
 def test_blocks_are_the_summands():
     V = resolve("3_1 # 4_1")
-    assert V.blocks == (lookup("3_1").rows, lookup("4_1").rows)
+    assert V.blocks == (sparse(lookup("3_1").rows), sparse(lookup("4_1").rows))
 
 
 def test_copy_and_pickle_rebuild_the_matrix():
@@ -60,9 +60,8 @@ def test_copy_and_pickle_rebuild_the_matrix():
     V = resolve("3_1 # 4_1")
     for W in (copy.copy(V), copy.deepcopy(V), pickle.loads(pickle.dumps(V))):
         assert W == V and W.blocks == V.blocks
-    # a sum reduces to connected_sum of its parts: 1000 copies of one
-    # trefoil pickle as that trefoil, checked once on load, and the sum
-    # comes back without rows
+    # a matrix pickles as its blocks and index sets: 1000 copies of one
+    # trefoil block pickle as that block, checked once on load
     V = resolve("1000*3_1")
     best = math.inf
     for _ in range(3):
@@ -70,17 +69,32 @@ def test_copy_and_pickle_rebuild_the_matrix():
         W = pickle.loads(pickle.dumps(V))
         best = min(best, time.perf_counter() - t0)
     assert best < 0.010
-    assert W._parts is not None and W._rows is None and W.blocks == V.blocks
+    assert W.blocks == V.blocks and W.indices == V.indices
+    assert {id(B) for B in W.blocks} == {id(W.blocks[0])}
     assert W == V and W.size == V.size
-    # a matrix given whole goes through the constructor with its nonzeros
+    # a matrix given whole comes back with the same blocks and index sets
     T = resolve("T(3,16)")
     for U in (copy.copy(T), copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
-        assert U._nz == T._nz and U._rows is None
+        assert U.indices == T.indices
         assert U == T and U.blocks == T.blocks and hash(U) == hash(T)
 
 
+def test_unpickling_checks_each_distinct_block_once(monkeypatch):
+    import pickle
+
+    V = resolve("1000*3_1 # 4_1")
+    data = pickle.dumps(V)
+    calls, int_det = [], seifert._int_det
+    monkeypatch.setattr(seifert, "_int_det", lambda rows: calls.append(len(rows)) or int_det(rows))
+    assert pickle.loads(data) == V and calls == [2, 2]
+    # a block with det(B - B^T) = 4 does not load
+    bad = object.__new__(SeifertMatrix)._set(((((1, 2),), ()),), ((0, 1),))
+    with pytest.raises(SeifertInvariantError, match=re.escape("det(V - V^T) = 4, expected 1")):
+        pickle.loads(pickle.dumps(bad))
+
+
 def test_sums_compare_and_hash_by_their_nonzeros():
-    # == and hash read a sum's nonzeros from its parts and build no rows
+    # == and hash read the blocks and index sets and build no rows
     import pickle
     import time
 
@@ -92,7 +106,7 @@ def test_sums_compare_and_hash_by_their_nonzeros():
         equal = V == W
         best = min(best, time.perf_counter() - t0)
     assert equal and best < 0.010
-    assert hash(V) == hash(W) and V._rows is None and W._rows is None
+    assert hash(V) == hash(W) and V.indices == W.indices
     # a sum of sums equals the sum of all the parts, and a different order differs
     a, b = lookup("3_1"), lookup("4_1")
     assert connected_sum(connected_sum(a, b), a) == connected_sum(a, connected_sum(b, a))
@@ -104,7 +118,7 @@ def test_blocks_link_where_v_plus_vt_cancels():
     # two trefoil blocks joined only by V[1][2] = 1 and V[2][1] = -1, which
     # cancel in V + V^T but not in V - x V^T: one block, not two
     V = SeifertMatrix([[-1, 0, 0, 0], [1, -1, 1, 0], [0, -1, -1, 0], [0, 0, 1, -1]])
-    assert V.blocks == (V.rows,)
+    assert V.blocks == (sparse(V.rows),)
     assert alexander_polynomial(V) == normalize_alexander(_reference_det_poly(V.rows))
 
 
@@ -140,19 +154,33 @@ def test_sparse_matrices_agree_with_the_dense_references():
     seen = 0
     for label, V, rows in _agreement_cases():
         n = len(rows)
-        assert V._nz == nonzeros(rows), label
         assert V.rows == tuple(map(tuple, rows)) and V.size == n, label
-        assert V.blocks == reference_blocks(rows), label
+        assert V.blocks == tuple(map(sparse, reference_blocks(rows))), label
+        assert _dense_blocks(V) == reference_blocks(rows), label
         W = SeifertMatrix(rows)
-        assert (W._nz, W.rows, W.blocks, W.size) == (V._nz, V.rows, V.blocks, V.size), label
-        links = seifert._links(V._nz)
-        assert math.prod(seifert._int_det(seifert._skew(V._nz, links, c))
+        assert (W.blocks, W.indices, W.rows, W.size) == (V.blocks, V.indices, V.rows, V.size), \
+            label
+        nz = nonzeros(rows)
+        links = seifert._links(nz)
+        assert math.prod(seifert._int_det(seifert._skew(nz, links, c))
                          for c in seifert._components(links)) == 1, label
         for x in (-1, 2):
             dense = [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
             assert _sparse_det(rows, x) == reference_int_det(dense), (label, x)
         seen += 1
     assert seen == 4 + 105 + 60 + 5
+
+
+def test_repr_is_the_nonzeros_and_round_trips():
+    # one dict per row, which the constructor takes: the repr of 10000*3_1
+    # is O(nnz) long, where its dense rows would be 4 * 10^8 entries
+    assert repr(lookup("3_1")) == "SeifertMatrix([{0: -1}, {0: 1, 1: -1}])"
+    assert repr(SeifertMatrix.empty()) == "SeifertMatrix([])"
+    V = resolve("10000*3_1")
+    text = repr(V)
+    nnz = sum(len(row) for B in V.blocks for row in B)
+    assert nnz == 30000 and len(text) < 20 * nnz
+    assert eval(text, {"SeifertMatrix": SeifertMatrix}) == V
 
 
 def test_sparse_det_agrees_on_random_matrices():
@@ -190,7 +218,8 @@ def test_invalid_input_messages():
 
 def test_nonzero_rows_and_dense_rows_give_one_matrix():
     V = SeifertMatrix([{1: 1, 0: 0}, {}])
-    assert V == SeifertMatrix([[0, 1], [0, 0]]) and V._nz == ({1: 1}, {})
+    assert V == SeifertMatrix([[0, 1], [0, 0]])
+    assert V.blocks == ((((1, 1),), ()),) and V.indices == ((0, 1),)
     assert SeifertMatrix(iter([iter([-1, 0]), (1, -1)])) == lookup("3_1")
 
 
@@ -228,10 +257,15 @@ def test_a_bad_block_beside_repeated_good_ones_fails():
 
 
 def _composed() -> list:
-    """(label, matrix) built by lookups, sums, multiples and mirrors: the
-    table, MIXED_SUMS and 90 random expressions, and the mirror of each."""
+    """(label, matrix) built by lookups, braids, sums, nested sums,
+    multiples and mirrors: the table, the agreement cases, MIXED_SUMS, two
+    nested sums and 90 random expressions, and the mirror of each."""
+    a, b, c = lookup("3_1"), lookup("4_1").mirror(), lookup("8_20")
     out = [(name, lookup(name)) for name in knot_names()]
+    out += [(label, V) for label, V, _rows in _agreement_cases()]
     out += [(e, resolve(e)) for e in (*MIXED_SUMS, *random_expressions(90))]
+    out += [("nested", connected_sum(connected_sum(a, b), connected_sum(c, connected_sum(b, a)))),
+            ("nested empty", connected_sum(a, connected_sum(), connected_sum(connected_sum(b), c)))]
     return out + [(f"-({label})", V.mirror()) for label, V in out]
 
 
@@ -240,7 +274,8 @@ def test_sums_and_mirrors_equal_the_matrix_checked_whole():
 
     for label, W in _composed():
         V = SeifertMatrix(W.rows)
-        assert (W.rows, W.blocks, W.size) == (V.rows, V.blocks, V.size), label
+        assert (W.rows, W.blocks, W.indices, W.size) == (V.rows, V.blocks, V.indices, V.size), \
+            label
         assert W == V and V == W and hash(W) == hash(V) and repr(W) == repr(V), label
         P = pickle.loads(pickle.dumps(W))
         assert P == W and P.blocks == W.blocks and P.size == W.size, label
@@ -249,13 +284,17 @@ def test_sums_and_mirrors_equal_the_matrix_checked_whole():
 
 
 def test_sums_build_their_rows_on_first_read():
+    # a matrix keeps only its blocks and index sets; rows are built from
+    # them on each read
     a, b = lookup("3_1"), lookup("4_1").mirror()
     V = connected_sum(a, b, a)
-    assert V._rows is None and V.size == 6 and V.blocks == (a.rows, b.rows, a.rows)
+    assert SeifertMatrix.__slots__ == ("blocks", "indices")
+    assert V.indices == ((0, 1), (2, 3), (4, 5)) and V.size == 6
+    assert V.blocks == (sparse(a.rows), sparse(b.rows), sparse(a.rows))
     assert V.rows == tuple(map(tuple, _block_diagonal(a.rows, b.rows, a.rows)))
-    assert V.rows is V.rows
     W = resolve("2000*3_1").mirror()
-    assert W._rows is None and W.size == 4000 and set(W.blocks) == {lookup("3_1").mirror().rows}
+    assert W.indices[-1] == (3998, 3999) and W.size == 4000
+    assert set(W.blocks) == {sparse(lookup("3_1").mirror().rows)}
 
 
 def test_multiple_splits_into_its_blocks():
@@ -301,7 +340,7 @@ def test_block_with_singular_matrix_keeps_its_factor_x():
     # det V = 0: det(V - x V^T) = x has a zero constant term, and the
     # normalized Alexander polynomial drops the unit x
     V = SeifertMatrix([[0, 1], [0, 0]])
-    assert _det_poly(V.rows) == (0, 1)
+    assert _det_poly(sparse(V.rows)) == (0, 1)
     assert alexander_polynomial(V) == (1,)
 
 
@@ -332,7 +371,7 @@ def test_stabilize_preserves_everything():
     assert W.size == V.size + 2
     assert alexander_polynomial(W) == alexander_polynomial(V)
     for z in (Fraction(1, 3), Fraction(-3, 2)):
-        assert signature_at_sample(W.rows, z) == signature_at_sample(V.rows, z)
+        assert signature_at_sample(sparse(W.rows), z) == signature_at_sample(sparse(V.rows), z)
 
 
 def test_read_seifert_file(tmp_path):
@@ -413,10 +452,8 @@ def _cases():
 def test_alexander_unchanged_on_table_and_large_torus():
     # every block's polynomial equals the Lagrange reference at its points
     for label, V in _cases():
-        rows = V.rows
-        for block in connected_blocks(rows):
-            M = [[rows[i][j] for j in block] for i in block]
-            assert _det_poly(M) == _reference_det_poly(M), label
+        for M in _dense_blocks(V):
+            assert _det_poly(sparse(M)) == _reference_det_poly(M), label
     # large torus knots and a sum, against the closed form
     for expr, parts in (("T(5,11)", [(5, 11)]), ("T(2,31)", [(2, 31)]),
                         ("T(2,101)", [(2, 101)]),
@@ -425,6 +462,12 @@ def test_alexander_unchanged_on_table_and_large_torus():
         for p, q in parts:
             want = ip.mul(want, _torus_alexander(p, q))
         assert alexander_polynomial(resolve(expr)) == normalize_alexander(want), expr
+
+
+def _dense_blocks(V) -> tuple:
+    """The dense block matrices of V, cut out of its rows at its index sets."""
+    rows = V.rows
+    return tuple(tuple(tuple(rows[i][j] for j in I) for i in I) for I in V.indices)
 
 
 def _hadamard_bound(M) -> int:
@@ -452,9 +495,9 @@ def test_det_poly_takes_one_proven_prime(monkeypatch):
     monkeypatch.setattr(gfmat, "_det_poly_mod", recorded)
     widest = 0
     for _label, V in _cases():
-        for B in V.blocks:
+        for B in _dense_blocks(V):
             before = len(used)
-            _det_poly(B)
+            _det_poly(sparse(B))
             assert len(used) == before + 1
             p, m = used[-1], (2 * _hadamard_bound(B)).bit_length()
             k = (p - 1) >> m
@@ -487,11 +530,11 @@ def test_det_poly_mod_at_small_primes(monkeypatch):
     # B^T vanish early; the residues are the reference's all the same
     seen = _recorded_hessenberg(monkeypatch)
     for label, V in _cases():
-        for B in V.blocks:
+        for B in _dense_blocks(V):
             n, want = len(B), _reference_det_poly(B)
             for q in (3, 5, 7, 101):
-                assert _det_poly_mod(B, q) == [c % q for c in want] + [0] * (n + 1 - len(want)), \
-                    (label, q)
+                assert _det_poly_mod(sparse(B), q) == \
+                    [c % q for c in want] + [0] * (n + 1 - len(want)), (label, q)
     assert sum(map(_zero_subdiagonals, seen)) >= 40
 
 
@@ -503,6 +546,6 @@ def test_hessenberg_restarts_on_a_repeated_block(monkeypatch):
     seen = _recorded_hessenberg(monkeypatch)
     _V, W = mixed_sum("2*T(2,5)")
     assert len(W.blocks) == 1 and W.size == 8
-    assert _det_poly(W.rows) == _reference_det_poly(W.rows)
+    assert _det_poly(sparse(W.rows)) == _reference_det_poly(W.rows)
     assert _zero_subdiagonals(seen[0]) >= 1
     assert all(len(col) == k + 2 for k, col in enumerate(seen[0][:-1]))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (MIXED_SUMS, assert_walks_match_all_samples, count_evaluations, congruent,
-                      mixed_sum, plateau_blocks, random_seifert_matrices, walked_blocks)
+                      mixed_sum, plateau_blocks, random_seifert_matrices, sparse, walked_blocks)
 
 from knotsig import gfmat, intpoly as ip, signature
 from knotsig.errors import SingularSampleError
@@ -10,7 +10,7 @@ from knotsig.expressions import resolve
 from knotsig.hermitian import signatures_at_roots
 from knotsig.knot_table import knot_names, lookup
 from knotsig.gfmat import block_alexander_polynomials
-from knotsig.seifert import SeifertMatrix, alexander_polynomial, connected_blocks
+from knotsig.seifert import SeifertMatrix, alexander_polynomial
 from knotsig.factor import factor_int_poly
 from knotsig.signature import (breakpoint_candidates, nonbalanced_at_root, signature_at_sample,
                                step_function)
@@ -180,7 +180,8 @@ def test_kernel_is_the_oracle_of_the_simple_root_rule(corpus):
             mults = _block_multiplicities(V, factor)
             assert tables[label][factor] == mults, (label, factor)
             assert mult == sum(mults), (label, factor)
-            got = signatures_at_roots(V.rows, bps[0].root.trace, [bp.root.root for bp in bps])
+            got = signatures_at_roots(sparse(V.rows), bps[0].root.trace,
+                                      [bp.root.root for bp in bps])
             if max(mults) <= 1:
                 assert got == [(bp.balanced2 // 2, sum(mults)) for bp in bps], (label, factor)
                 simple += len(bps)
@@ -199,7 +200,7 @@ def test_summary_is_invariant_under_congruence(expr):
     assert W.rows != V.rows
     # the mixing merges the summands into one block, so every factor of a
     # sum K # K repeats inside that block and goes to the kernel
-    assert len(connected_blocks(V.rows)) == 2 and len(connected_blocks(W.rows)) == 1
+    assert len(V.indices) == 2 and len(W.indices) == 1
     assert step_function(W).summary() == step_function(V).summary()
     if expr == "2*T(2,5)":
         # Phi_10^2: a degree-2 trace polynomial, eliminated over ScaledOrder
@@ -248,7 +249,7 @@ def test_block_polynomials_once_per_step_function(monkeypatch):
     monkeypatch.setattr(gfmat, "_det_poly", counted)
     V = resolve("2*T(2,5)")
     sf = step_function(V)
-    assert [len(b) for b in connected_blocks(V.rows)] == [4, 4] and V.blocks[0] == V.blocks[1]
+    assert [len(I) for I in V.indices] == [4, 4] and V.blocks[0] == V.blocks[1]
     assert calls == [4]
     assert [m for _f, m, _bps in sf.factor_groups()] == [2]
 

@@ -128,6 +128,38 @@ def test_refinement_and_comparison():
         assert x.hi < y.lo
 
 
+def test_refine_below_rejects_a_width_not_positive():
+    # no interval of sqrt 2 is narrower than 0: the call stops at once
+    root = RealRoot((-2, 0, 1), 1, 2)
+    for width in (Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="is not positive"):
+            root.refine_below(width)
+    assert (root.lo, root.hi) == (1, 2)
+    root.refine_below(Fraction(1, 1000))
+    assert root.width() < Fraction(1, 1000) and root.lo * root.lo < 2 < root.hi * root.hi
+
+
+def test_refine_strictly_inside_stops_for_a_root_outside():
+    # sqrt 2 is not inside (0, 1): the halvings stop, as separate_from's do
+    root = RealRoot((-2, 0, 1), 1, 2)
+    with pytest.raises(ArithmeticError, match=r"not inside \(0, 1\) after 10000 halvings"):
+        root.refine_strictly_inside(Fraction(0), Fraction(1))
+    assert root.lo * root.lo < 2 < root.hi * root.hi
+    exact = RealRoot.exact((-1, 1), Fraction(1))
+    with pytest.raises(ValueError, match="exact root is not inside"):
+        exact.refine_strictly_inside(Fraction(0), Fraction(1))
+
+
+def test_refine_below_halves_as_often_as_the_width_needs():
+    # past the 10 000 halvings that bound separate_from: the count of
+    # halvings is known from the width asked for, and none is spared
+    root = RealRoot((-2, 0, 1), 1, 2)
+    target = Fraction(1, 2**10010)
+    root.refine_below(target)
+    assert target / 2 <= root.width() < target
+    assert root.lo * root.lo < 2 < root.hi * root.hi
+
+
 def test_sign_at():
     assert sign_at((-1, 1), Fraction(2)) == 1
     assert sign_at((-1, 1), Fraction(1)) == 0

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import assert_walks_match_all_samples
+from conftest import assert_walks_match_all_samples, sparse
 
 from knotsig.expressions import resolve
 from knotsig.hermitian import signatures_at_roots
@@ -89,7 +89,7 @@ def test_nonbalanced_match_litherland(p, q):
     assert [bp.nonbalanced for bp in sf.breakpoints] == [litherland(p, q, t)[0] for t in ts]
     # the kernel's nullities too, one elimination per factor
     for bf in breakpoint_candidates(alexander_polynomial(V)):
-        got = signatures_at_roots(V.rows, bf.roots[0].trace, [ur.root for ur in bf.roots])
+        got = signatures_at_roots(sparse(V.rows), bf.roots[0].trace, [ur.root for ur in bf.roots])
         assert got == [litherland(p, q, ur.exact_t) for ur in bf.roots], bf.x_factor
 
 
