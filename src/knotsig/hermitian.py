@@ -2,23 +2,31 @@
 
 For a point omega on the upper unit circle with 2*cos(angle) = z0 a root of
 an integer polynomial q, the matrix (1-omega)V + (1-conj(omega))V^T is
-hermitian over the field Q(omega).  Writing l = lc(q), zhat = l*z and
-what = l*omega, everything is scaled into the order
+hermitian over the field Q(omega).  There are two rings for it:
 
-    Z[zhat, what] / (qhat(zhat), what^2 - zhat*what + l^2),
+- ScaledOrder, for deg q >= 2.  Writing l = lc(q), zhat = l*z and
+  what = l*omega, everything is scaled into the order
 
-whose involution fixes zhat and sends what to zhat - what; diagonal entries
-of hermitian matrices land in the real (involution-fixed) subring and their
-signs are decided at the embedding.  There are two rings for it:
+      Z[zhat, what] / (qhat(zhat), what^2 - zhat*what + l^2),
 
-- ScaledOrder, for deg q >= 2: elements are pairs (a, b) of integer
-  polynomials in zhat of degree less than deg q, meaning a + b*what; the
-  sign of a real element at a root of q is decided by interval evaluation
-  at an isolating interval of that root.
+  whose involution fixes zhat and sends what to zhat - what.  Elements are
+  pairs (a, b) of integer polynomials in zhat of degree less than deg q,
+  meaning a + b*what; diagonal entries of hermitian matrices land in the
+  real (involution-fixed) subring, and the sign of a real element at a
+  root of q is decided by interval evaluation at an isolating interval of
+  that root.
 - IntPairOrder, for deg q = 1, that is a rational z = zhat/l (every plateau
-  sample and every rational trace root): zhat is an integer, elements are
-  int pairs (a, b), real elements are plain ints and their sign is the
-  int's sign.
+  sample and every rational trace root).  With c = cot(angle/2),
+  1 - omega = 2 sin^2(angle/2) (1 - i c), so the matrix is
+  2 sin^2(angle/2) [(V + V^T) + i c (V^T - V)], and
+  c^2 = (2 + z)/(2 - z) gives c = sqrt(D)/(2l - zhat) with
+  D = 4l^2 - zhat^2 > 0.  Scaled by the positive (2l - zhat)/(2 sin^2),
+  the matrix lies in Z[sqrt(-D)]: elements are int pairs (a, b) meaning
+  a + b*sqrt(-D), a product has no term in zhat or l, conjugation negates
+  b, and real elements are plain ints whose sign is the int's sign.  Where
+  D is a perfect square, as at every plateau sample (z a rational point of
+  the circle, signature._plateau_points), sqrt(D) moves into the entries
+  and the ring is the Gaussian integers, D = 1.
 
 Both rings offer the same operations, and one kernel runs over either: a
 fraction-free (Bareiss) symmetric elimination whose divisions are exact in
@@ -75,7 +83,7 @@ each root (signatures_at_roots).
 The plateau samples of one block nearly always share their pattern of
 nonzeros, and with it their pivot order and ring calls: the kernel branches
 only on whether a bareiss or add result is zero (a product, rescale or
-conjugate of nonzero elements is nonzero, Z[what] being a domain).  So
+conjugate of nonzero elements is nonzero, Z[sqrt(-D)] being a domain).  So
 a block's sampler eliminates the first sample it is given over
 plan.Recorder, an IntPairOrder whose elements carry the slot they were
 written to, and which writes each ring call as one op (opcode and slots)
@@ -100,7 +108,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import intpoly as ip
 from .errors import SeifertInvariantError, SingularSampleError
@@ -244,22 +252,33 @@ class ScaledOrder:
 
 
 class IntPairOrder:
-    """The order above for a rational trace value z = zhat/l in (-2, 2)
-    (deg q = 1).
+    """The ring Z[sqrt(-D)] above for a rational trace value z = zhat/l in
+    (-2, 2) (deg q = 1).
 
-    zhat is an integer, so an element is an int pair (a, b) meaning
-    a + b*what, with what^2 = zhat*what - l^2.  Real elements are plain ints
-    and their sign at the (only) embedding is their own, so real_sign
-    ignores its root.  Division by a real element needs no inverse:
-    real_inverse hands the int back and bareiss divides exactly.
+    D = 4l^2 - zhat^2, and the entry (i, j) of the matrix, where V[i][j] = a
+    and V[j][i] = b, is p(a + b) + s(b - a) sqrt(-D) for p = 2l - zhat and
+    s = 1; where D is a perfect square, D is replaced by 1 and s by sqrt(D),
+    and p and s are divided by their gcd.  An element is an int pair (a, b)
+    meaning a + b*sqrt(-D), and its conjugate is (a, -b).  Real elements
+    are plain ints and their sign at the (only) embedding is their own, so
+    real_sign ignores its root.  Division by a real element needs no
+    inverse: real_inverse hands the int back and bareiss divides exactly.
     """
 
     def __init__(self, z: Fraction):
         z = Fraction(z)
         if not -2 < z < 2:
             raise ValueError("sample must lie strictly inside (-2, 2)")
-        self.zhat, self.l = z.numerator, z.denominator
-        self.e = self.l * self.l
+        self.z = z
+        zhat, l = z.numerator, z.denominator
+        D, p = 4 * l * l - zhat * zhat, 2 * l - zhat
+        s = isqrt(D)
+        if s * s == D:
+            D, g = 1, gcd(p, s)
+            p, s = p // g, s // g
+        else:
+            s = 1
+        self.D, self.p, self.s = D, p, s
         self.zero = (0, 0)
         self.one = (1, 0)
 
@@ -269,12 +288,10 @@ class IntPairOrder:
     def mul(self, x, y):
         a1, b1 = x
         a2, b2 = y
-        bb = b1 * b2
-        return (a1 * a2 - self.e * bb, a1 * b2 + a2 * b1 + self.zhat * bb)
+        return (a1 * a2 - self.D * b1 * b2, a1 * b2 + a2 * b1)
 
     def conj(self, x):
-        a, b = x
-        return (a + self.zhat * b, -b)
+        return (x[0], -x[1])
 
     def real_part_only(self, x) -> int:
         assert x[1] == 0, "expected an involution-fixed element"
@@ -291,9 +308,8 @@ class IntPairOrder:
         the division must be exact."""
         a0, a1 = a
         y0, y1 = y
-        bb = a1 * y1
-        re = a0 * y0 - self.e * bb
-        im = a0 * y1 + a1 * y0 + self.zhat * bb
+        re = a0 * y0 - self.D * a1 * y1
+        im = a0 * y1 + a1 * y0
         if x is None:
             re, im = -re, -im
         else:
@@ -312,22 +328,24 @@ class IntPairOrder:
 
     def entry(self, a: int, b: int):
         """The entry of hermitian_rows where B[i][j] = a and B[j][i] = b."""
-        return (self.l * (a + b) - self.zhat * b, b - a)
+        return (self.p * (a + b), self.s * (b - a))
 
 
 Ring = ScaledOrder | IntPairOrder
 
 
 def hermitian_rows(B, order) -> dict:
-    """l * [(1-omega)B + (1-conj(omega))B^T] over the order, for the block
-    B, as sparse rows {i: {j: (0, entry)}} of its nonzero entries stamped 0
-    (see _eliminate): order.entry(a, b) at each (i, j, a, b) of
+    """The hermitian matrix of the block B over the order (module
+    docstring), as sparse rows {i: {j: (0, entry)}} of its nonzero entries
+    stamped 0 (see _eliminate): order.entry(a, b) at each (i, j, a, b) of
     seifert.support(B).
 
-    The entry at (i, j) is l(a + b) - b zhat + (b - a) what.  It is nonzero
-    exactly on that support: its part at what is b - a, and where that
-    vanishes, the rest is (2 l - zhat) a with |zhat| < 2 l.  The positive
-    rescale by l leaves the signature unchanged.
+    The entry is nonzero exactly on that support, where a or b is nonzero.
+    Over IntPairOrder it is (p(a + b), s(b - a)) with p, s > 0, zero only
+    for a + b = b - a = 0.  Over ScaledOrder it is
+    l(a + b) - b zhat + (b - a) what: its part at what is b - a, and where
+    that vanishes, the rest is (2 l - zhat) a with |zhat| < 2 l.  Either
+    matrix is a positive multiple of the form, with its signature.
     """
     rows = {i: {} for i in range(len(B))}
     entry = order.entry
@@ -584,8 +602,8 @@ def symmetric_signature(B) -> tuple[int, int, int]:
 
     The kernel above over the int-pair ring, with every entry c as (c, 0).
     Elements with b = 0 are closed under add, mul, conj and bareiss, and
-    with b = 0 none of these reads zhat or l^2, so the ring is plain Z and
-    the z chosen is irrelevant.  Used for the Murasugi signature at
+    with b = 0 none of these reads D, so the ring is plain Z and the z
+    chosen is irrelevant.  Used for the Murasugi signature at
     omega = -1 and for validating the knot table.
     """
     rows = {i: {} for i in range(len(B))}

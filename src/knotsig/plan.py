@@ -3,8 +3,10 @@ first plateau sample and replayed on ints at the others (see the hermitian
 module docstring for why a replay that passes its checks is the kernel's
 elimination).
 
-record runs hermitian._eliminate once over a Recorder.  replay runs the
-plan's ops with the arithmetic of IntPairOrder inline, keeps its
+record runs hermitian._eliminate once over a Recorder.  replay loads each
+entry of the block as (p(a + b), s(b - a)) for the p and s of its sample,
+runs the plan's ops with the arithmetic of IntPairOrder inline (a product
+(x0 y0 - D x1 y1, x0 y1 + x1 y0), a conjugate (x0, -x1)), keeps its
 exact-division and real-pivot asserts, and checks every bareiss and add
 result against the zero pattern recorded; at the first mismatch it
 returns None, and the caller eliminates that sample with the kernel.
@@ -25,13 +27,13 @@ _ONE, _ZERO = 0, 1
 (_BAREISS, _BAREISS_NEW, _RESCALE, _CONJ, _BAREISS_ZERO, _ADD, _ADD_ZERO, _MUL,
  _REAL) = range(9)
 
-Plan = namedtuple("Plan", "loads im ops pivots null")
+Plan = namedtuple("Plan", "loads size ops pivots null")
 Plan.__doc__ = """The ring calls of one elimination of a block over IntPairOrder,
-as Recorder writes them down: loads are (V_ij + V_ji, V_ji) for each entry
-of hermitian_rows, im the parts at what of slots 0, 1 and the loads (the
-same at every sample) followed by zeros, ops the ring calls in order, each
-(opcode, output slot, operand slots...) or without an output slot for a
-zero result, pivots the slots of the real pivots and null the nullity."""
+as Recorder writes them down: loads are (V_ij + V_ji, V_ji - V_ij) for each
+entry of hermitian_rows, in slots 2, 3, ..., size the number of slots, ops
+the ring calls in order, each (opcode, output slot, operand slots...) or
+without an output slot for a zero result, pivots the slots of the real
+pivots and null the nullity."""
 
 
 class Recorder:
@@ -48,7 +50,7 @@ class Recorder:
         self.order = order
         self.zero = order.zero
         self.one = (1, 0, _ONE)
-        self.loads, self.im, self.ops, self.slots = [], [0, 0], [], 2
+        self.loads, self.ops, self.slots = [], [], 2
 
     def _out(self, v, code, *args):
         slot = self.slots
@@ -58,14 +60,13 @@ class Recorder:
 
     def entry(self, a, b):
         """The entry of hermitian_rows, written to the next slot as a load."""
-        self.loads.append((a + b, b))
-        self.im.append(b - a)
+        self.loads.append((a + b, b - a))
         self.slots += 1
         return self.order.entry(a, b) + (self.slots - 1,)
 
     def plan(self, trace: PivotTrace) -> Plan:
-        im = self.im + [0] * (self.slots - len(self.im))
-        return Plan(self.loads, im, self.ops, tuple(p[2] for p in trace.pivots), trace.null)
+        return Plan(self.loads, self.slots, self.ops, tuple(p[2] for p in trace.pivots),
+                    trace.null)
 
     def bareiss(self, d, x, a, y, t):
         v = self.order.bareiss(d[0], x and x[:2], a[:2], y[:2], t[0])
@@ -108,23 +109,21 @@ def replay(plan: Plan, order: IntPairOrder) -> PivotTrace | None:
     and was not, or is not and was, when the plan was recorded.
 
     _eliminate branches only on those zero tests (mul, rescale and conj of
-    nonzero elements are nonzero in the domain Z[what]), so a replay that
+    nonzero elements are nonzero in the domain Z[sqrt(-D)]), so a replay that
     passes them all makes _eliminate's ring calls at this sample, with its
     exact-division and real-pivot asserts, and returns its PivotTrace.
     """
-    zhat, e, l = order.zhat, order.e, order.l
-    re = [1, 0]
-    re += [l * s - zhat * b for s, b in plan.loads]
-    re += [0] * (len(plan.im) - len(re))
-    im = plan.im.copy()
+    D, p, s = order.D, order.p, order.s
+    pad = [0] * (plan.size - 2 - len(plan.loads))
+    re = [1, 0] + [p * u for u, _ in plan.loads] + pad
+    im = [0, 0] + [s * v for _, v in plan.loads] + pad
     for op in plan.ops:
         code = op[0]
         if code == _BAREISS:
             _, o, d, x, a, y, t = op
             a0, a1, y0, y1, d, t = re[a], im[a], re[y], im[y], re[d], re[t]
-            bb = a1 * y1
-            r, rr = divmod(d * re[x] - a0 * y0 + e * bb, t)
-            i, ri = divmod(d * im[x] - a0 * y1 - a1 * y0 - zhat * bb, t)
+            r, rr = divmod(d * re[x] - a0 * y0 + D * a1 * y1, t)
+            i, ri = divmod(d * im[x] - a0 * y1 - a1 * y0, t)
             assert not (rr or ri), "inexact Bareiss division"
             if not (r or i):
                 return None
@@ -133,9 +132,8 @@ def replay(plan: Plan, order: IntPairOrder) -> PivotTrace | None:
         elif code == _BAREISS_NEW:
             _, o, a, y, t = op
             a0, a1, y0, y1, t = re[a], im[a], re[y], im[y], re[t]
-            bb = a1 * y1
-            r, rr = divmod(e * bb - a0 * y0, t)
-            i, ri = divmod(-a0 * y1 - a1 * y0 - zhat * bb, t)
+            r, rr = divmod(D * a1 * y1 - a0 * y0, t)
+            i, ri = divmod(-a0 * y1 - a1 * y0, t)
             assert not (rr or ri), "inexact Bareiss division"
             if not (r or i):
                 return None
@@ -151,14 +149,12 @@ def replay(plan: Plan, order: IntPairOrder) -> PivotTrace | None:
             im[o] = i
         elif code == _CONJ:
             _, o, x = op
-            i = im[x]
-            re[o] = re[x] + zhat * i
-            im[o] = -i
+            re[o] = re[x]
+            im[o] = -im[x]
         elif code == _BAREISS_ZERO:
             _, d, x, a, y = op
             a0, a1, y0, y1, d = re[a], im[a], re[y], im[y], re[d]
-            bb = a1 * y1
-            if d * re[x] - a0 * y0 + e * bb or d * im[x] - a0 * y1 - a1 * y0 - zhat * bb:
+            if d * re[x] - a0 * y0 + D * a1 * y1 or d * im[x] - a0 * y1 - a1 * y0:
                 return None
         elif code == _ADD:
             _, o, x, y = op
@@ -174,12 +170,11 @@ def replay(plan: Plan, order: IntPairOrder) -> PivotTrace | None:
         elif code == _MUL:
             _, o, x, y = op
             x0, x1, y0, y1 = re[x], im[x], re[y], im[y]
-            bb = x1 * y1
-            re[o] = x0 * y0 - e * bb
-            im[o] = x0 * y1 + x1 * y0 + zhat * bb
+            re[o] = x0 * y0 - D * x1 * y1
+            im[o] = x0 * y1 + x1 * y0
         else:
             assert im[op[1]] == 0, "expected an involution-fixed element"
-    return PivotTrace(tuple(re[s] for s in plan.pivots), plan.null)
+    return PivotTrace(tuple(re[k] for k in plan.pivots), plan.null)
 
 
 def record(B, order: IntPairOrder) -> tuple[PivotTrace, Plan]:

@@ -7,7 +7,10 @@ coordinate z = 2*cos(2*pi*t), which runs from 2 down to -2 as t runs from
 0 to 1/2: breakpoints are the roots in (-2, 2) of the trace polynomials of
 the self-reciprocal irreducible factors of the Alexander polynomial, and
 each plateau value is one exact signature at a rational z between
-consecutive roots.
+consecutive roots.  That z is a rational point of the circle, with
+c = cot(pi*t) the shortest dyadic rational in the gap, or 1/c below z = 0
+(_circle_point): the elimination there runs over the Gaussian integers on
+entries of about half the length a dyadic z would give.
 
 At a breakpoint three numbers are recorded: the jump (half the difference
 of one-sided limits), the balanced value (their average, stored doubled so
@@ -54,7 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import cos, gcd, lcm, pi
+from math import cos, gcd, isqrt, lcm, pi
 
 from . import intpoly as ip
 from .errors import KnotsigError
@@ -232,12 +235,45 @@ def _separate_all(roots: list[UnitRoot]) -> list[UnitRoot]:
 def _plateau_points(factors) -> tuple[list[UnitRoot], list[Fraction]]:
     """(roots, samples): the circle roots of the breakpoint factors,
     separated and ordered by increasing t, and the plateau samples, one
-    rational z before, between and after them (z = 0 without roots)."""
+    rational z before, between and after them (_circle_point of each gap
+    between their intervals; z = 0 without roots)."""
     roots = _separate_all([ur for bf in factors for ur in bf.roots])[::-1]  # increasing t
-    # (a, b, d) of each interval, between the ends z = 2 and z = -2 (z = 0 alone)
+    # (a, b, d) of each interval, between the ends z = 2 and z = -2
     ends = [(2, 2, 1)] + [(u.root.a, u.root.b, u.root.d) for u in roots] + [(-2, -2, 1)]
-    samples = [Fraction(a * e + y * d, 2 * d * e) for (a, _, d), (_, y, e) in zip(ends, ends[1:])]
+    samples = [_circle_point((y, e), (a, d)) for (a, _, d), (_, y, e) in zip(ends, ends[1:])]
     return roots, samples
+
+
+def _circle_point(lo: tuple[int, int], hi: tuple[int, int]) -> Fraction:
+    """The plateau sample in the gap y/e < z < a/d, for lo = (y, e) and
+    hi = (a, d) with e, d > 0 and -2 <= y/e < a/d <= 2.
+
+    It is z = 2(u^2 - v^2)/(u^2 + v^2), a rational point of the circle with
+    c = u/v = cot(angle/2), so that 4l^2 - zhat^2 is a square and
+    hermitian.IntPairOrder eliminates over the Gaussian integers with
+    entries (v(a + b), u(b - a)).  c^2 = (2 + z)/(2 - z) rises with z, and c
+    goes to 1/c as z goes to -z.  For a gap above z = 0, c is the dyadic
+    u/2^k with the least k, then the least u, strictly inside the gap; a gap
+    below z = 0 takes the mirror of its mirror's sample (1/c dyadic), and a
+    gap around z = 0 takes c = 1, z = 0.  Near the ends z = +-2 the gaps
+    in z shrink quadratically while those in c or 1/c widen, so c stays
+    short (T(5,11): c = 23 and c = 1/46 at its end plateaus).
+    """
+    (y, e), (a, d) = lo, hi
+    if a <= 0:
+        return -_circle_point((-a, d), (-y, e))
+    if y < 0:
+        return Fraction(0)
+    # clo^2 = (2e + y)/(2e - y) < (u/2^k)^2 < (2d + a)/(2d - a) = chi^2,
+    # chi infinite at a/d = 2
+    n_lo, m_lo, n_hi, m_hi = 2 * e + y, 2 * e - y, 2 * d + a, 2 * d - a
+    k = 0
+    while True:
+        u = isqrt((n_lo << 2 * k) // m_lo) + 1  # the least u with u^2 m_lo > n_lo 4^k
+        if u * u * m_hi < n_hi << 2 * k:
+            uu, vv = u * u, 1 << 2 * k
+            return Fraction(2 * (uu - vv), uu + vv)
+        k += 1
 
 
 def _block_factors(V: SeifertMatrix) -> tuple[Counter, dict, list[BreakpointFactor]]:

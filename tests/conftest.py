@@ -879,8 +879,9 @@ def count_evaluations(V) -> int:
 
 # ---- the Fraction reference for root isolation: RealRoot, isolate_real_roots
 # and the interval Horner as they were before sturm kept each interval as
-# ints over a common denominator, with every sign by Fraction Horner, and the
-# separation and plateau samples of signature._plateau_points on them ----
+# ints over a common denominator, with every sign by Fraction Horner, the
+# separation of signature._plateau_points on them, and its plateau samples
+# by a search in Fraction arithmetic ----
 
 def _fraction_sign(f, x: Fraction) -> int:
     v = eval_at(f, Fraction(x))
@@ -1029,8 +1030,9 @@ def trace_angles(n: int) -> list[float]:
 def reference_plateau_points(V) -> tuple[list, list]:
     """(intervals, samples) that signature._plateau_points gives for V's
     breakpoint factors, from the reference isolation of each factor's trace
-    polynomial (guided by its angles where it is cyclotomic), separated and
-    sampled in Fraction arithmetic."""
+    polynomial (guided by its angles where it is cyclotomic), separated in
+    Fraction arithmetic, with a reference_circle_point in each gap between
+    the intervals and the ends z = 2 and z = -2."""
     from knotsig.signature import _block_factors
 
     roots = []
@@ -1048,9 +1050,41 @@ def reference_plateau_points(V) -> tuple[list, list]:
         if clean:
             break
     roots.sort(key=lambda r: r.lo, reverse=True)
-    if not roots:
-        return [], [Fraction(0)]
-    samples = [(roots[0].hi + 2) / 2]
-    samples += [(a.lo + b.hi) / 2 for a, b in zip(roots, roots[1:])]
-    samples.append((roots[-1].lo - 2) / 2)
+    uppers = [Fraction(2)] + [r.lo for r in roots]
+    lowers = [r.hi for r in roots] + [Fraction(-2)]
+    samples = [reference_circle_point(lo, hi) for lo, hi in zip(lowers, uppers)]
     return [(r.lo, r.hi) for r in roots], samples
+
+
+def circle_z(c: Fraction) -> Fraction:
+    """z = 2 cos(angle) at the circle point with cot(angle/2) = c >= 0."""
+    return 2 * (c * c - 1) / (c * c + 1)
+
+
+def reference_circle_point(lo: Fraction, hi: Fraction) -> Fraction:
+    """The plateau sample in the gap lo < z < hi, by search in Fraction
+    arithmetic: z = circle_z(c) for the dyadic c = m/2^k with the least k,
+    then the least m, inside the gap when lo >= 0; -circle_z(c) for the gap
+    (-hi, -lo) when hi <= 0 (so 1/c is dyadic); z = 0 when lo < 0 < hi.
+    circle_z rises with c, so the least m is found by doubling and then
+    halving a bracket."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -reference_circle_point(-hi, -lo)
+    k = 0
+    while True:
+        den = 2 ** k
+        below, above = 0, 1  # circle_z(below/den) <= lo < circle_z(above/den)
+        while circle_z(Fraction(above, den)) <= lo:
+            below, above = above, 2 * above
+        while above - below > 1:
+            mid = (below + above) // 2
+            if circle_z(Fraction(mid, den)) > lo:
+                above = mid
+            else:
+                below = mid
+        z = circle_z(Fraction(above, den))
+        if z < hi:
+            return z
+        k += 1

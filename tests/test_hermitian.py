@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -343,6 +344,39 @@ def test_int_pair_ring_matches_eigenvalues():
     assert compared > 200
 
 
+@pytest.mark.parametrize("z", [Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(7, 5),
+                               Fraction(-19, 10), Fraction(0), Fraction(6, 5), Fraction(-30, 17),
+                               Fraction(528, 265), Fraction(-4230, 2117)])
+def test_int_pair_ring_off_and_on_the_circle_points(z):
+    # the ring is Z[sqrt(-D)] with D = 4l^2 - zhat^2 and entries
+    # (p(a + b), s(b - a)), p = 2l - zhat, s = 1, where D is no square (the
+    # first five: D = 3, 3, 35, 51, 39), and the Gaussian integers with
+    # p : s = (2l - zhat) : sqrt(D) in lowest terms at the rational points
+    # of the circle; seeded forms against eigenvalues, zero diagonals
+    # (repairs) included
+    zhat, l = z.numerator, z.denominator
+    D = 4 * l * l - zhat * zhat
+    order = IntPairOrder(z)
+    if isqrt(D) ** 2 == D:
+        assert order.D == 1 and gcd(order.p, order.s) == 1
+        assert order.p * isqrt(D) == order.s * (2 * l - zhat)
+    else:
+        assert (order.D, order.p, order.s) == (D, 2 * l - zhat, 1)
+    rng = random.Random(z.numerator * 1009 + z.denominator)
+    compared = 0
+    for trial in range(120):
+        n = rng.randint(1, 10)
+        V = _sparse_matrix(rng, n) if trial % 2 else \
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        got = signature_triple(hermitian_rows(sparse(V), order), order)
+        assert sum(got) == n
+        want = _float_triple(V, z)
+        if want is not None:
+            assert got == want, (V, z)
+            compared += 1
+    assert compared >= 80, compared
+
+
 def test_int_pair_ring_at_a_rational_root():
     # Delta = 5x^2 - 9x + 5 has trace polynomial 5z - 9: the circle point
     # z = 9/5 is a rational root, where the form is singular with nullity 1
@@ -536,7 +570,7 @@ def test_replays_match_kernel_on_table():
 @pytest.mark.parametrize("expr,fallbacks", [
     ("T(3,10) # -T(2,15) # -T(5,6)", []), ("T(5,11)", []), ("T(2,31)", []),
     ("T(3,16)", [Fraction(0)]),
-    ("T(4,9)", [Fraction(-1)]), ("T(3,11)", []), ("T(5,6)", []), ("T(2,21)", [])])
+    ("T(4,9)", [Fraction(0)]), ("T(3,11)", []), ("T(5,6)", []), ("T(2,21)", [])])
 def test_replays_match_kernel_on_torus_workloads(expr, fallbacks):
     # the knots of the benchmark's torus_plateaus and torus_nonbalanced
     assert [z for _B, z in _replays_at_samples(resolve(expr))] == fallbacks
@@ -553,7 +587,7 @@ def test_replays_match_kernel_on_congruent_sums(expr):
     _replays_at_samples(mixed_sum(expr)[1])
 
 
-@pytest.mark.parametrize("expr,z", [("T(3,16)", Fraction(0)), ("T(4,9)", Fraction(-1))])
+@pytest.mark.parametrize("expr,z", [("T(3,16)", Fraction(0)), ("T(4,9)", Fraction(0))])
 def test_fallback_gives_reference_signature(monkeypatch, expr, z):
     # the sample's entries cancel, so its replay stops and _eliminate runs
     (B, samples), = plateau_blocks(resolve(expr))
@@ -561,7 +595,7 @@ def test_fallback_gives_reference_signature(monkeypatch, expr, z):
     replays = {}
 
     def spy(plan, order):
-        replays[Fraction(order.zhat, order.l)] = out = replay(plan, order)
+        replays[order.z] = out = replay(plan, order)
         return out
 
     monkeypatch.setattr(plan_module, "replay", spy)
@@ -574,10 +608,12 @@ def test_fallback_gives_reference_signature(monkeypatch, expr, z):
 
 
 def test_plan_dropped_after_two_fallbacks_in_a_row(monkeypatch):
-    # every sample of the congruent one-block T(3,4) # T(3,4) cancels its
-    # own way: its 2nd and 3rd samples fall back, so the 4th is not replayed
-    (B, samples), = plateau_blocks(mixed_sum("T(3,4) # T(3,4)")[1])
-    assert len(samples) == 4
+    # the congruent one-block T(3,4) # T(3,4) cancels its own way at each of
+    # these samples, one in each of its 4 plateaus: its 2nd and 3rd samples
+    # fall back, so the 4th is not replayed
+    (B, plateau), = plateau_blocks(mixed_sum("T(3,4) # T(3,4)")[1])
+    samples = [Fraction(15, 8), Fraction(5, 4), Fraction(-1, 4), Fraction(-15, 8)]
+    assert len(samples) == len(plateau) == 4
     replays = []
 
     def spy(plan, order):
@@ -587,6 +623,7 @@ def test_plan_dropped_after_two_fallbacks_in_a_row(monkeypatch):
     monkeypatch.setattr(plan_module, "replay", spy)
     got = signatures_at_samples(B, samples)
     assert replays == [None, None]
+    assert got == [signature_at_sample(B, z) for z in plateau]
     for w, sig in zip(samples, got):
         order = IntPairOrder(w)
         pos, neg, null = _trace_signs(reference_eliminate(hermitian_rows(B, order), order), order)

@@ -1,22 +1,23 @@
 """RealRoot's ints over a common denominator against the Fraction reference
 in conftest: the same halvings in the same order give the same intervals,
-separations, plateau samples and signs."""
+separations, plateau samples and signs; and the plateau samples are the
+shortest rational points of the circle in their gaps."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from conftest import (MIXED_SUMS, ReferenceRealRoot, _reference_bisect_by_guesses, eval_at,
-                      mixed_sum, reference_interval_eval, reference_isolate_real_roots,
-                      reference_plateau_points, trace_angles)
+from conftest import (MIXED_SUMS, ReferenceRealRoot, _reference_bisect_by_guesses, circle_z,
+                      eval_at, mixed_sum, reference_circle_point, reference_interval_eval,
+                      reference_isolate_real_roots, reference_plateau_points, trace_angles)
 from knotsig import intpoly as ip
 from knotsig import sturm
 from knotsig.certify import _is_two_cos
 from knotsig.expressions import resolve
 from knotsig.hermitian import ScaledOrder
-from knotsig.signature import _block_factors, _plateau_points
+from knotsig.signature import _block_factors, _circle_point, _plateau_points
 from knotsig.sturm import RealRoot, _bisect_by_guesses, count_roots_open, isolate_real_roots
 
 # non-dyadic bounds put a common denominator other than a power of 2 under
@@ -148,15 +149,64 @@ def _torus_knots() -> list[str]:
             if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 80]
 
 
-def test_plateau_points_match_the_fraction_reference(corpus):
+def _plateau_matrices(corpus) -> list:
+    """The corpus, the congruent mixed sums and the small torus knots."""
     matrices = [V for _label, V, _sf in corpus]
     for expr in MIXED_SUMS:
         matrices += mixed_sum(expr)
-    matrices += [resolve(name) for name in _torus_knots()]
-    for V in matrices:
+    return matrices + [resolve(name) for name in _torus_knots()]
+
+
+def test_plateau_points_match_the_fraction_reference(corpus):
+    for V in _plateau_matrices(corpus):
         roots, samples = _plateau_points(_block_factors(V)[2])
         assert ([(u.root.lo, u.root.hi) for u in roots], samples) == \
             reference_plateau_points(V), V
+
+
+def test_plateau_samples_are_the_shortest_circle_points(corpus):
+    # each sample z = zhat/l lies strictly inside its gap between the root
+    # intervals (and z = 2, z = -2) with 4l^2 - zhat^2 a square, and its
+    # c = cot(angle/2), or 1/c below z = 0, is a dyadic m/2^k whose
+    # neighbours (m - 1)/2^k and (m + 1)/2^k (for k > 0) lie outside the
+    # gap: the gap is an interval in c, so no dyadic with a smaller power
+    # of 2 fits it, nor a smaller one with the same
+    counts = {"zero": 0, "integer": 0, "dyadic": 0}
+    for V in _plateau_matrices(corpus):
+        roots, samples = _plateau_points(_block_factors(V)[2])
+        uppers = [Fraction(2)] + [u.root.lo for u in roots]
+        lowers = [u.root.hi for u in roots] + [Fraction(-2)]
+        for lo, hi, z in zip(lowers, uppers, samples, strict=True):
+            assert lo < z < hi, (V, lo, z, hi)
+            zhat, l = z.numerator, z.denominator
+            assert isqrt(4 * l * l - zhat * zhat) ** 2 == 4 * l * l - zhat * zhat, (V, z)
+            if lo < 0 < hi:
+                assert z == 0, (V, z)
+                counts["zero"] += 1
+                continue
+            w, lo, hi = (z, lo, hi) if z > 0 else (-z, -hi, -lo)
+            c2 = (2 + w) / (2 - w)
+            m, den = isqrt(c2.numerator), isqrt(c2.denominator)
+            assert Fraction(m * m, den * den) == c2 and den & (den - 1) == 0, (V, z)
+            assert not lo < circle_z(Fraction(m - 1, den)) < hi, (V, z)
+            assert den == 1 or not lo < circle_z(Fraction(m + 1, den)) < hi, (V, z)
+            counts["integer" if den == 1 else "dyadic"] += 1
+    # the corpus counts 78 gaps around z = 0, 1230 integer c and 1378 others
+    assert min(counts.values()) >= 50, counts
+
+
+def test_circle_point_stays_off_gap_ends_on_circle_points():
+    # isolation leaves dyadic gap ends, and no dyadic z but 0 and +-2 is a
+    # circle point; at rational ends that are (z = 6/5 is c = 2, z = 0 is
+    # c = 1, z = 8/5 is c = 3) the sample is still strictly inside, and
+    # mirrored gaps take mirrored samples
+    cases = {((1, 1), (6, 5)): circle_z(Fraction(7, 4)),
+             ((0, 1), (6, 5)): circle_z(Fraction(3, 2)),
+             ((6, 5), (8, 5)): circle_z(Fraction(5, 2)),
+             ((6, 5), (2, 1)): Fraction(8, 5)}
+    for (lo, hi), z in cases.items():
+        assert _circle_point(lo, hi) == z == reference_circle_point(Fraction(*lo), Fraction(*hi))
+        assert _circle_point((-hi[0], hi[1]), (-lo[0], lo[1])) == -z
 
 
 def test_interval_horner_on_ints_scales_the_fraction_bounds():
