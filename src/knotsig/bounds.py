@@ -306,7 +306,7 @@ def clasp_bound(knot, other, extra_table=None) -> int:
 
 def root_to_dict(root, digits: int, bp=None) -> dict:
     """JSON-ready view of one circle point: exact rational angle when the
-    factor is cyclotomic, certified decimal truncations otherwise."""
+    factor is cyclotomic, certified decimal floors otherwise."""
     from .certify import decimal_of_fraction, decimal_of_root, decimal_of_t
 
     t_exact = None

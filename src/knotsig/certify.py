@@ -2,27 +2,28 @@
 
 The exact core works in the trace coordinate z = 2*cos(2*pi*t); for display
 the angle parameter t must be recovered with certified digits ("no digit
-printed that the isolating interval does not pin down").
+printed that the isolating interval does not pin down").  A printed decimal
+is the floor of the value at `digits` places, so z = 2*cos(3*pi/5) =
+-0.6180339887... prints as -0.618034.
 
-The certified arithmetic is on integers at a fixed scale 10**scale, and
-every intermediate is rounded outward: pi by Machin's formula with its
-alternating series brackets summed exactly, cos by its Taylor bracket plus
-a Lipschitz widening.  t comes from a Newton proposal, two exact checks and
-a bisection fallback:
+t comes from one monotone enclosure.  With x = tan(pi*t), x*x =
+(2 - z)/(2 + z), and t = arctan(x)/pi decreases in z, so a root in
+[a/d, b/d] has t between a lower bound of t(b/d) and an upper bound of
+t(a/d).  Each bound is integer arithmetic at 2**bits, rounded outward at
+every step (argument halving and the alternating series, after Brent,
+J. ACM 23, 1976):
 
-1. Newton's method on 2*cos(2*pi*t) = z, started from the float arccos and
-   run in fixed point, proposes t to about digits+8 places.  Nothing it
-   computes is trusted.
-2. The proposal, padded on the grid 10**-(digits+4), is accepted only when
-   z(lo) certifiably lies above and z(hi) below the root's interval
-   (z(t) decreases on [0, 1/2]).  Normally this passes at the first pad.
-3. Otherwise certified bisection narrows [0, 1/2].  It is the only route
-   near t = 0 and t = 1/2, where sin(2*pi*t) vanishes and Newton's step
-   degrades, and it serves any proposal that misses.
+1. w = x or 1/x, whichever is at most 1, by isqrt; below z = 0,
+   t = 1/2 - arctan(1/x)/pi.
+2. Two half-angle steps w -> w/(1 + sqrt(1 + w*w)) bring w below
+   tan(pi/16) < 0.2.
+3. The alternating arctan series, its floored terms covered by a slack of
+   2 units a term.
+4. pi by Machin's formula, its alternating series brackets summed exactly.
 
 A root's interval is read as the ints a <= b over d of sturm.RealRoot: each
-comparison with a certified cosine, truncation of z and sign of a trace
-polynomial at an end is an integer product, and no Fraction is built.
+enclosure of t, floor of z and sign of a trace polynomial at an end starts
+from those integers.
 """
 
 from __future__ import annotations
@@ -66,128 +67,79 @@ def pi_bounds(scale: int) -> tuple[int, int]:
     return _round_out(lo * one, hi * one, a_den * b_den)
 
 
-def cos_bounds(x2lo: int, x2hi: int, scale: int, eps: int) -> tuple[int, int]:
-    """Integers lo <= cos(x) * 10**(scale+2) <= hi for every real x with
-    x2lo <= x*x * 10**scale <= x2hi.
+def _tan_quarter(num: int, den: int, bits: int, up: bool) -> int:
+    """An integer below tan(arctan(w)/4) * 2**bits, or above it if up, for
+    w = sqrt(num/den) with 0 <= num <= den.
 
-    Taylor bracket with every partial sum rounded outward to an integer at
-    10**scale.  It stops once a term is below eps (in units of 10**-scale)
-    and the terms decrease, and adds the alternating tail's next term on its
-    open side, rounded at the finer 10**-(scale+2) so that it does not widen
-    a narrow bracket by a whole unit.
-    """
-    one = 10**scale
-    tlo = thi = slo = shi = one
-    k = 0
-    while True:
+    w by isqrt, then two half-angle steps x -> x/(1 + sqrt(1 + x*x)), each
+    rounded outward (the step increases in x).  The result is at most
+    tan(pi/16) < 0.2 plus an ulp."""
+    one = 1 << bits
+    y = math.isqrt((num << 2 * bits) // den) + up
+    for _ in range(2):
+        r = math.isqrt(one * one + y * y)  # r <= sqrt(one**2 + y**2) < r + 1
+        y = -(-(y << bits) // (one + r)) if up else (y << bits) // (one + r + 1)
+    return y
+
+
+def _arctan(y: int, bits: int, up: bool) -> int:
+    """An integer below arctan(y / 2**bits) * 2**bits, or above it if up,
+    for 0 <= y < 2**bits, by the alternating series.
+
+    Powers and terms are floored.  The k-th power loses under k units (each
+    step loses under one and y < 1 shrinks what came before), so a term is
+    low by under 3/2 units.  The sum stops at the first power that floors to
+    0; that term is below 1/2, and so is the tail it bounds.  2 units a term
+    is a slack that covers both."""
+    y2, p = y * y, y
+    s = k = 0
+    while p:
+        term = p // (2 * k + 1)
+        s += -term if k & 1 else term
+        p = p * y2 >> 2 * bits
         k += 1
-        tlo, thi = _round_out(tlo * x2lo, thi * x2hi, (2 * k - 1) * (2 * k) * one)
-        if k % 2 == 1:
-            slo, shi = slo - thi, shi - tlo
-        else:
-            slo, shi = slo + tlo, shi + thi
-        d = (2 * k + 1) * (2 * k + 2)
-        if thi < eps and d * one > x2hi:
-            nxt = -(-100 * thi * x2hi // (d * one))
-            slo, shi = 100 * slo, 100 * shi
-            return (slo, shi + nxt) if k % 2 == 1 else (slo - nxt, shi)
+    return s + 2 * k if up else s - 2 * k
 
 
-def two_cos_two_pi(t: Fraction, scale: int) -> tuple[int, int]:
-    """Integers lo <= 2*cos(2*pi*t) * 10**(scale+8) <= hi, t in [0, 1/2]
-    rational; the bracket is narrower than about 10**-(scale+2)."""
-    t = Fraction(t)
-    if t < 0 or t > Fraction(1, 2):
-        raise ValueError("t must lie in [0, 1/2]")
-    a, b = t.numerator, t.denominator
-    plo, phi = pi_bounds(scale + 2)
-    # cos at x = 2*p*t / 10**(scale+4) for p = plo and phi, with
-    # x*x * 10**(scale+6) = (2*p*a)**2 / (10**(scale+2) * b*b)
-    den = 10 ** (scale + 2) * b * b
-    (lo1, hi1), (lo2, hi2) = (cos_bounds(*_round_out(x2, x2, den), scale + 6, 10**4)
-                              for x2 in ((2 * plo * a) ** 2, (2 * phi * a) ** 2))
-    w = -(-20000 * (phi - plo) * a // b)  # |cos'| <= 1 covers the sliver between the x's
-    return 2 * (min(lo1, lo2) - w), 2 * (max(hi1, hi2) + w)
+def _t_bound(p: int, d: int, scale: int, up: bool) -> Fraction:
+    """A bound on t(z) = arccos(z/2)/(2*pi) at z = p/d in [-2, 2], d > 0:
+    above t if up, below it otherwise, about 10**-scale from t.
 
-
-def _propose_t(z: Fraction, places: int) -> Fraction | None:
-    """Newton's method on cos(theta) = z/2, theta = 2*pi*t, in fixed point
-    at 10**places, from the float arccos.  Each step doubles the correct
-    digits until a step falls below 10**-(places/2).  Nothing here is
-    certified; None means sin(theta) vanished and there is no proposal."""
-    one = 10**places
-    half_z = z.numerator * one // (2 * z.denominator)
-    theta = int(math.acos(max(-1.0, min(1.0, float(z) / 2))) * 2**60) * one >> 60
-    for _ in range(8):
-        t2 = theta * theta
-        c_lo, c_hi = cos_bounds(*_round_out(t2, t2, one), places, 10)
-        c = (c_lo + c_hi) // 200
-        if c * c >= one * one:
-            return None
-        step = (c - half_z) * one // math.isqrt(one * one - c * c)
-        theta += step
-        if step * step < one:
-            break
-    return Fraction(theta, 2 * (pi_bounds(places)[0] // 100))
+    t = arctan(x)/pi with x*x = (2 - z)/(2 + z); below z = 0, x > 1 and
+    t = 1/2 - arctan(1/x)/pi.  So arctan is bounded at w = min(x, 1/x) <= 1,
+    on the side that t's bound asks for."""
+    flip = p < 0
+    above = up != flip
+    # 10/3 > log2(10) bits a digit, bit_length for the slack, 16 to spare
+    bits = 10 * scale // 3 + scale.bit_length() + 16
+    a = 4 * _arctan(_tan_quarter(*sorted((2 * d - p, 2 * d + p)), bits, above), bits, above)
+    plo, phi = pi_bounds(scale)
+    q = Fraction(a * 10 ** (scale + 2), (plo if above else phi) << bits)
+    return Fraction(1, 2) - q if flip else q
 
 
 def t_interval_of_root(root: RealRoot, digits: int) -> tuple[Fraction, Fraction]:
     """An interval of width below 10**-(digits+1) pinning
-    t = arccos(z/2)/(2*pi) for a z-root in (-2, 2).
+    t = arccos(z/2)/(2*pi) for a z-root in [-2, 2].
 
-    Newton proposal, two exact checks, bisection fallback.  z(t) =
-    2*cos(2*pi*t) decreases on [0, 1/2], so t_lo < t < t_hi exactly when
-    z(t_lo) lies above and z(t_hi) below the root's interval, each decided
-    by an exact integer comparison with the certified cosine.  The Newton
-    proposal (`_propose_t`) padded on the grid 10**-(digits+4) is the first
-    bracket tried; it is accepted only when both ends pass.  If no pad
-    passes, certified bisection starts from [0, 1/2].  Floats and Newton
-    iterates only ever propose; every accepted comparison is exact.
-    """
-    target = Fraction(1, 10 ** (digits + 1))
-    scale = digits + 8
-    root.refine_below(Fraction(1, 10**scale))
-
-    def side(t: Fraction) -> int:
-        """+1 if z(t) certifiably lies above the root, -1 below, 0 undecided."""
-        zlo, zhi = two_cos_two_pi(t, scale)
-        one = 10 ** (scale + 8)
-        if zlo * root.d > root.b * one:
-            return 1
-        if zhi * root.d < root.a * one:
-            return -1
-        return 0
-
-    ta, tb = Fraction(0), Fraction(1, 2)
-    proposal = _propose_t(root.mid, scale)
-    if proposal is not None:
-        grid = 10 ** (digits + 4)
-        t = math.floor(proposal * grid)
-        for pad in (10, 1000, 10**5):
-            lo = Fraction(min(max(0, t - pad), grid // 2), grid)
-            hi = Fraction(min(max(0, t + 1 + pad), grid // 2), grid)
-            if side(lo) == 1 and side(hi) == -1:
-                ta, tb = lo, hi
-                break
-
-    attempts = 0
-    while tb - ta >= target:
-        tm = (ta + tb) / 2
-        s = side(tm)
-        if s > 0:
-            ta = tm
-        elif s < 0:
-            tb = tm
-        else:
-            root.refine()
-            attempts += 1
-            if attempts % 8 == 0:
-                scale += 4
-    return ta, tb
+    t(z) decreases, so t lies between a lower bound of t at the interval's
+    upper end and an upper bound of t at its lower end, clamped to
+    [0, 1/2].  The root is refined to 10**-(digits+8) first; where t moves
+    too fast for that (near z = +-2), the guard digits double until the
+    interval is narrow enough."""
+    guard = 8
+    while True:
+        scale = digits + guard
+        root.refine_below(Fraction(1, 10**scale))
+        lo = max(Fraction(0), _t_bound(root.b, root.d, scale, False))
+        hi = min(Fraction(1, 2), _t_bound(root.a, root.d, scale, True))
+        if (hi - lo) * 10 ** (digits + 1) < 1:
+            return lo, hi
+        guard *= 2
 
 
 def certified_decimal(lo: Fraction, hi: Fraction, digits: int) -> str | None:
-    """Truncated decimal string valid for everything in [lo, hi], or None.
+    """Floored decimal string valid for everything in [lo, hi], or None.
 
     The printed value d satisfies d <= x < d + 10**-digits for all x in the
     interval; when the interval straddles a multiple of 10**-digits nothing
@@ -208,10 +160,10 @@ def _decimal(n: int, digits: int) -> str:
 
 
 def decimal_of_root(root: RealRoot, digits: int) -> str:
-    """Certified truncation of the z-value of a root to `digits` places."""
+    """Certified floor of the z-value of a root at `digits` places."""
     if len(root.poly) == 2:
         # a rational root: an interval around a non-dyadic value such as 9/5
-        # straddles its own truncation point for ever, so use the value
+        # straddles its own floor point for ever, so use the value
         return decimal_of_fraction(Fraction(-root.poly[0], root.poly[1]), digits)
     grid = 10**digits
     while True:
@@ -241,7 +193,7 @@ def _is_two_cos(root: RealRoot, m: Fraction) -> bool:
 
 
 def decimal_of_t(root: RealRoot, digits: int) -> str:
-    """Certified truncation of t = arccos(z/2)/(2*pi) to `digits` places.
+    """Certified floor of t = arccos(z/2)/(2*pi) at `digits` places.
 
     A t-interval that straddles a grid point m = a/b never certifies when t
     is m itself, so that case is decided exactly: the interval is narrower
@@ -262,5 +214,5 @@ def decimal_of_t(root: RealRoot, digits: int) -> str:
 
 
 def decimal_of_fraction(x: Fraction, digits: int) -> str:
-    """Exact truncation of a rational to `digits` decimal places."""
+    """Exact floor of a rational at `digits` decimal places."""
     return _decimal((x * 10**digits).__floor__(), digits)

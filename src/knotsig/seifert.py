@@ -119,8 +119,10 @@ class SeifertMatrix:
 
     def mirror(self) -> "SeifertMatrix":
         """-V^T, a Seifert matrix of the mirror image: the blocks -B^T on the
-        same index sets; det(B - B^T) is unchanged."""
-        return object.__new__(SeifertMatrix)._set(tuple(map(_mirror_block, self.blocks)),
+        same index sets; det(B - B^T) is unchanged.  Each distinct block is
+        mirrored once, and its copies share the result."""
+        mirrored = {B: _mirror_block(B) for B in dict.fromkeys(self.blocks)}
+        return object.__new__(SeifertMatrix)._set(tuple(map(mirrored.__getitem__, self.blocks)),
                                                   self.indices)
 
 

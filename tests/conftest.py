@@ -592,10 +592,10 @@ def check_real_form_plateaus(V, sf):
         assert real_form_signature(V.rows, s) == (2 * value, 0), (s, value)
 
 
-# ---- the Fraction reference for certified decimals: the rational interval
-# arithmetic and the certified bisection from [0, 1/2] that
-# certify.t_interval_of_root used before its Newton proposal and integer
-# cosine; roots are refined here by Fraction Horner, not by sturm.sign_at ----
+# ---- the Fraction reference for certified decimals: rational interval
+# arithmetic, a certified bisection for t from [0, 1/2] on Taylor brackets of
+# the cosine, and Euler's series for arctan; roots are refined here by
+# Fraction Horner, not by sturm.sign_at ----
 
 def _round_out_fraction(lo: Fraction, hi: Fraction, scale: int) -> tuple[Fraction, Fraction]:
     s = 10**scale
@@ -647,6 +647,20 @@ def _two_cos_two_pi_fraction(t: Fraction, scale: int) -> tuple[Fraction, Fractio
     clo2, chi2 = _cos_bounds_fraction(xhi, eps, scale + 6)
     w = xhi - xlo
     return 2 * (min(clo1, clo2) - w), 2 * (max(chi1, chi2) + w)
+
+
+def arctan_reference(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """lo <= arctan(x) <= hi with hi - lo < eps for a rational x >= 0, by
+    Euler's series sum_k (2k)!!/(2k+1)!! * x**(2k+1)/(1 + x*x)**(k+1), whose
+    terms are positive and shrink by r = x*x/(1 + x*x) < 1 or faster, so the
+    tail after a term t is below t/(1 - r)."""
+    r = x * x / (1 + x * x)
+    term, s, k = x / (1 + x * x), Fraction(0), 0
+    while term / (1 - r) >= eps:
+        s += term
+        k += 1
+        term *= r * 2 * k / (2 * k + 1)
+    return s, s + term / (1 - r)
 
 
 def _halve_fraction(poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

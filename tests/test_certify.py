@@ -1,17 +1,17 @@
 """Certified decimals of t and z against the Fraction bisection reference,
-the Newton proposal's fallback, and the integer pi and cosine brackets."""
+the integer arctan enclosure against Euler's series, and the integer pi
+bracket."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import (_pi_bounds_fraction, _two_cos_two_pi_fraction,
+from conftest import (_pi_bounds_fraction, _t_interval_bisect, arctan_reference,
                       decimal_of_root_reference, decimal_of_t_reference,
                       random_seifert_matrices)
-from knotsig import certify
-from knotsig.certify import (decimal_of_root, decimal_of_t, pi_bounds,
-                             t_interval_of_root, two_cos_two_pi)
+from knotsig.certify import (_arctan, _tan_quarter, decimal_of_root, decimal_of_t,
+                             pi_bounds, t_interval_of_root)
 from knotsig.signature import step_function
 from knotsig.sturm import RealRoot, isolate_real_roots
 
@@ -94,57 +94,82 @@ def test_decimals_match_the_bisection_reference(cases):
                 assert decimal_of_root(r, digits) == z, (label, digits)
 
 
-def test_proposal_needs_two_checks(cases, monkeypatch):
-    calls = []
-
-    def counted(t, scale):
-        calls.append(t)
-        return two_cos_two_pi(t, scale)
-
-    monkeypatch.setattr(certify, "two_cos_two_pi", counted)
+def test_t_interval_contains_the_bisection_interval(cases):
+    # the series slack leaves the enclosure a margin of several units at
+    # 2**-bits, wider than a bisection interval 16 places finer
     for label, root, _refs in cases:
-        if label.startswith("random"):
-            calls.clear()
-            lo, hi = t_interval_of_root(_fresh(root), 20)
-            assert len(calls) == 2 and hi - lo < Fraction(1, 10**21), label
+        for digits in (6, 20):
+            lo, hi = t_interval_of_root(_fresh(root), digits)
+            ra, rb = _t_interval_bisect(root, digits + 16)
+            assert lo <= ra <= rb <= hi, (label, digits)
+            assert hi - lo < Fraction(1, 10 ** (digits + 1)), (label, digits)
 
 
-@pytest.mark.parametrize("miss", ["zero", "half", "off", "none"])
-def test_a_missed_proposal_falls_back_to_bisection(cases, monkeypatch, miss):
-    for label, root, refs in cases:
-        t30 = Fraction(refs[30][0])
-        wrong = {"zero": Fraction(0), "half": Fraction(1, 2),
-                 "off": t30 + Fraction(1, 10**8), "none": None}[miss]
-        monkeypatch.setattr(certify, "_propose_t", lambda z, places: wrong)
-        for digits in PRECISIONS:
-            assert decimal_of_t(_fresh(root), digits) == refs[digits][0], (label, digits)
+def _arguments(rng, k: int) -> list[Fraction]:
+    """w in [0, 1] near 0, near tan(pi/8) and near 1, with denominators
+    up to 10**k."""
+    tan_pi_8 = Fraction(41421356237309504880168872420969807857, 10**38)
+    near = [Fraction(0), Fraction(1), Fraction(1, 10**k)]
+    for _ in range(6):
+        d = Fraction(rng.randint(0, 1000), 10**k)
+        near += [d, tan_pi_8 + d, tan_pi_8 - d, 1 - d]
+    return [Fraction(round(w * 10**k), 10**k) for w in near]
 
 
 @pytest.mark.parametrize("scale", [10, 28, 40])
-def test_integer_cosine_contains_the_fraction_bracket(scale):
-    rng = random.Random(7000 + scale)
-    one = 10 ** (scale + 8)
-    for k in range(200):
-        if k % 4 == 0:
-            t = Fraction(rng.randint(0, 2**60), 2**61)
-        elif k % 4 == 1:
-            t = Fraction(rng.randint(0, 5 * 10**24), 10**25)
-        elif k % 4 == 2:
-            t = Fraction(rng.randint(0, 10**6), rng.randint(2 * 10**6, 10**9))
-        else:
-            t = Fraction(1, rng.randint(1, 10**30) + 1)
-        t = min(t, Fraction(1, 2))
-        lo, hi = two_cos_two_pi(t, scale)
-        flo, fhi = _two_cos_two_pi_fraction(t, scale)
-        assert Fraction(lo, one) <= flo <= fhi <= Fraction(hi, one), t
-        assert Fraction(hi - lo, one) <= 2 * (fhi - flo), t
-    assert two_cos_two_pi(Fraction(0), scale) == (2 * one, 2 * one)
+def test_arctan_enclosure_contains_euler_series(scale):
+    bits = 10 * scale // 3
+    one = 1 << bits
+    for w in _arguments(random.Random(scale), scale // 2):
+        num, den = w.numerator ** 2, w.denominator ** 2
+        lo, hi = (4 * _arctan(_tan_quarter(num, den, bits, up), bits, up)
+                  for up in (False, True))
+        rlo, rhi = arctan_reference(w, Fraction(1, 2 ** (bits + 8)))
+        assert Fraction(lo, one) <= rlo <= rhi <= Fraction(hi, one), w
+        assert hi - lo < 8 * bits, w
 
 
-def test_two_cos_two_pi_rejects_t_outside_the_half_circle():
-    for t in (Fraction(-1, 10**9), Fraction(1, 2) + Fraction(1, 10**9)):
-        with pytest.raises(ValueError):
-            two_cos_two_pi(t, 10)
+def _tan_4(y: Fraction) -> Fraction:
+    """tan(4*phi) for y = tan(phi), increasing in y on [0, tan(pi/8))."""
+    return (4 * y - 4 * y**3) / (1 - 6 * y**2 + y**4)
+
+
+@pytest.mark.parametrize("bits", [8, 33, 93, 133])
+def test_quarter_angle_brackets_the_argument(bits):
+    # tan(4*arctan(y)) = w decides each side exactly: lo <= y(w) <= hi
+    rng = random.Random(bits)
+    one = 1 << bits
+    for k in range(300):
+        if k % 2:
+            den = rng.randint(1, 10**12)
+            num = rng.choice((0, den, rng.randint(0, den), rng.randint(0, den // 10**6)))
+        else:  # w = m / 2**j: isqrt is exact, and only the steps round
+            j = rng.randint(1, bits)
+            num, den = rng.randint(0, 2**j) ** 2, 4**j
+        lo, hi = (Fraction(_tan_quarter(num, den, bits, up), one) for up in (False, True))
+        assert hi < Fraction(1, 4), (num, den)
+        assert _tan_4(lo) ** 2 <= Fraction(num, den) <= _tan_4(hi) ** 2, (num, den)
+
+
+@pytest.mark.parametrize("end,t", [(2, "0.000000"), (-2, "0.499999")])
+def test_intervals_touching_the_ends_clamp(end, t):
+    # z = +-sqrt(4 - 10**-30) = +-(2 - 2.5e-31): the interval keeps its end
+    # at z = +-2 until it is narrower than 2.5e-31
+    poly = (-(4 * 10**30 - 1), 0, 10**30)
+    ends = sorted((Fraction(end), Fraction(end, 2)))
+    root = RealRoot(poly, *ends)
+    lo, hi = t_interval_of_root(root, 6)
+    assert end in (root.lo, root.hi)
+    assert (lo if end > 0 else hi) == Fraction(2 - end, 8)  # t = 0 or 1/2
+    assert hi - lo < Fraction(1, 10**7)
+    assert decimal_of_t(RealRoot(poly, *ends), 6) == t
+
+
+def test_exact_root_at_z_zero_is_enclosed():
+    zero = RealRoot.exact((0, 1), Fraction(0))
+    for digits in (0, 6, 30):
+        lo, hi = t_interval_of_root(zero, digits)
+        assert lo < Fraction(1, 4) < hi and hi - lo < Fraction(1, 10 ** (digits + 1))
 
 
 @pytest.mark.parametrize("scale", list(range(0, 48, 3)) + [28, 40])

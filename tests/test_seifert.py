@@ -93,6 +93,20 @@ def test_unpickling_checks_each_distinct_block_once(monkeypatch):
         pickle.loads(pickle.dumps(bad))
 
 
+def test_mirror_maps_each_distinct_block_once(monkeypatch):
+    import pickle
+
+    calls, mirror_block = [], seifert._mirror_block
+    monkeypatch.setattr(seifert, "_mirror_block", lambda B: calls.append(B) or mirror_block(B))
+    V = resolve("1000*3_1 # 4_1 # 2*5_1")
+    M = V.mirror()
+    assert len(calls) == 3 == len(set(calls))
+    assert M == resolve("1000*-3_1 # -4_1 # 2*-5_1") and M.mirror() == V
+    # the copies share their mirrored block, so the mirror of a multiple
+    # pickles like the multiple of the mirror
+    assert len(pickle.dumps(resolve("-(1000*3_1)"))) == len(pickle.dumps(resolve("1000*-3_1")))
+
+
 def test_sums_compare_and_hash_by_their_nonzeros():
     # == and hash read the blocks and index sets and build no rows
     import pickle
